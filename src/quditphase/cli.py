@@ -93,6 +93,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_batch(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be a positive integer, got {args.jobs}")
     paths = sorted(
         os.path.join(args.directory, f) for f in os.listdir(args.directory)
         if f.endswith((".yaml", ".yml")))
@@ -102,8 +104,11 @@ def _cmd_batch(args) -> int:
     ext = "csv" if args.format == "csv" else "json"
 
     def one(path: str) -> str:
-        config = ScenarioConfig.from_file(path)
-        out = run_scenario(config, split=args.split, steps=args.steps)
+        try:
+            config = ScenarioConfig.from_file(path)
+            out = run_scenario(config, split=args.split, steps=args.steps)
+        except ConfigError as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
         base = os.path.splitext(os.path.basename(path))[0]
         dest = os.path.join(args.output, f"{base}.{ext}")
         out.record.write(dest, fmt=args.format)

@@ -69,16 +69,24 @@ def diagonal_total_phase_series(weights, chi_series) -> np.ndarray:
     return phases
 
 
-def _unwrapped_total(weights: np.ndarray, chi: np.ndarray) -> tuple[float, int]:
-    """Principal total phase and winding along the zero-to-chi ramp."""
-    span = float(np.abs(chi).max(initial=0.0))
-    n = min(65536, max(256, int(32 * span) + 32))
-    s = np.linspace(0.0, 1.0, n)
-    z = _phasor_series(weights, s[:, None] * chi[None, :])
+def _ramp(span: float) -> np.ndarray:
+    """Ramp parameter from 0 to 1 with about 32 samples per radian of span."""
+    return np.linspace(0.0, 1.0, max(256, int(32 * span) + 32))
+
+
+def _ramp_total(z: np.ndarray) -> tuple[float, float, int]:
+    """(unwrapped total, principal value, winding) of a sampled ramp."""
     phases, _ = unwrap_phases(z)
     total = phases[-1] - phases[0]
     principal = math.remainder(total, 2.0 * math.pi)
     winding = int(round((total - principal) / (2.0 * math.pi)))
+    return total, principal, winding
+
+
+def _unwrapped_total(weights: np.ndarray, chi: np.ndarray) -> tuple[float, int]:
+    """Principal total phase and winding along the zero-to-chi ramp."""
+    s = _ramp(float(np.abs(chi).max(initial=0.0)))
+    _, principal, winding = _ramp_total(_phasor_series(weights, s[:, None] * chi[None, :]))
     return principal, winding
 
 
@@ -230,19 +238,10 @@ def qubit_qutrit_dual(chi_a: float, chi_b0: float, chi_b1: float,
     if abs(total_b) > 1e-9 * max(1.0, abs(chi_b0), abs(chi_b1), abs(chi_b2)):
         raise ValueError(f"qutrit phases must sum to zero, got {total_b:g}")
 
-    def z_of(scale: float) -> complex:
-        a = scale * chi_a
-        b1 = scale * chi_b1
-        b2 = scale * chi_b2
-        return (math.cos(a - b2 - b1 / 2.0) * np.exp(-1j * b1 / 2.0) / 2.0
-                + math.cos(a - b1 - b2 / 2.0) * np.exp(-1j * b2 / 2.0) / 2.0)
-
-    span = max(abs(chi_a), abs(chi_b0), abs(chi_b1), abs(chi_b2))
-    n = min(65536, max(256, int(32 * span) + 32))
-    z = np.array([z_of(scale) for scale in np.linspace(0.0, 1.0, n)])
-    phases, _ = unwrap_phases(z)
-    total = phases[-1] - phases[0]
-    principal = math.remainder(total, 2.0 * math.pi)
-    winding = int(round((total - principal) / (2.0 * math.pi)))
+    s = _ramp(max(abs(chi_a), abs(chi_b0), abs(chi_b1), abs(chi_b2)))
+    a, b1, b2 = s * chi_a, s * chi_b1, s * chi_b2
+    z = (np.cos(a - b2 - b1 / 2.0) * np.exp(-1j * b1 / 2.0) / 2.0
+         + np.cos(a - b1 - b2 / 2.0) * np.exp(-1j * b2 / 2.0) / 2.0)
+    total, principal, winding = _ramp_total(z)
     phi_g = total - chi_b0 / 4.0
     return ClosedFormResult(phi_total_bar=principal, phi_g=phi_g, winding=winding)

@@ -293,23 +293,7 @@ class LocalEvolution:
     def coset_factor(self, times) -> np.ndarray:
         """Authored coset factor V(theta, phi) W(t), stacked over the samples."""
         t = self._check_range(np.atleast_1d(np.asarray(times, dtype=float)))
-        idx = self._segment_index(t)
-        n = t.size
-        w = np.empty((n, self.d, self.d), dtype=complex)
-        for k in np.unique(idx):
-            m = idx == k
-            if not self.segments:
-                w[m] = np.eye(self.d)
-                continue
-            seg = self.segments[k]
-            if isinstance(seg, GeneratorConst):
-                tau = t[m] - (self._ends[k] - seg.duration)
-                evals, evecs = self._gen_eig[k]
-                phase = np.exp(1j * evals[None, :] * tau[:, None])
-                w[m] = np.einsum("ij,tj,jk->tik", evecs, phase,
-                                 evecs.conj().T @ self._w0[k])
-            else:
-                w[m] = self._w0[k]
+        w = self._base_coset(t, self._segment_index(t))
         if self.has_bloch:
             theta, phi = self.bloch_coordinates(t)
             w = _bloch_matrix(theta, phi) @ w
@@ -363,23 +347,25 @@ class LocalEvolution:
                     base = self._base_coset(t[m], np.full(m.sum(), k))
                     Ud[m] = (b @ (g @ base)) * phase[m][:, None, :]
                 else:
-                    base = self._base_coset(t[m], np.full(m.sum(), k))
-                    Ud[m] = (g @ base) * phase[m][:, None, :]
+                    # U = W diag(e^{i chi}) with chi frozen here, so dU/dt = i G U
+                    Ud[m] = g @ U[m]
         return U, Ud
 
     def _base_coset(self, t: np.ndarray, idx: np.ndarray) -> np.ndarray:
         """Generator-product factor W(t) without the Bloch piece."""
         n = t.size
         w = np.empty((n, self.d, self.d), dtype=complex)
+        if not self.segments:
+            w[:] = np.eye(self.d)
+            return w
         for k in np.unique(idx):
             m = idx == k
             seg = self.segments[k]
             if isinstance(seg, GeneratorConst):
                 tau = t[m] - (self._ends[k] - seg.duration)
                 evals, evecs = self._gen_eig[k]
-                ph = np.exp(1j * evals[None, :] * tau[:, None])
-                w[m] = np.einsum("ij,tj,jk->tik", evecs, ph,
-                                 evecs.conj().T @ self._w0[k])
+                phase = np.exp(1j * evals[None, :] * tau[:, None])
+                w[m] = (evecs * phase[:, None, :]) @ (evecs.conj().T @ self._w0[k])
             else:
                 w[m] = self._w0[k]
         return w

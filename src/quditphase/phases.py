@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 INDETERMINATE_TOL = 1e-12
+# Byte budget of one n x d x d complex stack in the streamed trace kernel.
+BLOCK_BYTES = 2 ** 20
 
 
 class GridTooCoarseError(RuntimeError):
@@ -183,7 +185,9 @@ class PhaseTrace:
     ``geometric_phase = total_phase - dynamical_phase`` at every sample;
     all phases start at zero and the total phase is continuously unwrapped.
     ``indeterminate`` flags samples where the overlap vanished and the total
-    phase was bridged.
+    phase was bridged. ``unitarity_residual`` and ``determinant_residual`` are
+    the largest entries of |U^dag U - 1| and |det U - 1| over every sampled
+    operator.
     """
 
     t: np.ndarray
@@ -193,9 +197,11 @@ class PhaseTrace:
     dynamical_phase: np.ndarray
     geometric_phase: np.ndarray
     indeterminate: np.ndarray
+    unitarity_residual: float
+    determinant_residual: float
 
 
-def _finalize_trace(t, overlap, dyn, guard) -> PhaseTrace:
+def _finalize_trace(t, overlap, dyn, guard, residuals) -> PhaseTrace:
     mag = np.abs(overlap)
     if abs(overlap[0] - 1.0) > 1e-8:
         raise ValueError(
@@ -207,15 +213,39 @@ def _finalize_trace(t, overlap, dyn, guard) -> PhaseTrace:
     total = total - total[0]
     return PhaseTrace(t=t, overlap=overlap, overlap_mag=mag, total_phase=total,
                       dynamical_phase=dyn, geometric_phase=total - dyn,
-                      indeterminate=indet)
+                      indeterminate=indet, unitarity_residual=residuals[0],
+                      determinant_residual=residuals[1])
+
+
+def _operator_residuals(stacks) -> tuple[float, float]:
+    """Largest |U^dag U - 1| entry and |det U - 1| over operator stacks."""
+    unit = det = 0.0
+    for u in stacks:
+        eye = np.eye(u.shape[-1])
+        unit = max(unit, float(np.abs(u.conj().transpose(0, 2, 1) @ u - eye).max()))
+        det = max(det, float(np.abs(np.linalg.det(u) - 1.0).max()))
+    return unit, det
+
+
+def _connection(rho, u, u_dot):
+    """Tr[rho U^dag dU/dt] per sample, as sum_ki dU_ki (conj(U) rho^T)_ki.
+
+    The constant factor multiplies the flattened stack in one matrix product
+    instead of one small product per sample.
+    """
+    n, d, _ = u.shape
+    w = (u.conj().reshape(n * d, d) @ rho.T).reshape(n, d, d)
+    return np.einsum("tki,tki->t", u_dot, w)
 
 
 def _pair_overlap_frequency(alpha, rho_a, rho_b, u_a, u_a_dot, u_b, u_b_dot):
-    alphas = u_a @ alpha @ u_b.transpose(0, 2, 1)
+    n = u_a.shape[0]
+    d_a, d_b = alpha.shape
+    # U_A alpha as one product over the flattened stack, then U_B^T per sample
+    u_a_alpha = (u_a.reshape(n * d_a, d_a) @ alpha).reshape(n, d_a, d_b)
+    alphas = u_a_alpha @ u_b.transpose(0, 2, 1)
     overlap = np.einsum("ij,tij->t", alpha.conj(), alphas)
-    m_a = u_a.conj().transpose(0, 2, 1) @ u_a_dot
-    m_b = u_b.conj().transpose(0, 2, 1) @ u_b_dot
-    freq = -1j * (np.einsum("ij,tji->t", rho_a, m_a) + np.einsum("ij,tji->t", rho_b, m_b))
+    freq = -1j * (_connection(rho_a, u_a, u_a_dot) + _connection(rho_b, u_b, u_b_dot))
     if np.abs(freq.imag).max() > 1e-8:
         raise ValueError("dynamical frequency has a nonreal part; the operator "
                          "samples are not unitary")
@@ -241,7 +271,8 @@ def trace_from_samples(alpha0: CoefficientMatrix, t: np.ndarray,
     overlap, freq = _pair_overlap_frequency(alpha0.alpha, rho_a, rho_b,
                                             u_a, u_a_dot, u_b, u_b_dot)
     dt = float(t[1] - t[0]) if n > 1 else 1.0
-    return _finalize_trace(t, overlap, cumulative_simpson(freq, dt), guard)
+    return _finalize_trace(t, overlap, cumulative_simpson(freq, dt), guard,
+                           _operator_residuals([u_a, u_b]))
 
 
 def _check_rate_guard(rate: float, grid: TimeGrid, guard: float) -> None:
@@ -267,6 +298,41 @@ def _boundary_grid_indices(evos, grid: TimeGrid) -> list:
     return sorted(idx)
 
 
+def _block_rows(d: int) -> int:
+    """Grid rows per block: one complex d x d stack within BLOCK_BYTES."""
+    return max(256, BLOCK_BYTES // (16 * d * d))
+
+
+def _streamed_trace(evos, grid: TimeGrid, contract, guard: float) -> PhaseTrace:
+    """Phase trace of local paths, streamed over blocks of grid rows.
+
+    Each block samples every path once (right side) and ``contract`` reduces
+    the (U, dU/dt) pairs at once to overlap and frequency, so no operator
+    stack outlives its block. The unitarity and determinant residuals are
+    running maxima over the blocks. Only the left limits at segment cuts are
+    sampled again; the dynamical quadrature is stitched there.
+    """
+    times = grid.times()
+    n = times.size
+    overlap = np.empty(n, dtype=complex)
+    freq = np.empty(n)
+    unit = det = 0.0
+    rows = _block_rows(max(evo.d for evo in evos))
+    for lo in range(0, n, rows):
+        block = times[lo:lo + rows]
+        samples = [evo.sample(block) for evo in evos]
+        overlap[lo:lo + rows], freq[lo:lo + rows] = contract(*samples)
+        block_unit, block_det = _operator_residuals([u for u, _ in samples])
+        unit, det = max(unit, block_unit), max(det, block_det)
+    cuts = _boundary_grid_indices(evos, grid)
+    left = {}
+    if cuts:
+        _, left_freq = contract(*(evo.sample(times[cuts], side="left") for evo in evos))
+        left = dict(zip(cuts, left_freq))
+    dyn = _cumulative_piecewise(freq, left, cuts, grid.dt)
+    return _finalize_trace(times, overlap, dyn, guard, (unit, det))
+
+
 def run_trace(alpha0: CoefficientMatrix, pair: PairEvolution,
               guard: float = math.pi / 4.0) -> PhaseTrace:
     """Run a two-qudit trace over the pair's time grid.
@@ -279,29 +345,17 @@ def run_trace(alpha0: CoefficientMatrix, pair: PairEvolution,
             f"state is {alpha0.d_a}x{alpha0.d_b} but the paths act on "
             f"{pair.a.d} and {pair.b.d}")
     _check_rate_guard(pair.a.max_phase_rate + pair.b.max_phase_rate, pair.grid, guard)
-    times = pair.grid.times()
     rho_a, rho_b = reduced_densities(alpha0)
-    u_a, u_a_dot = pair.a.sample(times)
-    u_b, u_b_dot = pair.b.sample(times)
-    overlap, freq = _pair_overlap_frequency(alpha0.alpha, rho_a, rho_b,
-                                            u_a, u_a_dot, u_b, u_b_dot)
-    cuts = _boundary_grid_indices((pair.a, pair.b), pair.grid)
-    left = {}
-    if cuts:
-        tb = times[cuts]
-        _, left_freq = _pair_overlap_frequency(
-            alpha0.alpha, rho_a, rho_b, *pair.a.sample(tb, side="left"),
-            *pair.b.sample(tb, side="left"))
-        left = dict(zip(cuts, left_freq))
-    dyn = _cumulative_piecewise(freq, left, cuts, pair.grid.dt)
-    return _finalize_trace(times, overlap, dyn, guard)
+
+    def contract(a, b):
+        return _pair_overlap_frequency(alpha0.alpha, rho_a, rho_b, *a, *b)
+
+    return _streamed_trace((pair.a, pair.b), pair.grid, contract, guard)
 
 
 def _single_overlap_frequency(rho, u, u_dot):
     overlap = np.einsum("ij,tji->t", rho, u)
-    m = u.conj().transpose(0, 2, 1) @ u_dot
-    freq = -1j * np.einsum("ij,tji->t", rho, m)
-    return overlap, freq.real
+    return overlap, (-1j * _connection(rho, u, u_dot)).real
 
 
 def single_trace_from_samples(rho0: QuditDensity, t: np.ndarray,
@@ -311,7 +365,8 @@ def single_trace_from_samples(rho0: QuditDensity, t: np.ndarray,
     t = np.asarray(t, dtype=float)
     overlap, freq = _single_overlap_frequency(rho0.rho, u, u_dot)
     dt = float(t[1] - t[0]) if t.size > 1 else 1.0
-    return _finalize_trace(t, overlap, cumulative_simpson(freq, dt), guard)
+    return _finalize_trace(t, overlap, cumulative_simpson(freq, dt), guard,
+                           _operator_residuals([u]))
 
 
 def single_qudit_trace(rho0: QuditDensity, evo: LocalEvolution, grid: TimeGrid,
@@ -322,17 +377,11 @@ def single_qudit_trace(rho0: QuditDensity, evo: LocalEvolution, grid: TimeGrid,
     if evo.duration < grid.t_max - 1e-9:
         raise ValueError("path shorter than the grid window")
     _check_rate_guard(evo.max_phase_rate, grid, guard)
-    times = grid.times()
-    u, u_dot = evo.sample(times)
-    overlap, freq = _single_overlap_frequency(rho0.rho, u, u_dot)
-    cuts = _boundary_grid_indices((evo,), grid)
-    left = {}
-    if cuts:
-        _, left_freq = _single_overlap_frequency(
-            rho0.rho, *evo.sample(times[cuts], side="left"))
-        left = dict(zip(cuts, left_freq))
-    dyn = _cumulative_piecewise(freq, left, cuts, grid.dt)
-    return _finalize_trace(times, overlap, dyn, guard)
+
+    def contract(s):
+        return _single_overlap_frequency(rho0.rho, *s)
+
+    return _streamed_trace((evo,), grid, contract, guard)
 
 
 @dataclass(frozen=True)

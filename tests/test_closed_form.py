@@ -245,6 +245,22 @@ def test_qubit_qutrit_dual_zero_and_sum_guard():
         cf.qubit_qutrit_dual(0.1, 0.2, 0.2, 0.2)
 
 
+def test_ramp_sampling_scales_with_large_angles():
+    # the zero-to-chi ramp once stopped at 65536 samples and then tripped
+    # the unwrap guard for angles of a few 1e4 rad
+    chi = 3e4
+    res = cf.single_qubit_partial(0.5, chi, 0.0)
+    assert res.phi_total_bar == pytest.approx(
+        math.atan2(0.5 * math.sin(chi), math.cos(chi)), abs=1e-6)
+    assert abs(res.phi_total_unwrapped - chi) < math.pi / 2
+    assert res.phi_g == pytest.approx(res.phi_total_unwrapped - 0.5 * chi, abs=1e-9)
+    dual = cf.qubit_qutrit_dual(chi, 2e4, -1e4, -1e4)
+    a, b1, b2 = chi, -1e4, -1e4
+    z_end = (math.cos(a - b2 - b1 / 2) * np.exp(-0.5j * b1)
+             + math.cos(a - b1 - b2 / 2) * np.exp(-0.5j * b2)) / 2
+    assert dual.phi_total_bar == pytest.approx(np.angle(z_end), abs=1e-6)
+
+
 def test_qubit_qutrit_dual_against_engine():
     state = qp.qubit_qutrit_full()
     for rate_a in (1.5, 3.0):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import quditphase as qp
+from quditphase import phases
 from quditphase.phases import cumulative_simpson
 
 TWO_PI = 2.0 * math.pi
@@ -366,3 +367,139 @@ def test_cycles_on_fractional_lattice_when_maximally_entangled():
     assert len(scan.events) > 1
     for ev in scan.events:
         assert lat.contains(ev.phase, tol=1e-6)
+
+
+# -- streamed kernel against dense full-grid stacks ------------------------------
+
+_DT = 2.0 ** -13       # exact binary step, so block edges land on the grid exactly
+
+
+def _dense_residuals(stacks):
+    unit = max(float(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(u.shape[-1])).max())
+               for u in stacks)
+    det = max(float(np.abs(np.linalg.det(u) - 1.0).max()) for u in stacks)
+    return unit, det
+
+
+def _mixed_generator(d, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    g = (z + z.conj().T) / 2.0
+    return g - np.trace(g).real / d * np.eye(d)
+
+
+def _one_block(monkeypatch):
+    monkeypatch.setattr(phases, "BLOCK_BYTES", 2 ** 40)
+
+
+def test_streamed_pair_trace_matches_dense_stacks(monkeypatch):
+    rows = phases._block_rows(3)
+    steps = 2 * rows + 2                        # rows + 1 samples: not a block multiple
+    cut = rows * _DT                            # segment cut on the first block edge
+    t_max = steps * _DT
+    a = qp.LocalEvolution(2, [
+        qp.BlochLoop(theta_end=1.1, phi_rate=2.0, duration=cut),
+        qp.GeneratorConst(_mixed_generator(2, 1), 0.25),
+        qp.CartanLinear(np.array([1.5, -1.5]), t_max - cut - 0.25)])
+    b = qp.LocalEvolution(3, [
+        qp.GeneratorConst(_mixed_generator(3, 2), cut),
+        qp.CartanLinear(np.array([1.0, 2.0, -3.0]), t_max - cut)])
+    pair = qp.PairEvolution(a, b, qp.TimeGrid(t_max, steps))
+    state = qp.random_state(2, 3, np.random.default_rng(5))
+    assert steps + 1 > 2 * rows and (steps + 1) % rows
+    assert rows in phases._boundary_grid_indices((a, b), pair.grid)
+
+    streamed = qp.run_trace(state, pair)
+    times = pair.grid.times()
+    u_a, u_a_dot = a.sample(times)
+    u_b, u_b_dot = b.sample(times)
+    dense = qp.trace_from_samples(state, times, u_a, u_a_dot, u_b, u_b_dot)
+    for name in ("overlap", "overlap_mag", "total_phase"):
+        np.testing.assert_allclose(getattr(streamed, name), getattr(dense, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
+    unit, det = _dense_residuals([u_a, u_b])
+    assert streamed.unitarity_residual == pytest.approx(unit, abs=1e-15)
+    assert streamed.determinant_residual == pytest.approx(det, abs=1e-15)
+    assert (dense.unitarity_residual, dense.determinant_residual) == (unit, det)
+
+    _one_block(monkeypatch)                     # the same kernel on one full-grid stack
+    whole = qp.run_trace(state, pair)
+    for name in ("overlap", "total_phase", "dynamical_phase", "geometric_phase"):
+        np.testing.assert_allclose(getattr(streamed, name), getattr(whole, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_streamed_single_trace_matches_dense_stacks(monkeypatch):
+    d = 4
+    rows = phases._block_rows(d)
+    steps = 3 * rows + 10
+    cut = 2 * rows * _DT
+    t_max = steps * _DT
+    evo = qp.LocalEvolution(d, [
+        qp.GeneratorConst(_mixed_generator(d, 3), cut),
+        qp.CartanLinear(np.array([1.0, 0.5, -0.5, -1.0]), t_max - cut)])
+    grid = qp.TimeGrid(t_max, steps)
+    q_hat = np.zeros(d * d - 1)
+    q_hat[0] = 1.0
+    rho = qp.density_from_purity(d, 0.4, q_hat)
+    assert (steps + 1) % rows
+    assert phases._boundary_grid_indices((evo,), grid) == [2 * rows]
+
+    streamed = qp.single_qudit_trace(rho, evo, grid)
+    times = grid.times()
+    u, u_dot = evo.sample(times)
+    dense = qp.single_trace_from_samples(rho, times, u, u_dot)
+    for name in ("overlap", "overlap_mag", "total_phase"):
+        np.testing.assert_allclose(getattr(streamed, name), getattr(dense, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
+    unit, det = _dense_residuals([u])
+    assert streamed.unitarity_residual == pytest.approx(unit, abs=1e-15)
+    assert streamed.determinant_residual == pytest.approx(det, abs=1e-15)
+
+    _one_block(monkeypatch)
+    whole = qp.single_qudit_trace(rho, evo, grid)
+    for name in ("overlap", "total_phase", "dynamical_phase", "geometric_phase"):
+        np.testing.assert_allclose(getattr(streamed, name), getattr(whole, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
+
+
+def _record_sample_calls(monkeypatch):
+    calls = []
+    original = qp.LocalEvolution.sample
+
+    def sample(self, times, side="right"):
+        out = original(self, times, side)
+        calls.append((self, side, np.atleast_1d(np.asarray(times, dtype=float)).copy()))
+        return out
+
+    monkeypatch.setattr(qp.LocalEvolution, "sample", sample)
+    return calls
+
+
+@pytest.mark.parametrize("raw", [
+    {"name": "pair", "dims": [3, 8], "initial_state": {"preset": "max_entangled"},
+     "evolution": {"a": [{"kind": "cartan_linear", "rates": [1, 1, -2], "duration": 1},
+                         {"kind": "cartan_hold", "duration": 1}],
+                   "b": [{"kind": "cartan_linear", "rates": [1, 0, 0, 0, 0, 0, 0, -1],
+                          "duration": 2}]},
+     "grid": {"t_max": 2, "steps": 5000}},
+    {"name": "single", "dims": 3, "initial_state": {"purity": {"q": 0.3}},
+     "evolution": {"path": [{"kind": "cartan_linear", "rates": [1, 1, -2],
+                             "duration": 1},
+                            {"kind": "cartan_hold", "duration": 1}]},
+     "grid": {"t_max": 2, "steps": 20000}},
+], ids=["pair", "single"])
+def test_run_scenario_samples_each_row_once(monkeypatch, raw):
+    calls = _record_sample_calls(monkeypatch)
+    out = qp.scenarios.run_scenario(qp.scenarios.ScenarioConfig.from_dict(raw))
+    built = out.built
+    evos = [built.evo_a] + ([built.evo_b] if built.evo_b is not None else [])
+    limit = phases._block_rows(max(evo.d for evo in evos))
+    right = [c for c in calls if c[1] == "right"]
+    assert len(right) > len(evos)                      # more than one block per path
+    assert max(c[2].size for c in right) <= limit
+    for evo in evos:
+        sampled = np.concatenate([c[2] for c in right if c[0] is evo])
+        np.testing.assert_array_equal(sampled, built.grid.times())
+    assert {c[1] for c in calls} <= {"right", "left"}
+    assert all(c[2].size == 1 for c in calls if c[1] == "left")

@@ -55,6 +55,31 @@ def test_config_error_names_segment():
         qp.ScenarioConfig.from_yaml(BAD_RATES_YAML).build()
 
 
+def test_number_fields_reject_powers_at_once():
+    for expr in ("9**9**8", "2**10"):
+        text = GOOD_YAML.replace('t_max: "2*pi"', f't_max: "{expr}"')
+        start = time.perf_counter()
+        with pytest.raises(ConfigError, match=r"grid\.t_max"):
+            qp.ScenarioConfig.from_yaml(text)
+        assert time.perf_counter() - start < 1.0
+    for expr, value in (("2*pi/3", TWO_PI / 3), ("-pi", -math.pi),
+                        ("(1 + 2) * pi - 0.5", 3 * math.pi - 0.5)):
+        text = GOOD_YAML.replace('t_max: "2*pi"', f't_max: "{expr}"')
+        assert qp.ScenarioConfig.from_yaml(text).t_max == pytest.approx(value)
+    for expr in ("pi()", "abs(-1)", "1/0", "True", "x", "1 if 1 else 2", "1e999*0",
+                 "-" * 100000 + "1", "1+" * 100000 + "1"):
+        text = GOOD_YAML.replace('t_max: "2*pi"', f't_max: "{expr}"')
+        with pytest.raises(ConfigError):
+            qp.ScenarioConfig.from_yaml(text)
+
+
+def test_cli_power_expression_exits_config_error(tmp_path, capsys):
+    path = tmp_path / "pow.yaml"
+    path.write_text(GOOD_YAML.replace('duration: "2*pi"}\n  b', 'duration: "9**9**8"}\n  b'))
+    assert main(["run", str(path)]) == 2
+    assert "9**9**8" in capsys.readouterr().err
+
+
 def test_config_rejects_unknown_keys_and_shapes():
     with pytest.raises(ConfigError):
         qp.ScenarioConfig.from_dict({"name": "x", "dims": [3, 2],
@@ -232,6 +257,21 @@ def test_cli_batch_runs_directory(tmp_path):
         (confdir / f"{name}.yaml").write_text(qp.figure_preset(name).to_yaml())
     assert main(["batch", str(confdir), "--output", str(outdir)]) == 0
     assert sorted(os.listdir(outdir)) == ["fig1a.csv", "frac22.csv"]
+
+
+def test_cli_batch_rejects_bad_jobs_and_names_bad_file(tmp_path, capsys):
+    confdir = tmp_path / "configs"
+    confdir.mkdir()
+    (confdir / "fig1a.yaml").write_text(qp.figure_preset("fig1a").to_yaml())
+    for jobs in ("0", "-3"):
+        assert main(["batch", str(confdir), "--output", str(tmp_path / "out"),
+                     "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+    bad = confdir / "broken.yaml"
+    bad.write_text(BAD_RATES_YAML)
+    assert main(["batch", str(confdir), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and "evolution.a[0]" in err
 
 
 def test_split_flag_equivalence_and_rejection(tmp_path):
