@@ -18,7 +18,7 @@ from fractions import Fraction
 from .phases import GridTooCoarseError, fractional_lattice
 from .scenarios import (ConfigError, NoOracleError, ScenarioConfig,
                         available_presets, figure_preset, run_scenario,
-                        verify_scenario)
+                        verify_scenario, write_atomic)
 
 EXIT_OK = 0
 EXIT_TOLERANCE = 1
@@ -50,12 +50,12 @@ def _cmd_run(args) -> int:
     if args.tolerance is not None:
         config.tolerances["cyclic_eps"] = args.tolerance
     out = run_scenario(config, split=args.split, steps=args.steps)
-    text = out.record.to_csv() if args.format == "csv" else out.record.to_json()
     if args.output:
         out.record.write(args.output, fmt=args.format)
         print(f"wrote {args.output} ({len(out.record.columns['t'])} rows)")
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(out.record.to_csv() if args.format == "csv"
+                         else out.record.to_json())
     return EXIT_OK
 
 
@@ -63,10 +63,7 @@ def _cmd_figure(args) -> int:
     config = figure_preset(args.name)
     text = config.to_yaml()
     if args.output:
-        tmp = f"{args.output}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, args.output)
+        write_atomic(args.output, text)
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(text)

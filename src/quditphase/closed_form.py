@@ -30,6 +30,7 @@ __all__ = [
     "two_qutrit_example",
     "qubit_qutrit_effective",
     "qubit_qutrit_dual",
+    "qubit_qutrit_dual_series",
 ]
 
 
@@ -66,6 +67,25 @@ def diagonal_total_phase_series(weights, chi_series) -> np.ndarray:
     chi_series = np.asarray(chi_series, dtype=float)
     z = _phasor_series(weights, chi_series)
     phases, _ = unwrap_phases(z)
+    return phases
+
+
+def _dual_phasor(a, b1, b2):
+    """cos(a - b2 - b1/2) e^{-i b1/2} / 2 + cos(a - b1 - b2/2) e^{-i b2/2} / 2."""
+    return (np.cos(a - b2 - b1 / 2.0) * np.exp(-1j * b1 / 2.0) / 2.0
+            + np.cos(a - b1 - b2 / 2.0) * np.exp(-1j * b2 / 2.0) / 2.0)
+
+
+def qubit_qutrit_dual_series(chi_a, chi_b) -> np.ndarray:
+    """Unwrapped total phase of the full-support qubit-qutrit state along a path.
+
+    ``chi_a`` (n_times, 2) and ``chi_b`` (n_times, 3) are the sampled
+    per-level phases; the first sample anchors the branch, as in
+    ``diagonal_total_phase_series``.
+    """
+    chi_a = np.asarray(chi_a, dtype=float)
+    chi_b = np.asarray(chi_b, dtype=float)
+    phases, _ = unwrap_phases(_dual_phasor(chi_a[:, 0], chi_b[:, 1], chi_b[:, 2]))
     return phases
 
 
@@ -239,9 +259,7 @@ def qubit_qutrit_dual(chi_a: float, chi_b0: float, chi_b1: float,
         raise ValueError(f"qutrit phases must sum to zero, got {total_b:g}")
 
     s = _ramp(max(abs(chi_a), abs(chi_b0), abs(chi_b1), abs(chi_b2)))
-    a, b1, b2 = s * chi_a, s * chi_b1, s * chi_b2
-    z = (np.cos(a - b2 - b1 / 2.0) * np.exp(-1j * b1 / 2.0) / 2.0
-         + np.cos(a - b1 - b2 / 2.0) * np.exp(-1j * b2 / 2.0) / 2.0)
-    total, principal, winding = _ramp_total(z)
+    total, principal, winding = _ramp_total(_dual_phasor(s * chi_a, s * chi_b1,
+                                                         s * chi_b2))
     phi_g = total - chi_b0 / 4.0
     return ClosedFormResult(phi_total_bar=principal, phi_g=phi_g, winding=winding)

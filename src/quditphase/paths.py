@@ -11,8 +11,15 @@ A path is an ordered list of segments acting on piecewise coordinates:
 
 The synthesized unitary is the factorized product
 ``U(t) = V(theta, phi) W(t) diag(e^{i chi_n(t)})`` where V is the explicit
-SU(2) coset matrix and W the ordered product of generator factors. Paths are
-immutable after construction and sampling is pure.
+SU(2) coset matrix and W the ordered product of generator factors.
+
+Construction lowers every segment once to a row of tables: its start
+coordinates, right Cartan rates, (theta, phi) rates, generator eigenpairs and
+constant left generator. Every query reads those rows, so
+``dU/dt = i (L U + U diag(rates))`` holds on every segment with L the closed
+form Bloch generator on a ``BlochLoop`` and ``V G V^dag`` on a
+``GeneratorConst``. Paths are immutable after construction and sampling is
+pure.
 """
 
 from __future__ import annotations
@@ -141,18 +148,19 @@ def _bloch_matrix(theta, phi) -> np.ndarray:
     return out
 
 
-def _bloch_matrix_dt(theta, phi, theta_dot, phi_dot) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    c = np.cos(theta / 2.0)
-    s = np.sin(theta / 2.0)
-    cdot = -0.5 * theta_dot * s
-    sdot = 0.5 * theta_dot * c
-    out = np.empty(np.broadcast(theta, phi).shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = cdot
-    out[..., 1, 1] = cdot
-    out[..., 0, 1] = np.exp(-1j * phi) * (1j * sdot + s * phi_dot)
-    out[..., 1, 0] = np.exp(1j * phi) * (1j * sdot - s * phi_dot)
+def _bloch_generator(theta, phi, theta_dot, phi_dot) -> np.ndarray:
+    """Hermitian A with dV/dt = i A V for the coset factor V(theta, phi).
+
+    A = theta_dot/2 n.sigma + phi_dot (sin(theta)/2 m.sigma - sin^2(theta/2) sigma_z)
+    with n = (cos phi, sin phi, 0) and m = (-sin phi, cos phi, 0).
+    """
+    s2 = phi_dot * np.sin(theta / 2.0) ** 2
+    half = 0.5 * phi_dot * np.sin(theta)
+    out = np.empty(np.shape(theta) + (2, 2), dtype=complex)
+    out[..., 0, 0] = -s2
+    out[..., 1, 1] = s2
+    out[..., 0, 1] = np.exp(-1j * phi) * (0.5 * theta_dot - 1j * half)
+    out[..., 1, 0] = np.exp(1j * phi) * (0.5 * theta_dot + 1j * half)
     return out
 
 
@@ -180,77 +188,98 @@ class LocalEvolution:
         self._build_tables()
 
     def _build_tables(self):
-        n = len(self.segments)
+        """Lower every segment to one table row; row n is a trailing hold.
+
+        Row k holds the coordinates at the segment start (``chi0``, the
+        (theta, phi) pair ``bloch0`` and the generator product ``w0``), the
+        right Cartan rates, the (theta, phi) rates, the generator eigenpairs
+        and the constant left generator of a generator segment. Nothing after
+        construction asks which kind a segment is.
+        """
+        n, d = len(self.segments), self.d
+        self.has_bloch = any(isinstance(s, BlochLoop) for s in self.segments)
+        self.has_generator = any(isinstance(s, GeneratorConst) for s in self.segments)
+        self.is_diagonal = not (self.has_bloch or self.has_generator)
+        durations = np.zeros(n + 1)
         ends = np.zeros(n)
-        chi0 = np.zeros((n + 1, self.d))
-        theta0 = np.zeros(n + 1)
-        phi0 = np.zeros(n + 1)
-        w0 = [np.eye(self.d, dtype=complex)]
-        gen_eig = [None] * n
+        rates = np.zeros((n + 1, d))
+        chi0 = np.zeros((n + 1, d))
+        bloch_rate = np.zeros((n + 1, 2))
+        bloch0 = np.zeros((n + 1, 2))
+        evals = np.zeros((n + 1, d))
+        evecs = np.zeros((n + 1, d, d), dtype=complex)
+        left = np.zeros((n + 1, d, d), dtype=complex)
+        w0 = np.empty((n + 1, d, d), dtype=complex)
+        w0[0] = np.eye(d)
+        gen_rows = []
         t = 0.0
         for k, seg in enumerate(self.segments):
-            chi = chi0[k].copy()
-            theta = theta0[k]
-            phi = phi0[k]
-            w = w0[k]
+            durations[k] = seg.duration
+            theta_end = bloch0[k, 0]
+            w0[k + 1] = w0[k]
             if isinstance(seg, CartanLinear):
-                chi = chi + seg.rates * seg.duration
+                rates[k] = seg.rates
             elif isinstance(seg, CartanHold):
                 if seg.angles is not None:
-                    if seg.angles.shape != (self.d,) or np.abs(seg.angles - chi0[k]).max() > 1e-9:
+                    if seg.angles.shape != (d,) or np.abs(seg.angles - chi0[k]).max() > 1e-9:
                         raise ValueError(
                             f"hold segment {k} pins angles {seg.angles} but the "
                             f"path arrives with {chi0[k]}")
             elif isinstance(seg, BlochLoop):
                 if seg.theta_start is not None:
                     if k == 0:
-                        theta = float(seg.theta_start)
-                        theta0[0] = theta
-                    elif abs(seg.theta_start - theta) > 1e-9:
+                        bloch0[0, 0] = float(seg.theta_start)
+                    elif abs(seg.theta_start - bloch0[k, 0]) > 1e-9:
                         raise ValueError(
                             f"Bloch segment {k} starts at theta = {seg.theta_start:g} "
-                            f"but the path arrives at {theta:g}")
-                theta = float(seg.theta_end)
-                phi = phi + seg.phi_rate * seg.duration
+                            f"but the path arrives at {bloch0[k, 0]:g}")
+                theta_end = float(seg.theta_end)
+                bloch_rate[k] = ((theta_end - bloch0[k, 0]) / seg.duration, seg.phi_rate)
             elif isinstance(seg, GeneratorConst):
-                evals, evecs = np.linalg.eigh(seg.generator)
-                gen_eig[k] = (evals, evecs)
-                w = (evecs * np.exp(1j * evals * seg.duration)) @ evecs.conj().T @ w
+                gen_rows.append(k)
+                evals[k], evecs[k] = np.linalg.eigh(seg.generator)
+                left[k] = seg.generator
+                if self.has_bloch:
+                    v = _bloch_matrix(*bloch0[k])
+                    left[k] = v @ seg.generator @ v.conj().T
+                w0[k + 1] = ((evecs[k] * np.exp(1j * evals[k] * seg.duration))
+                             @ evecs[k].conj().T @ w0[k])
             else:
                 raise TypeError(f"unknown segment type {type(seg).__name__}")
             t += seg.duration
             ends[k] = t
-            chi0[k + 1] = chi
-            theta0[k + 1] = theta
-            phi0[k + 1] = phi
-            w0.append(w)
+            chi0[k + 1] = chi0[k] + rates[k] * seg.duration
+            bloch0[k + 1] = theta_end, bloch0[k, 1] + bloch_rate[k, 1] * seg.duration
         self._ends = ends
+        self._starts = np.append(ends, t) - durations
+        self._durations = durations
+        self._rates = rates
         self._chi0 = chi0
-        self._theta0 = theta0
-        self._phi0 = phi0
+        self._bloch_rate = bloch_rate
+        self._bloch0 = bloch0
+        self._evals = evals
+        self._evecs = evecs
+        self._gen_rows = gen_rows
+        self._left = left
+        self._moves_left = left.any(axis=(1, 2)) | bloch_rate.any(axis=1)
         self._w0 = w0
-        self._gen_eig = gen_eig
         self.duration = t
-        self.has_bloch = any(isinstance(s, BlochLoop) for s in self.segments)
-        self.has_generator = any(isinstance(s, GeneratorConst) for s in self.segments)
-        self.is_diagonal = not (self.has_bloch or self.has_generator)
 
     # -- coordinate queries -------------------------------------------------
 
     def _segment_index(self, t: np.ndarray, side: str = "right") -> np.ndarray:
-        """Owning segment per sample; ``side`` resolves exact-boundary ties.
+        """Owning table row per sample; ``side`` resolves exact-boundary ties.
 
         Times within a small absolute tolerance of a segment boundary count
         as exactly on it, so linspace grids that differ from the accumulated
-        boundary by rounding still resolve deterministically.
+        boundary by rounding still resolve deterministically. An empty path
+        maps every sample to its trailing hold row.
         """
-        if not self.segments:
-            return np.zeros(t.shape, dtype=int)
         if side == "right":
             idx = np.searchsorted(self._ends, t + _BOUNDARY_TOL, side="right")
         else:
             idx = np.searchsorted(self._ends, t - _BOUNDARY_TOL, side="left")
-        return np.minimum(idx, len(self.segments) - 1)
+        return np.minimum(idx, max(len(self.segments) - 1, 0))
 
     def _check_range(self, t: np.ndarray) -> np.ndarray:
         if t.size and (t.min() < -_BOUNDARY_TOL or t.max() > self.duration + _BOUNDARY_TOL):
@@ -258,45 +287,53 @@ class LocalEvolution:
                 f"time outside [0, {self.duration:g}]: range [{t.min():g}, {t.max():g}]")
         return np.clip(t, 0.0, self.duration)
 
+    def _times(self, times) -> np.ndarray:
+        return self._check_range(np.atleast_1d(np.asarray(times, dtype=float)))
+
+    def _advance(self, start: np.ndarray, rate: np.ndarray, t: np.ndarray,
+                 idx: np.ndarray) -> np.ndarray:
+        """Table coordinates ``start + tau * rate`` in each sample's row."""
+        return start[idx] + (t - self._starts[idx])[:, None] * rate[idx]
+
     def cartan_levels(self, times) -> np.ndarray:
         """Accumulated per-level phases chi_n(t), unwrapped (no mod 2 pi)."""
-        t = self._check_range(np.atleast_1d(np.asarray(times, dtype=float)))
-        idx = self._segment_index(t)
-        chi = self._chi0[idx].copy()
-        for k in np.flatnonzero([isinstance(s, CartanLinear) for s in self.segments]):
-            m = idx == k
-            if not m.any():
-                continue
-            tau = t[m] - (self._ends[k] - self.segments[k].duration)
-            chi[m] += tau[:, None] * self.segments[k].rates[None, :]
-        return chi
+        t = self._times(times)
+        return self._advance(self._chi0, self._rates, t, self._segment_index(t))
+
+    def cartan_rates(self, times) -> np.ndarray:
+        """Per-level phase rates d chi_n/dt, taken from the segment that starts at t."""
+        return self._rates[self._segment_index(self._times(times))]
 
     def bloch_coordinates(self, times) -> tuple[np.ndarray, np.ndarray]:
         """(theta(t), phi(t)) coordinates of the d = 2 coset factor."""
-        t = self._check_range(np.atleast_1d(np.asarray(times, dtype=float)))
-        idx = self._segment_index(t)
-        theta = self._theta0[idx].copy()
-        phi = self._phi0[idx].copy()
-        for k, seg in enumerate(self.segments):
-            if not isinstance(seg, BlochLoop):
-                continue
-            m = idx == k
-            if not m.any():
-                continue
-            tau = t[m] - (self._ends[k] - seg.duration)
-            start = self._theta0[k]
-            slope = (seg.theta_end - start) / seg.duration
-            theta[m] = start + slope * tau
-            phi[m] = self._phi0[k] + seg.phi_rate * tau
+        t = self._times(times)
+        theta, phi = self._advance(self._bloch0, self._bloch_rate, t,
+                                   self._segment_index(t)).T
         return theta, phi
 
     def coset_factor(self, times) -> np.ndarray:
         """Authored coset factor V(theta, phi) W(t), stacked over the samples."""
-        t = self._check_range(np.atleast_1d(np.asarray(times, dtype=float)))
-        w = self._base_coset(t, self._segment_index(t))
+        t = self._times(times)
+        return self._coset(t, self._segment_index(t))
+
+    def _coset(self, t: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        w = self._base_coset(t, idx)
         if self.has_bloch:
-            theta, phi = self.bloch_coordinates(t)
+            theta, phi = self._advance(self._bloch0, self._bloch_rate, t, idx).T
             w = _bloch_matrix(theta, phi) @ w
+        return w
+
+    def _base_coset(self, t: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        """Generator-product factor W(t) without the Bloch piece."""
+        w = self._w0[idx]
+        for k in self._gen_rows:
+            m = idx == k
+            if not m.any():
+                continue
+            tau = t[m] - self._starts[k]
+            evecs = self._evecs[k]
+            phase = np.exp(1j * self._evals[k][None, :] * tau[:, None])
+            w[m] = (evecs * phase[:, None, :]) @ (evecs.conj().T @ self._w0[k])
         return w
 
     # -- synthesis ------------------------------------------------------------
@@ -304,71 +341,26 @@ class LocalEvolution:
     def sample(self, times, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
         """Synthesize (U, dU/dt) stacks on the given times.
 
-        U is special unitary by construction. Derivatives are analytic within
-        every segment; at interior segment boundaries ``side`` picks which
-        segment owns the (one-sided) derivative.
+        U is special unitary by construction and always sampled from the
+        segment that starts at t. dU/dt = i (L U + U diag(rates)) with the
+        row's right Cartan rates and left generator L; at interior segment
+        boundaries ``side`` picks which row owns the (one-sided) derivative.
         """
-        t = self._check_range(np.atleast_1d(np.asarray(times, dtype=float)))
-        n = t.size
-        if not self.segments:
-            U = np.broadcast_to(np.eye(self.d, dtype=complex), (n, self.d, self.d)).copy()
-            return U, np.zeros_like(U)
-        idx = self._segment_index(t, side=side)
-        chi = self.cartan_levels(t)
-        phase = np.exp(1j * chi)
-
-        # coset pieces
-        w = self.coset_factor(t)  # includes the Bloch factor when present
-        U = w * phase[:, None, :]
-
-        Ud = np.zeros((n, self.d, self.d), dtype=complex)
-        for k in np.unique(idx):
-            m = idx == k
-            seg = self.segments[k]
-            if isinstance(seg, CartanLinear):
-                Ud[m] = U[m] * (1j * seg.rates)[None, None, :]
-            elif isinstance(seg, CartanHold):
-                pass
-            elif isinstance(seg, BlochLoop):
-                tau = t[m] - (self._ends[k] - seg.duration)
-                start = self._theta0[k]
-                slope = (seg.theta_end - start) / seg.duration
-                theta = start + slope * tau
-                phi = self._phi0[k] + seg.phi_rate * tau
-                bdot = _bloch_matrix_dt(theta, phi, slope, seg.phi_rate)
-                # rebuild the non-Bloch part of the factorization
-                base = self._base_coset(t[m], np.full(m.sum(), k))
-                Ud[m] = (bdot @ base) * phase[m][:, None, :]
-            elif isinstance(seg, GeneratorConst):
-                g = 1j * seg.generator
-                if self.has_bloch:
-                    theta, phi = self.bloch_coordinates(t[m])
-                    b = _bloch_matrix(theta, phi)
-                    base = self._base_coset(t[m], np.full(m.sum(), k))
-                    Ud[m] = (b @ (g @ base)) * phase[m][:, None, :]
-                else:
-                    # U = W diag(e^{i chi}) with chi frozen here, so dU/dt = i G U
-                    Ud[m] = g @ U[m]
+        t = self._times(times)
+        right = self._segment_index(t)
+        chi = self._advance(self._chi0, self._rates, t, right)
+        U = self._coset(t, right) * np.exp(1j * chi)[:, None, :]
+        idx = right if side == "right" else self._segment_index(t, side=side)
+        Ud = U * (1j * self._rates[idx])[:, None, :]
+        moving = self._moves_left[idx]
+        if moving.any():
+            t, idx = t[moving], idx[moving]
+            left = self._left[idx]
+            if self.has_bloch:
+                theta, phi = self._advance(self._bloch0, self._bloch_rate, t, idx).T
+                left += _bloch_generator(theta, phi, *self._bloch_rate[idx].T)
+            Ud[moving] += (1j * left) @ U[moving]
         return U, Ud
-
-    def _base_coset(self, t: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Generator-product factor W(t) without the Bloch piece."""
-        n = t.size
-        w = np.empty((n, self.d, self.d), dtype=complex)
-        if not self.segments:
-            w[:] = np.eye(self.d)
-            return w
-        for k in np.unique(idx):
-            m = idx == k
-            seg = self.segments[k]
-            if isinstance(seg, GeneratorConst):
-                tau = t[m] - (self._ends[k] - seg.duration)
-                evals, evecs = self._gen_eig[k]
-                phase = np.exp(1j * evals[None, :] * tau[:, None])
-                w[m] = (evecs * phase[:, None, :]) @ (evecs.conj().T @ self._w0[k])
-            else:
-                w[m] = self._w0[k]
-        return w
 
     def synthesize(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Single-time (U, dU/dt)."""
@@ -378,17 +370,9 @@ class LocalEvolution:
     @property
     def max_phase_rate(self) -> float:
         """Largest per-level phase rate driven by any segment (rad per time)."""
-        rate = 0.0
-        for k, seg in enumerate(self.segments):
-            if isinstance(seg, CartanLinear):
-                rate = max(rate, float(np.abs(seg.rates).max()))
-            elif isinstance(seg, BlochLoop):
-                slope = (seg.theta_end - self._theta0[k]) / seg.duration
-                rate = max(rate, abs(seg.phi_rate) + 0.5 * abs(slope))
-            elif isinstance(seg, GeneratorConst):
-                evals, _ = self._gen_eig[k]
-                rate = max(rate, float(np.abs(evals).max()))
-        return rate
+        theta_dot, phi_dot = np.abs(self._bloch_rate).T
+        return float(max(np.abs(self._rates).max(), np.abs(self._evals).max(),
+                         (phi_dot + 0.5 * theta_dot).max()))
 
     def boundaries(self) -> np.ndarray:
         return self._ends.copy()
@@ -503,9 +487,9 @@ def solid_angle(evo: LocalEvolution, closure_tol: float = 1e-9) -> float:
         raise ValueError("solid angle is defined for d = 2 paths")
     if not evo.has_bloch:
         return 0.0
-    theta_start = evo._theta0[0]
-    theta_end = evo._theta0[-1]
-    dphi = evo._phi0[-1] - evo._phi0[0]
+    theta, phi = evo._bloch0.T
+    theta_start, theta_end = theta[0], theta[-1]
+    dphi = phi[-1] - phi[0]
     if abs(theta_end - theta_start) > closure_tol:
         raise ValueError(
             f"open Bloch path: theta runs from {theta_start:g} to {theta_end:g}")
@@ -514,11 +498,10 @@ def solid_angle(evo: LocalEvolution, closure_tol: float = 1e-9) -> float:
         raise ValueError(
             f"open Bloch path: phi advances by {dphi:g}, not a multiple of 2 pi")
     omega = 0.0
-    for k, seg in enumerate(evo.segments):
-        if isinstance(seg, BlochLoop):
-            start = evo._theta0[k]
-            omega += _segment_area(start, seg.theta_end, seg.phi_rate, seg.duration)
-    return omega
+    for a, b, rate, duration in zip(theta[:-1], theta[1:], evo._bloch_rate[:-1, 1],
+                                    evo._durations[:-1]):
+        omega += _segment_area(a, b, rate, duration)
+    return float(omega)
 
 
 def lattice_condition_check(angles, d: int | None = None, tol: float = 1e-8) -> int | None:

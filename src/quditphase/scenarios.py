@@ -26,7 +26,7 @@ from . import closed_form as cf
 from .paths import (BlochLoop, CartanHold, CartanLinear, GeneratorConst,
                     LocalEvolution, PairEvolution, TimeGrid)
 from .phases import (CycleScan, CyclicEvent, PhaseTrace, detect_cycles,
-                     run_trace, single_qudit_trace, unwrap_phases)
+                     run_trace, single_qudit_trace)
 from .states import (CoefficientMatrix, QuditDensity, density_from_purity,
                      entanglement_report, max_entangled, qubit_qutrit_embedded,
                      qubit_qutrit_full, qudit_schmidt_diagonal, two_qubit_schmidt,
@@ -46,6 +46,7 @@ __all__ = [
     "run_scenario",
     "verify_scenario",
     "COLUMNS",
+    "write_atomic",
 ]
 
 log = logging.getLogger(__name__)
@@ -76,6 +77,10 @@ def _arithmetic(node) -> float:
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         return -_arithmetic(node.operand)
     raise ValueError(f"unsupported expression {ast.dump(node)}")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _number(value, where: str) -> float:
@@ -136,13 +141,13 @@ class ScenarioConfig:
             raise ConfigError(f"unknown top-level keys: {sorted(unknown)}")
         name = raw.get("name", "scenario")
         dims = raw.get("dims")
-        if isinstance(dims, int):
+        if _is_int(dims):
             dims = (dims,)
         elif isinstance(dims, (list, tuple)) and 1 <= len(dims) <= 2:
-            dims = tuple(int(d) for d in dims)
+            dims = tuple(dims)
         else:
             raise ConfigError("dims: expected one or two integers")
-        if any(int(d) != d or d < 2 for d in dims):
+        if any(not _is_int(d) or d < 2 for d in dims):
             raise ConfigError("dims: every dimension must be an integer >= 2")
         if len(dims) == 2 and dims[0] > dims[1]:
             raise ConfigError("dims: convention requires d_A <= d_B")
@@ -151,7 +156,7 @@ class ScenarioConfig:
             raise ConfigError("grid: expected a mapping with t_max and steps")
         t_max = _number(grid["t_max"], "grid.t_max")
         steps = grid["steps"]
-        if not isinstance(steps, int) or steps < 2:
+        if not _is_int(steps) or steps < 2:
             raise ConfigError("grid.steps: expected an integer >= 2")
         state = raw.get("initial_state")
         if not isinstance(state, dict):
@@ -379,8 +384,12 @@ def _adjust_steps(steps: int, t_max: float, boundaries: np.ndarray,
 
 def _build(config: ScenarioConfig, steps_override: int | None = None) -> BuiltScenario:
     tol = config.tolerances
-    cyclic_eps = float(tol.get("cyclic_eps", 1e-9))
-    oracle_tol = float(tol.get("oracle_tol", 1e-6))
+    cyclic_eps = _number(tol.get("cyclic_eps", 1e-9), "tolerances.cyclic_eps")
+    oracle_tol = _number(tol.get("oracle_tol", 1e-6), "tolerances.oracle_tol")
+    if config.t_max <= 0:
+        raise ConfigError(f"grid.t_max: expected a positive duration, got {config.t_max:g}")
+    if steps_override is not None and (not _is_int(steps_override) or steps_override < 2):
+        raise ConfigError(f"steps override: expected an integer >= 2, got {steps_override!r}")
     steps = steps_override if steps_override is not None else config.steps
     allowed = {"path", "a"} if len(config.dims) == 1 else {"a", "b"}
     unknown = set(config.evolution) - allowed
@@ -414,28 +423,6 @@ def _build(config: ScenarioConfig, steps_override: int | None = None) -> BuiltSc
 # ---------------------------------------------------------------------------
 
 
-def _piecewise_rates(evo: LocalEvolution, t_max: float) -> list:
-    """[(t0, t1, rates)] covering [0, t_max] for an all-diagonal path."""
-    out = []
-    t0 = 0.0
-    for seg in evo.segments:
-        t1 = min(t0 + seg.duration, t_max)
-        if isinstance(seg, CartanLinear):
-            rates = seg.rates
-        elif isinstance(seg, CartanHold):
-            rates = np.zeros(evo.d)
-        else:
-            raise ConfigError("--split requires all-diagonal paths")
-        if t1 > t0:
-            out.append((t0, t1, rates))
-        t0 += seg.duration
-        if t0 >= t_max:
-            break
-    if t0 < t_max - 1e-9:
-        out.append((t0, t_max, np.zeros(evo.d)))
-    return out
-
-
 def apply_split(built: BuiltScenario, mode: str) -> BuiltScenario:
     """Reassign diagonal total rates: everything on A, or half on each side.
 
@@ -457,23 +444,14 @@ def apply_split(built: BuiltScenario, mode: str) -> BuiltScenario:
     if not (built.evo_a.is_diagonal and built.evo_b.is_diagonal):
         raise ConfigError("--split requires all-diagonal paths")
     t_max = built.grid.t_max
-    pieces_a = _piecewise_rates(built.evo_a, t_max)
-    pieces_b = _piecewise_rates(built.evo_b, t_max)
-    cuts = sorted({0.0, t_max}
-                  | {t for t0, t1, _ in pieces_a for t in (t0, t1)}
-                  | {t for t0, t1, _ in pieces_b for t in (t0, t1)})
-
-    def rate_at(pieces, t):
-        for t0, t1, r in pieces:
-            if t0 - 1e-12 <= t < t1 - 1e-12:
-                return r
-        return pieces[-1][2]
-
+    evo_a, evo_b = built.evo_a, built.evo_b
+    cuts = np.unique(np.minimum(np.concatenate(
+        [[0.0, t_max], evo_a.boundaries(), evo_b.boundaries()]), t_max))
     seg_a, seg_b = [], []
     for t0, t1 in zip(cuts[:-1], cuts[1:]):
         if t1 - t0 <= 1e-12:
             continue
-        total = rate_at(pieces_a, t0) + rate_at(pieces_b, t0)
+        total = evo_a.cartan_rates(t0)[0] + evo_b.cartan_rates(t0)[0]
         if mode == "a-only":
             ra, rb = total, np.zeros_like(total)
         else:
@@ -490,6 +468,14 @@ def apply_split(built: BuiltScenario, mode: str) -> BuiltScenario:
 # ---------------------------------------------------------------------------
 # Trace records
 # ---------------------------------------------------------------------------
+
+
+def write_atomic(path: str, text: str) -> None:
+    """Write text through a temporary file, so readers never see a partial file."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    with open(tmp, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
 
 
 def _fmt(x: float) -> str:
@@ -579,11 +565,7 @@ class TraceRecord:
                    continuum=payload["continuum"])
 
     def write(self, path: str, fmt: str = "csv") -> None:
-        text = self.to_csv() if fmt == "csv" else self.to_json()
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        write_atomic(path, self.to_csv() if fmt == "csv" else self.to_json())
 
 
 @dataclass
@@ -709,11 +691,7 @@ def _oracle_series(built: BuiltScenario) -> tuple[str, np.ndarray, np.ndarray, n
     if (d_a, d_b) == (2, 3):
         full = qubit_qutrit_full().alpha
         if np.abs(alpha - full).max() <= 1e-9:
-            z = (np.cos(chi_a[:, 0] - chi_b[:, 2] - chi_b[:, 1] / 2.0)
-                 * np.exp(-1j * chi_b[:, 1] / 2.0) / 2.0
-                 + np.cos(chi_a[:, 0] - chi_b[:, 1] - chi_b[:, 2] / 2.0)
-                 * np.exp(-1j * chi_b[:, 2] / 2.0) / 2.0)
-            total, _ = unwrap_phases(z)
+            total = cf.qubit_qutrit_dual_series(chi_a, chi_b)
             dyn = chi_b[:, 0] / 4.0
             return "qubit_qutrit_dual", total, dyn, total - dyn
         embedded = (abs(alpha[0, 0].imag) < 1e-12 and abs(alpha[1, 1].imag) < 1e-12
@@ -723,8 +701,8 @@ def _oracle_series(built: BuiltScenario) -> tuple[str, np.ndarray, np.ndarray, n
             w1 = abs(alpha[1, 1]) ** 2
             q = w0 - w1
             eff = chi_a[:, 0] + (chi_b[:, 0] - chi_b[:, 1]) / 2.0
-            z = np.cos(eff) + 1j * q * np.sin(eff)
-            base, _ = unwrap_phases(z)
+            base = cf.diagonal_total_phase_series([(1.0 + q) / 2.0, (1.0 - q) / 2.0],
+                                                  np.column_stack([eff, -eff]))
             offset = (chi_b[:, 0] + chi_b[:, 1]) / 2.0
             total = base + offset
             dyn = q * eff + offset

@@ -140,12 +140,34 @@ def test_unitarity_along_composite_path():
     assert det < 1e-10
 
 
-def test_derivative_consistency_second_order():
-    evo = qp.LocalEvolution(2, [
-        qp.BlochLoop(theta_end=1.4, phi_rate=0.7, duration=2.0),
-        qp.CartanLinear(np.array([0.6, -0.6]), 1.0),
-    ])
-    ts = np.array([0.9, 2.4])
+QUBIT_GEN = 0.3 * np.array([[0, 1j], [-1j, 0]], dtype=complex)
+QUTRIT_GEN = 0.4 * np.array([[0, 1, 0], [1, 0, -1j], [0, 1j, 0]], dtype=complex)
+
+DERIVATIVE_PATHS = {
+    # segments, interior sample times, interior boundaries
+    "bloch-cartan": (2, [qp.BlochLoop(theta_end=1.4, phi_rate=0.7, duration=2.0),
+                         qp.CartanLinear(np.array([0.6, -0.6]), 1.0)],
+                     [0.9, 2.4], [2.0]),
+    "bloch-generator": (2, [qp.BlochLoop(theta_end=1.1, phi_rate=0.8, duration=1.5),
+                            qp.GeneratorConst(QUBIT_GEN, 1.5)],
+                        [0.7, 2.3], [1.5]),
+    "generator-cartan-hold": (3, [qp.GeneratorConst(QUTRIT_GEN, 1.0),
+                                  qp.CartanLinear(np.array([1.0, -0.4, -0.6]), 1.0),
+                                  qp.CartanHold(1.0)],
+                              [0.5, 1.5], [1.0, 2.0]),
+}
+
+
+def _one_sided_derivative(evo, t, h, sign):
+    u = [evo.sample([t + sign * k * h])[0][0] for k in range(3)]
+    return sign * (-3 * u[0] + 4 * u[1] - u[2]) / (2 * h)
+
+
+@pytest.mark.parametrize("name", sorted(DERIVATIVE_PATHS))
+def test_derivative_consistency_second_order(name):
+    d, segments, ts, cuts = DERIVATIVE_PATHS[name]
+    evo = qp.LocalEvolution(d, segments)
+    ts = np.array(ts)
     errs = []
     for h in (1e-3, 5e-4):
         u_hi, _ = evo.sample(ts + h)
@@ -154,6 +176,29 @@ def test_derivative_consistency_second_order():
         errs.append(np.abs((u_hi - u_lo) / (2 * h) - u_dot).max())
     order = math.log2(errs[0] / errs[1])
     assert order >= 1.9
+    # at an interior boundary each side owns its one-sided derivative
+    for b in cuts:
+        derivs = {}
+        for side, sign in (("left", -1), ("right", 1)):
+            _, u_dot = evo.sample([b], side=side)
+            derivs[side] = u_dot[0]
+            fd = _one_sided_derivative(evo, b, 1e-4, sign)
+            assert np.abs(fd - u_dot[0]).max() < 1e-6, (b, side)
+        assert np.abs(derivs["left"] - derivs["right"]).max() > 0.1
+
+
+def test_phase_rate_and_solid_angle_on_every_segment_kind():
+    evo = qp.LocalEvolution(2, [
+        qp.CartanLinear(np.array([0.8, -0.8]), 1.0),
+        qp.BlochLoop(theta_end=math.pi / 2, phi_rate=TWO_PI, duration=1.0),
+        qp.GeneratorConst(QUBIT_GEN, 1.0),
+        qp.CartanHold(0.5),
+        qp.BlochLoop(theta_end=0.0, phi_rate=0.0, duration=1.0),
+    ])
+    # the phi winding plus half the theta ramp of the first loop dominates
+    assert evo.max_phase_rate == pytest.approx(TWO_PI + math.pi / 4, abs=1e-14)
+    # 2 pi (1 - <cos theta>) over the ramp from 0 to pi/2; the return is at fixed phi
+    assert qp.solid_angle(evo) == pytest.approx(TWO_PI - 4.0, abs=1e-14)
 
 
 def test_pure_cartan_velocity_has_no_coset_part():

@@ -216,6 +216,48 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["verify", "fig1a"]) == 0
 
 
+@pytest.mark.parametrize("edit, argv", [
+    (("dims: [3, 3]", 'dims: ["a", 3]'), ["run"]),
+    (("dims: [3, 3]", "dims: [3.5, 3]"), ["run"]),
+    (("dims: [3, 3]", "dims: [3.0, 3]"), ["run"]),
+    (("grid:", "tolerances: {cyclic_eps: abc}\ngrid:"), ["run"]),
+    (("grid:", "tolerances: {oracle_tol: [1]}\ngrid:"), ["verify"]),
+    (('t_max: "2*pi"', "t_max: -1"), ["run"]),
+    (('t_max: "2*pi"', "t_max: 0"), ["verify"]),
+    (None, ["run", "--steps", "0"]),
+    (None, ["verify", "--steps", "0"]),
+    (None, ["run", "--steps", "-2"]),
+    (None, ["verify", "--steps", "-2"]),
+], ids=["dims-string", "dims-fraction", "dims-float", "tolerance-string",
+        "tolerance-list", "t_max-negative", "t_max-zero", "run-steps-0",
+        "verify-steps-0", "run-steps-negative", "verify-steps-negative"])
+def test_cli_hostile_input_exits_config_error(tmp_path, capsys, edit, argv):
+    text = GOOD_YAML if edit is None else GOOD_YAML.replace(*edit)
+    path = tmp_path / "hostile.yaml"
+    path.write_text(text)
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_run_output_serializes_once(tmp_path, monkeypatch):
+    calls = []
+    for fmt in ("csv", "json"):
+        original = getattr(TraceRecord, f"to_{fmt}")
+
+        def counted(self, original=original, fmt=fmt):
+            calls.append(fmt)
+            return original(self)
+
+        monkeypatch.setattr(TraceRecord, f"to_{fmt}", counted)
+    for fmt in ("csv", "json"):
+        calls.clear()
+        dest = tmp_path / f"frac22.{fmt}"
+        assert main(["run", "frac22", "--format", fmt, "--output", str(dest)]) == 0
+        assert calls == [fmt]
+        assert dest.read_text() == getattr(TraceRecord, f"to_{fmt}")(
+            qp.run_scenario(qp.figure_preset("frac22")).record)
+
+
 def test_cli_lattice_output(capsys):
     assert main(["lattice", "2", "2"]) == 0
     out = capsys.readouterr().out
