@@ -57,16 +57,18 @@ def _phasor_series(weights: np.ndarray, chi: np.ndarray) -> np.ndarray:
     return np.exp(1j * chi) @ weights
 
 
-def diagonal_total_phase_series(weights, chi_series) -> np.ndarray:
+def diagonal_total_phase_series(weights, chi_series, dynamical=None) -> np.ndarray:
     """Unwrapped arg of sum_n w_n e^{i chi_n(t)} along a sampled path.
 
     ``chi_series`` has shape (n_times, d); the first sample anchors the
-    branch (phases start at the principal argument there).
+    branch (phases start at the principal argument there). Samples where the
+    phasor vanishes are bridged with the slope of ``dynamical``, as the phase
+    engine bridges them (zero slope if not supplied).
     """
     weights = np.asarray(weights, dtype=float)
     chi_series = np.asarray(chi_series, dtype=float)
     z = _phasor_series(weights, chi_series)
-    phases, _ = unwrap_phases(z)
+    phases, _ = unwrap_phases(z, dynamical=dynamical)
     return phases
 
 
@@ -76,16 +78,17 @@ def _dual_phasor(a, b1, b2):
             + np.cos(a - b1 - b2 / 2.0) * np.exp(-1j * b2 / 2.0) / 2.0)
 
 
-def qubit_qutrit_dual_series(chi_a, chi_b) -> np.ndarray:
+def qubit_qutrit_dual_series(chi_a, chi_b, dynamical=None) -> np.ndarray:
     """Unwrapped total phase of the full-support qubit-qutrit state along a path.
 
     ``chi_a`` (n_times, 2) and ``chi_b`` (n_times, 3) are the sampled
-    per-level phases; the first sample anchors the branch, as in
-    ``diagonal_total_phase_series``.
+    per-level phases; the first sample anchors the branch and zeros are
+    bridged with ``dynamical``, as in ``diagonal_total_phase_series``.
     """
     chi_a = np.asarray(chi_a, dtype=float)
     chi_b = np.asarray(chi_b, dtype=float)
-    phases, _ = unwrap_phases(_dual_phasor(chi_a[:, 0], chi_b[:, 1], chi_b[:, 2]))
+    phases, _ = unwrap_phases(_dual_phasor(chi_a[:, 0], chi_b[:, 1], chi_b[:, 2]),
+                              dynamical=dynamical)
     return phases
 
 

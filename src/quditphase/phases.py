@@ -5,6 +5,12 @@ the dynamical phase is the Simpson quadrature of the instantaneous frequency
 ``-i <psi|dpsi/dt>``, and the geometric phase is their difference. Cyclic
 points are overlap-magnitude returns to one; on them only the fractional
 values 2 pi (n_A/d_A + n_B/d_B) can occur for Cartan-closed local paths.
+
+The trace kernel streams the grid in blocks of rows. An all-diagonal path
+enters as its level phasors exp(i chi) and Cartan rates: it scales the rows or
+columns of alpha, its frequency is the exact per-segment constant
+rates @ diag(rho), and a pair of such paths costs O(n d_A d_B). Any other path
+enters as sampled (U, dU/dt) stacks contracted by matrix products, O(n d^3).
 """
 
 from __future__ import annotations
@@ -217,10 +223,19 @@ def _finalize_trace(t, overlap, dyn, guard, residuals) -> PhaseTrace:
                       determinant_residual=residuals[1])
 
 
-def _operator_residuals(stacks) -> tuple[float, float]:
-    """Largest |U^dag U - 1| entry and |det U - 1| over operator stacks."""
+def _operator_residuals(operators) -> tuple[float, float]:
+    """Largest |U^dag U - 1| entry and |det U - 1| over sampled operators.
+
+    Each entry is an n x d x d stack of U, or the n x d level phasors z of a
+    diagonal U = diag(z), where the residuals reduce to |conj(z) z - 1| and
+    |prod(z) - 1|.
+    """
     unit = det = 0.0
-    for u in stacks:
+    for u in operators:
+        if u.ndim == 2:
+            unit = max(unit, float(np.abs(u.conj() * u - 1.0).max()))
+            det = max(det, float(np.abs(u.prod(axis=1) - 1.0).max()))
+            continue
         eye = np.eye(u.shape[-1])
         unit = max(unit, float(np.abs(u.conj().transpose(0, 2, 1) @ u - eye).max()))
         det = max(det, float(np.abs(np.linalg.det(u) - 1.0).max()))
@@ -238,18 +253,47 @@ def _connection(rho, u, u_dot):
     return np.einsum("tki,tki->t", u_dot, w)
 
 
-def _pair_overlap_frequency(alpha, rho_a, rho_b, u_a, u_a_dot, u_b, u_b_dot):
-    n = u_a.shape[0]
-    d_a, d_b = alpha.shape
-    # U_A alpha as one product over the flattened stack, then U_B^T per sample
-    u_a_alpha = (u_a.reshape(n * d_a, d_a) @ alpha).reshape(n, d_a, d_b)
-    alphas = u_a_alpha @ u_b.transpose(0, 2, 1)
-    overlap = np.einsum("ij,tij->t", alpha.conj(), alphas)
-    freq = -1j * (_connection(rho_a, u_a, u_a_dot) + _connection(rho_b, u_b, u_b_dot))
+def _frequency(rho, side) -> np.ndarray:
+    """Dynamical frequency -i Tr[rho U^dag dU/dt] contributed by one path.
+
+    A phasor side (z, rates) has U^dag dU/dt = i diag(rates), so its frequency
+    is the exact per-segment constant rates @ diag(rho).
+    """
+    u, u_dot = side
+    if u.ndim == 2:
+        return u_dot @ np.diagonal(rho).real
+    freq = -1j * _connection(rho, u, u_dot)
     if np.abs(freq.imag).max() > 1e-8:
         raise ValueError("dynamical frequency has a nonreal part; the operator "
                          "samples are not unitary")
-    return overlap, freq.real
+    return freq.real
+
+
+def _pair_overlap_frequency(alpha, rho_a, rho_b, side_a, side_b):
+    """Overlap Tr[alpha^dag U_A alpha U_B^T] and frequency per sample.
+
+    Each side is a phasor pair (z, rates), applied to alpha as a scaling of
+    its rows (A) or columns (B), or an operator pair (U, dU/dt), applied as a
+    matrix product.
+    """
+    u_a, u_b = side_a[0], side_b[0]
+    d_a, d_b = alpha.shape
+    if u_a.ndim == 2:
+        alphas = u_a[:, :, None] * alpha
+    else:
+        # U_A alpha as one product over the flattened stack
+        n = u_a.shape[0]
+        alphas = (u_a.reshape(n * d_a, d_a) @ alpha).reshape(n, d_a, d_b)
+    alphas = alphas * u_b[:, None, :] if u_b.ndim == 2 else alphas @ u_b.transpose(0, 2, 1)
+    overlap = np.einsum("ij,tij->t", alpha.conj(), alphas)
+    return overlap, _frequency(rho_a, side_a) + _frequency(rho_b, side_b)
+
+
+def _samples(evos, times: np.ndarray, side: str = "right") -> list:
+    """Each path on ``times``: level phasors (z, rates) when it is all-diagonal,
+    else the (U, dU/dt) stacks of ``sample``."""
+    return [evo.phasors(times, side) if evo.is_diagonal else evo.sample(times, side)
+            for evo in evos]
 
 
 def trace_from_samples(alpha0: CoefficientMatrix, t: np.ndarray,
@@ -269,7 +313,7 @@ def trace_from_samples(alpha0: CoefficientMatrix, t: np.ndarray,
         raise ValueError("operator stacks do not match the state dimensions")
     rho_a, rho_b = reduced_densities(alpha0)
     overlap, freq = _pair_overlap_frequency(alpha0.alpha, rho_a, rho_b,
-                                            u_a, u_a_dot, u_b, u_b_dot)
+                                            (u_a, u_a_dot), (u_b, u_b_dot))
     dt = float(t[1] - t[0]) if n > 1 else 1.0
     return _finalize_trace(t, overlap, cumulative_simpson(freq, dt), guard,
                            _operator_residuals([u_a, u_b]))
@@ -306,11 +350,12 @@ def _block_rows(d: int) -> int:
 def _streamed_trace(evos, grid: TimeGrid, contract, guard: float) -> PhaseTrace:
     """Phase trace of local paths, streamed over blocks of grid rows.
 
-    Each block samples every path once (right side) and ``contract`` reduces
-    the (U, dU/dt) pairs at once to overlap and frequency, so no operator
-    stack outlives its block. The unitarity and determinant residuals are
-    running maxima over the blocks. Only the left limits at segment cuts are
-    sampled again; the dynamical quadrature is stitched there.
+    Each block samples every path once (right side): an all-diagonal path as
+    level phasors and Cartan rates, any other path as (U, dU/dt) stacks.
+    ``contract`` reduces them at once to overlap and frequency, so no sample
+    outlives its block. The unitarity and determinant residuals are running
+    maxima over the blocks. Only the left limits at segment cuts are sampled
+    again; the dynamical quadrature is stitched there.
     """
     times = grid.times()
     n = times.size
@@ -319,15 +364,14 @@ def _streamed_trace(evos, grid: TimeGrid, contract, guard: float) -> PhaseTrace:
     unit = det = 0.0
     rows = _block_rows(max(evo.d for evo in evos))
     for lo in range(0, n, rows):
-        block = times[lo:lo + rows]
-        samples = [evo.sample(block) for evo in evos]
+        samples = _samples(evos, times[lo:lo + rows])
         overlap[lo:lo + rows], freq[lo:lo + rows] = contract(*samples)
         block_unit, block_det = _operator_residuals([u for u, _ in samples])
         unit, det = max(unit, block_unit), max(det, block_det)
     cuts = _boundary_grid_indices(evos, grid)
     left = {}
     if cuts:
-        _, left_freq = contract(*(evo.sample(times[cuts], side="left") for evo in evos))
+        _, left_freq = contract(*_samples(evos, times[cuts], side="left"))
         left = dict(zip(cuts, left_freq))
     dyn = _cumulative_piecewise(freq, left, cuts, grid.dt)
     return _finalize_trace(times, overlap, dyn, guard, (unit, det))
@@ -348,14 +392,16 @@ def run_trace(alpha0: CoefficientMatrix, pair: PairEvolution,
     rho_a, rho_b = reduced_densities(alpha0)
 
     def contract(a, b):
-        return _pair_overlap_frequency(alpha0.alpha, rho_a, rho_b, *a, *b)
+        return _pair_overlap_frequency(alpha0.alpha, rho_a, rho_b, a, b)
 
     return _streamed_trace((pair.a, pair.b), pair.grid, contract, guard)
 
 
-def _single_overlap_frequency(rho, u, u_dot):
-    overlap = np.einsum("ij,tji->t", rho, u)
-    return overlap, (-1j * _connection(rho, u, u_dot)).real
+def _single_overlap_frequency(rho, side):
+    """Overlap Tr[rho U] and frequency per sample, on a phasor or operator side."""
+    u = side[0]
+    overlap = u @ np.diagonal(rho) if u.ndim == 2 else np.einsum("ij,tji->t", rho, u)
+    return overlap, _frequency(rho, side)
 
 
 def single_trace_from_samples(rho0: QuditDensity, t: np.ndarray,
@@ -363,7 +409,7 @@ def single_trace_from_samples(rho0: QuditDensity, t: np.ndarray,
                               guard: float = math.pi / 4.0) -> PhaseTrace:
     """Phase trace of a single qudit, overlap Tr[rho0 U(t)]."""
     t = np.asarray(t, dtype=float)
-    overlap, freq = _single_overlap_frequency(rho0.rho, u, u_dot)
+    overlap, freq = _single_overlap_frequency(rho0.rho, (u, u_dot))
     dt = float(t[1] - t[0]) if t.size > 1 else 1.0
     return _finalize_trace(t, overlap, cumulative_simpson(freq, dt), guard,
                            _operator_residuals([u]))
@@ -378,8 +424,8 @@ def single_qudit_trace(rho0: QuditDensity, evo: LocalEvolution, grid: TimeGrid,
         raise ValueError("path shorter than the grid window")
     _check_rate_guard(evo.max_phase_rate, grid, guard)
 
-    def contract(s):
-        return _single_overlap_frequency(rho0.rho, *s)
+    def contract(side):
+        return _single_overlap_frequency(rho0.rho, side)
 
     return _streamed_trace((evo,), grid, contract, guard)
 
@@ -463,22 +509,16 @@ def detect_cycles(trace: PhaseTrace, pair: PairEvolution | None = None,
         events.append(annotate(float(t[0]), float(trace.total_phase[0]), float(mag[0])))
         return CycleScan(events=tuple(events), continuum=True)
 
-    k = 0
     n = mag.size
-    while k < n:
-        if not hits[k]:
-            k += 1
-            continue
-        j = k
-        while j + 1 < n and hits[j + 1]:
-            j += 1
-        kk = k + int(np.argmax(mag[k:j + 1]))
+    # runs of hits as [start, stop) pairs: the rising and falling edges
+    edges = np.flatnonzero(np.diff(hits, prepend=False, append=False))
+    for k, stop in zip(edges[0::2].tolist(), edges[1::2].tolist()):
+        kk = k + int(np.argmax(mag[k:stop]))
         left_ok = kk == 0 or mag[kk] >= mag[kk - 1]
         right_ok = kk == n - 1 or mag[kk] >= mag[kk + 1]
         if left_ok and right_ok:
             tc, pc, mc = _refine_peak(t, mag, trace.total_phase, kk)
             events.append(annotate(tc, pc, mc))
-        k = j + 1
     return CycleScan(events=tuple(events), continuum=False)
 
 

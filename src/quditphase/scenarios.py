@@ -493,19 +493,19 @@ class TraceRecord:
     continuum: bool
 
     def to_csv(self) -> str:
-        lines = [",".join(COLUMNS)]
-        cols = [self.columns[c] for c in COLUMNS]
-        for row in zip(*cols):
-            lines.append(",".join(_fmt(v) for v in row))
-        for key, val in self.diagnostics.items():
-            lines.append(f"# diagnostic {key} = {_fmt(val)}")
+        # every row in one %-operation: '%.17g' % x == format(x, '.17g')
+        data = np.column_stack([np.asarray(self.columns[c], dtype=float) for c in COLUMNS])
+        row = ",".join(["%.17g"] * len(COLUMNS)) + "\n"
+        body = (row * len(data)) % tuple(data.ravel().tolist())
+        footer = [f"# diagnostic {key} = {_fmt(val)}"
+                  for key, val in self.diagnostics.items()]
         for ev in self.cycles:
-            lines.append(f"# cycle t = {_fmt(ev.t_cycle)} phase = {_fmt(ev.phase)} "
-                         f"overlap = {_fmt(ev.overlap_mag)} "
-                         f"n_a = {'none' if ev.n_a is None else ev.n_a} "
-                         f"n_b = {'none' if ev.n_b is None else ev.n_b}")
-        lines.append(f"# continuum = {'true' if self.continuum else 'false'}")
-        return "\n".join(lines) + "\n"
+            footer.append(f"# cycle t = {_fmt(ev.t_cycle)} phase = {_fmt(ev.phase)} "
+                          f"overlap = {_fmt(ev.overlap_mag)} "
+                          f"n_a = {'none' if ev.n_a is None else ev.n_a} "
+                          f"n_b = {'none' if ev.n_b is None else ev.n_b}")
+        footer.append(f"# continuum = {'true' if self.continuum else 'false'}")
+        return ",".join(COLUMNS) + "\n" + body + "\n".join(footer) + "\n"
 
     @classmethod
     def from_csv(cls, text: str, name: str = "trace") -> "TraceRecord":
@@ -672,8 +672,8 @@ def _oracle_series(built: BuiltScenario) -> tuple[str, np.ndarray, np.ndarray, n
                                 "diagonal state and a diagonal path")
         weights = np.diagonal(built.rho0.rho).real
         chi = built.evo_a.cartan_levels(times)
-        total = cf.diagonal_total_phase_series(weights, chi)
         dyn = chi @ weights
+        total = cf.diagonal_total_phase_series(weights, chi, dynamical=dyn)
         return "single_qudit_diagonal", total, dyn, total - dyn
     alpha = built.alpha0.alpha
     d_a, d_b = built.alpha0.d_a, built.alpha0.d_b
@@ -685,14 +685,14 @@ def _oracle_series(built: BuiltScenario) -> tuple[str, np.ndarray, np.ndarray, n
     if d_a == d_b and _is_diagonal_matrix(alpha):
         weights = np.abs(np.diagonal(alpha)) ** 2
         chi_t = chi_a + chi_b
-        total = cf.diagonal_total_phase_series(weights, chi_t)
         dyn = chi_t @ weights
+        total = cf.diagonal_total_phase_series(weights, chi_t, dynamical=dyn)
         return "two_qudit_diagonal", total, dyn, total - dyn
     if (d_a, d_b) == (2, 3):
         full = qubit_qutrit_full().alpha
         if np.abs(alpha - full).max() <= 1e-9:
-            total = cf.qubit_qutrit_dual_series(chi_a, chi_b)
             dyn = chi_b[:, 0] / 4.0
+            total = cf.qubit_qutrit_dual_series(chi_a, chi_b, dynamical=dyn)
             return "qubit_qutrit_dual", total, dyn, total - dyn
         embedded = (abs(alpha[0, 0].imag) < 1e-12 and abs(alpha[1, 1].imag) < 1e-12
                     and np.abs(alpha * (1 - np.eye(2, 3))).max() < 1e-12)
@@ -701,12 +701,14 @@ def _oracle_series(built: BuiltScenario) -> tuple[str, np.ndarray, np.ndarray, n
             w1 = abs(alpha[1, 1]) ** 2
             q = w0 - w1
             eff = chi_a[:, 0] + (chi_b[:, 0] - chi_b[:, 1]) / 2.0
-            base = cf.diagonal_total_phase_series([(1.0 + q) / 2.0, (1.0 - q) / 2.0],
-                                                  np.column_stack([eff, -eff]))
             offset = (chi_b[:, 0] + chi_b[:, 1]) / 2.0
-            total = base + offset
             dyn = q * eff + offset
-            return "qubit_qutrit_effective", total, dyn, base - q * eff
+            # the full phasor e^{i offset} ((1+q)/2 e^{i eff} + (1-q)/2 e^{-i eff}),
+            # so zeros of the effective qubit are bridged as the engine bridges them
+            total = cf.diagonal_total_phase_series(
+                [(1.0 + q) / 2.0, (1.0 - q) / 2.0],
+                np.column_stack([eff + offset, -eff + offset]), dynamical=dyn)
+            return "qubit_qutrit_effective", total, dyn, total - dyn
     raise NoOracleError("no closed form covers this scenario")
 
 

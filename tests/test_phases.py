@@ -1,6 +1,7 @@
 """Phase engine tests: traces, cycles, lattices, master formula, quadrature."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -115,6 +116,48 @@ def test_detect_cycles_identity_and_continuum():
     assert len(scan2.events) == 1
     assert scan2.events[0].t_cycle == pytest.approx(0.0)
     assert scan2.events[0].n_a == 0 and scan2.events[0].n_b == 0
+
+
+def _peaks_by_sample(mag, eps=1e-9):
+    """Reference scan, one sample at a time: the top of every run of hits."""
+    hits = mag >= 1.0 - eps
+    peaks, k, n = [], 0, mag.size
+    while k < n:
+        if not hits[k]:
+            k += 1
+            continue
+        j = k
+        while j + 1 < n and hits[j + 1]:
+            j += 1
+        kk = k + int(np.argmax(mag[k:j + 1]))
+        if (kk == 0 or mag[kk] >= mag[kk - 1]) and (kk == n - 1 or mag[kk] >= mag[kk + 1]):
+            peaks.append(kk)
+        k = j + 1
+    return peaks
+
+
+def test_detect_cycles_scans_runs_at_edges_plateaus_and_ramps():
+    lo, near = 0.5, 1.0 - 1e-10
+    mag = np.array([1.0, near, lo,                   # run at index 0
+                    near, 1.0 - 5e-11, 1.0, lo,      # rising run: only its top counts
+                    1.0, 1.0, 1.0, 0.6,              # plateau: first sample
+                    1.0 - 1e-4, 0.6,                 # near miss, not a hit
+                    1.0 - 5e-10, 0.7,                # one-sample run
+                    1.0])                            # run at n - 1
+    n = mag.size
+    t = 0.1 * np.arange(n)
+    total = np.cumsum(np.linspace(0.1, 0.4, n))
+    overlap = mag * np.exp(1j * total)
+    trace = phases.PhaseTrace(t=t, overlap=overlap, overlap_mag=mag, total_phase=total,
+                              dynamical_phase=np.zeros(n), geometric_phase=total,
+                              indeterminate=np.zeros(n, dtype=bool),
+                              unitarity_residual=0.0, determinant_residual=0.0)
+    scan = qp.detect_cycles(trace)
+    assert not scan.continuum
+    peaks = [0, 5, 7, 13, n - 1]
+    assert _peaks_by_sample(mag) == peaks
+    assert [(e.t_cycle, e.phase, e.overlap_mag) for e in scan.events] == [
+        phases._refine_peak(t, mag, total, k) for k in peaks]
 
 
 def test_unwrap_through_overlap_zero():
@@ -464,15 +507,18 @@ def test_streamed_single_trace_matches_dense_stacks(monkeypatch):
 
 
 def _record_sample_calls(monkeypatch):
+    """Record (path, sampler, side, times) for every ``sample`` and ``phasors`` call."""
     calls = []
-    original = qp.LocalEvolution.sample
+    for name in ("sample", "phasors"):
+        original = getattr(qp.LocalEvolution, name)
 
-    def sample(self, times, side="right"):
-        out = original(self, times, side)
-        calls.append((self, side, np.atleast_1d(np.asarray(times, dtype=float)).copy()))
-        return out
+        def sampler(self, times, side="right", name=name, original=original):
+            out = original(self, times, side)
+            calls.append((self, name, side,
+                          np.atleast_1d(np.asarray(times, dtype=float)).copy()))
+            return out
 
-    monkeypatch.setattr(qp.LocalEvolution, "sample", sample)
+        monkeypatch.setattr(qp.LocalEvolution, name, sampler)
     return calls
 
 
@@ -488,18 +534,132 @@ def _record_sample_calls(monkeypatch):
                              "duration": 1},
                             {"kind": "cartan_hold", "duration": 1}]},
      "grid": {"t_max": 2, "steps": 20000}},
-], ids=["pair", "single"])
+    {"name": "generator", "dims": [3, 8], "initial_state": {"preset": "max_entangled"},
+     "evolution": {"a": [{"kind": "generator_const",
+                          "generator": [[0, 1, 0], [1, 0, 0], [0, 0, 0]], "duration": 1},
+                         {"kind": "cartan_hold", "duration": 1}],
+                   "b": [{"kind": "cartan_linear", "rates": [1, 0, 0, 0, 0, 0, 0, -1],
+                          "duration": 2}]},
+     "grid": {"t_max": 2, "steps": 5000}},
+], ids=["pair", "single", "generator"])
 def test_run_scenario_samples_each_row_once(monkeypatch, raw):
+    # all-diagonal paths are sampled as level phasors, every other path as stacks
     calls = _record_sample_calls(monkeypatch)
     out = qp.scenarios.run_scenario(qp.scenarios.ScenarioConfig.from_dict(raw))
     built = out.built
     evos = [built.evo_a] + ([built.evo_b] if built.evo_b is not None else [])
     limit = phases._block_rows(max(evo.d for evo in evos))
-    right = [c for c in calls if c[1] == "right"]
+    right = [c for c in calls if c[2] == "right"]
     assert len(right) > len(evos)                      # more than one block per path
-    assert max(c[2].size for c in right) <= limit
+    assert max(c[3].size for c in right) <= limit
     for evo in evos:
-        sampled = np.concatenate([c[2] for c in right if c[0] is evo])
+        sampler = "phasors" if evo.is_diagonal else "sample"
+        assert {c[1] for c in calls if c[0] is evo} == {sampler}
+        sampled = np.concatenate([c[3] for c in right if c[0] is evo])
         np.testing.assert_array_equal(sampled, built.grid.times())
-    assert {c[1] for c in calls} <= {"right", "left"}
-    assert all(c[2].size == 1 for c in calls if c[1] == "left")
+    assert {c[2] for c in calls} <= {"right", "left"}
+    if raw["name"] == "generator":
+        assert any(c[1] == "sample" for c in right)
+    assert all(c[3].size == 1 for c in calls if c[2] == "left")
+
+
+# -- level-phasor route against the dense (U, dU/dt) route -------------------------
+
+_PHASOR_DT = 2.0 ** -8     # exact binary step, so cuts land on block edges exactly
+
+
+def _dense_route(evos, state, grid):
+    """(trace_from_samples on full-grid stacks, the streamed kernel on stacks).
+
+    Copies of the paths claim not to be diagonal, so the kernel samples them
+    with ``sample`` instead of ``phasors``.
+    """
+    times = grid.times()
+    stacks = [evo.sample(times) for evo in evos]
+    copies = [qp.LocalEvolution(evo.d, evo.segments) for evo in evos]
+    for evo in copies:
+        evo.is_diagonal = False
+    if len(evos) == 2:
+        return (qp.trace_from_samples(state, times, *stacks[0], *stacks[1]),
+                qp.run_trace(state, qp.PairEvolution(*copies, grid)))
+    return (qp.single_trace_from_samples(state, times, *stacks[0]),
+            qp.single_qudit_trace(state, copies[0], grid))
+
+
+def _assert_matches_dense(trace, evos, state, grid):
+    ref, route = _dense_route(evos, state, grid)
+    for name in ("overlap", "overlap_mag", "total_phase"):
+        np.testing.assert_allclose(getattr(trace, name), getattr(ref, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
+    for name in ("overlap", "total_phase", "dynamical_phase", "geometric_phase"):
+        np.testing.assert_allclose(getattr(trace, name), getattr(route, name),
+                                   rtol=0, atol=1e-12, err_msg=name)
+    for ref_trace in (ref, route):
+        assert trace.unitarity_residual == pytest.approx(ref_trace.unitarity_residual,
+                                                         abs=1e-15)
+        assert trace.determinant_residual == pytest.approx(
+            ref_trace.determinant_residual, abs=1e-15)
+
+
+def _draw_path(data, d, steps, rows, dense):
+    """Random path on the grid: Cartan ramps and holds, plus generator (or, for
+    d = 2, Bloch) segments when ``dense``; some cuts sit on block edges."""
+    cuts = data.draw(st.lists(st.sampled_from([rows, 2 * rows, 3 * rows])
+                              | st.integers(1, steps - 1), max_size=3))
+    edges = [0] + sorted({c for c in cuts if 0 < c < steps}) + [steps]
+    kinds = ["linear", "hold"]
+    if dense:
+        kinds += ["generator", "bloch" if d == 2 else "generator"]
+    segments = []
+    for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        duration = (hi - lo) * _PHASOR_DT
+        kind = "generator" if dense and k == 0 else data.draw(st.sampled_from(kinds))
+        if kind == "linear":
+            rates = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=d,
+                                                max_size=d)))
+            segments.append(qp.CartanLinear(rates - rates.mean(), duration))
+        elif kind == "hold":
+            segments.append(qp.CartanHold(duration))
+        elif kind == "bloch":
+            segments.append(qp.BlochLoop(theta_end=data.draw(st.floats(0.0, 2.0)),
+                                         phi_rate=data.draw(st.floats(-3.0, 3.0)),
+                                         duration=duration))
+        else:
+            seed = data.draw(st.integers(0, 2 ** 16))
+            segments.append(qp.GeneratorConst(_mixed_generator(d, seed), duration))
+    return qp.LocalEvolution(d, segments)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_phasor_route_matches_dense_stacks(data):
+    d_a = data.draw(st.integers(2, 8))
+    d_b = data.draw(st.integers(d_a, 8))
+    steps = 2 * data.draw(st.integers(300, 520))      # three to five blocks
+    grid = qp.TimeGrid(steps * _PHASOR_DT, steps)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    # BLOCK_BYTES = 1 gives the smallest block, 256 rows, for every d
+    with mock.patch.object(phases, "BLOCK_BYTES", 1):
+        rows = phases._block_rows(8)
+        dense_a, dense_b = data.draw(st.sampled_from([(False, False), (True, False),
+                                                      (False, True)]))
+        a = _draw_path(data, d_a, steps, rows, dense_a)
+        b = _draw_path(data, d_b, steps, rows, dense_b)
+        state = qp.random_state(d_a, d_b, rng)
+        _assert_matches_dense(qp.run_trace(state, qp.PairEvolution(a, b, grid)),
+                              (a, b), state, grid)
+
+        m = rng.normal(size=(d_a, d_a)) + 1j * rng.normal(size=(d_a, d_a))
+        rho = qp.purity_decompose(m @ m.conj().T / np.trace(m @ m.conj().T).real,
+                                  qp.make_generators(d_a))
+        single = _draw_path(data, d_a, steps, rows, False)
+        _assert_matches_dense(qp.single_qudit_trace(rho, single, grid), (single,),
+                              rho, grid)
+
+
+@pytest.mark.parametrize("name", qp.scenarios.available_presets())
+def test_preset_phasor_route_matches_dense_route(name):
+    built = qp.scenarios.figure_preset(name).build()
+    assert built.evo_a.is_diagonal and built.evo_b.is_diagonal
+    trace = qp.run_trace(built.alpha0, built.pair)
+    _assert_matches_dense(trace, (built.evo_a, built.evo_b), built.alpha0, built.grid)

@@ -154,6 +154,25 @@ def test_trace_record_csv_round_trip_bit_exact(tmp_path):
     assert back.continuum == out.record.continuum
 
 
+def test_trace_record_csv_rows_match_per_value_format():
+    rng = np.random.default_rng(3)
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+               2.2250738585072014e-308, 1e-310, 1.7976931348623157e308, 0.1, 1 / 3]
+    values = np.concatenate([rng.integers(0, 2 ** 64, size=7 * 700, dtype=np.uint64)
+                             .view(np.float64), special * 7])
+    cols = {c: values[i::len(COLUMNS)] for i, c in enumerate(COLUMNS)}
+    rec = TraceRecord(name="bits", columns=cols, diagnostics={"x": -0.0}, cycles=(),
+                      continuum=False)
+    lines = rec.to_csv().splitlines()
+    rows = [",".join(format(float(v), ".17g") for v in row) for row in zip(*cols.values())]
+    assert lines[0] == ",".join(COLUMNS)
+    assert lines[1:1 + len(rows)] == rows
+    assert lines[1 + len(rows):] == ["# diagnostic x = -0", "# continuum = false"]
+    empty = TraceRecord(name="empty", columns={c: np.array([]) for c in COLUMNS},
+                        diagnostics={}, cycles=(), continuum=True)
+    assert empty.to_csv() == ",".join(COLUMNS) + "\n# continuum = true\n"
+
+
 def test_trace_record_json_round_trip(tmp_path):
     out = qp.run_scenario(qp.figure_preset("frac22"))
     path = tmp_path / "frac22.json"
@@ -360,6 +379,30 @@ def test_stepped_preset_overlap_at_branch_joints():
     np.testing.assert_allclose(
         qp.circular_distance([e.phase for e in contacts],
                              [TWO_PI / 3, 2 * TWO_PI / 3, 0.0]), 0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("rates_a, rates_b", [([2.5, -2.5], [0.5, 1.5, -2.0]),
+                                              ([3.0, -3.0], [2.0, -1.0, -1.0])])
+@pytest.mark.parametrize("q", [0.0, 0.3, 0.7, 1.0])
+def test_verify_embedded_qubit_qutrit_bridges_overlap_zeros(rates_a, rates_b, q):
+    # at q = 0 the effective phasor cos(eff) vanishes on grid samples; the oracle
+    # must bridge them with the dynamical slope, as the engine does
+    raw = {
+        "name": "embedded", "dims": [2, 3],
+        "initial_state": {"preset": "qubit_qutrit_embedded", "q": q},
+        "evolution": {
+            "a": [{"kind": "cartan_linear", "rates": rates_a, "duration": "2*pi"}],
+            "b": [{"kind": "cartan_linear", "rates": rates_b, "duration": "2*pi"}],
+        },
+        "grid": {"t_max": "4*pi", "steps": 4000},
+    }
+    config = qp.ScenarioConfig.from_dict(raw)
+    if q == 0.0:
+        assert qp.run_scenario(config).trace.indeterminate.any()
+    report = qp.verify_scenario(config)
+    assert report.oracle == "qubit_qutrit_effective"
+    assert report.ok, report.lines()
+    assert max(report.max_total_dev, report.max_geometric_dev) < 1e-11
 
 
 def test_verify_two_qubit_preset_scenario():
