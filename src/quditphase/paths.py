@@ -18,8 +18,14 @@ coordinates, right Cartan rates, (theta, phi) rates, generator eigenpairs and
 constant left generator. Every query reads those rows, so
 ``dU/dt = i (L U + U diag(rates))`` holds on every segment with L the closed
 form Bloch generator on a ``BlochLoop`` and ``V G V^dag`` on a
-``GeneratorConst``. An all-diagonal path is also sampled as its level phasors
-exp(i chi) and rates, O(n d) instead of O(n d^2). Paths are immutable after
+``GeneratorConst``.
+
+Without a Bloch segment every row is one fixed-frame exponential,
+``U(t) = L_k diag(exp(i (c_k + w_k tau))) R_k`` with tau = t - start_k: a
+Cartan ramp or hold has L = W0, R = 1, c = chi0 and w = rates; a generator
+segment has L = E (the eigenvectors of G), R = E^dag W0 diag(exp(i chi0)),
+c = 0 and w = the eigenvalues of G. Such a path is also sampled as its frame
+phasors and row indices, O(n d) instead of O(n d^2). Paths are immutable after
 construction and sampling is pure.
 """
 
@@ -135,6 +141,45 @@ class GeneratorConst:
         return bool(np.abs(off).max() <= 1e-12 * max(1.0, np.abs(self.generator).max()))
 
 
+@dataclass(frozen=True)
+class FrameTables:
+    """Per-row constant frames of a Bloch-free path.
+
+    Row k gives ``U(t) = left[k] diag(exp(i (phase0[k] + rate[k] tau))) right[k]``
+    on its segment. ``unitarity`` is the row's largest |F^dag F - 1| entry over
+    both frames F and ``determinant`` is det(left[k]) det(right[k]).
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    phase0: np.ndarray
+    rate: np.ndarray
+    unitarity: np.ndarray
+    determinant: np.ndarray
+
+
+def _frame_tables(chi0, rates, evals, evecs, w0, gen_rows) -> FrameTables:
+    """Fixed frames of every row: Cartan rows (W0, 1), generator rows
+    (E, E^dag W0 diag(exp(i chi0)))."""
+    rows, d = chi0.shape
+    gen = np.zeros(rows, dtype=bool)
+    gen[gen_rows] = True
+    frames = np.empty((2, rows, d, d), dtype=complex)
+    left, right = frames
+    left[:] = np.where(gen[:, None, None], evecs, w0)
+    right[:] = np.eye(d)
+    for k in gen_rows:
+        right[k] = evecs[k].conj().T @ w0[k] * np.exp(1j * chi0[k])
+    both = frames.reshape(2 * rows, d, d)
+    unitarity = np.abs(both.conj().transpose(0, 2, 1) @ both - np.eye(d)).max(axis=(1, 2))
+    det = np.linalg.det(both)
+    return FrameTables(left=left, right=right,
+                       phase0=np.where(gen[:, None], 0.0, chi0),
+                       rate=np.where(gen[:, None], evals, rates),
+                       unitarity=np.maximum(unitarity[:rows], unitarity[rows:]),
+                       determinant=det[:rows] * det[rows:])
+
+
 def _bloch_matrix(theta, phi) -> np.ndarray:
     """Explicit SU(2) coset factor, identity at theta = 0."""
     theta = np.asarray(theta, dtype=float)
@@ -194,8 +239,9 @@ class LocalEvolution:
         Row k holds the coordinates at the segment start (``chi0``, the
         (theta, phi) pair ``bloch0`` and the generator product ``w0``), the
         right Cartan rates, the (theta, phi) rates, the generator eigenpairs
-        and the constant left generator of a generator segment. Nothing after
-        construction asks which kind a segment is.
+        and the constant left generator of a generator segment. A path without
+        a Bloch segment also gets its fixed frames (``frames``; None otherwise).
+        Nothing after construction asks which kind a segment is.
         """
         n, d = len(self.segments), self.d
         self.has_bloch = any(isinstance(s, BlochLoop) for s in self.segments)
@@ -264,6 +310,8 @@ class LocalEvolution:
         self._left = left
         self._moves_left = left.any(axis=(1, 2)) | bloch_rate.any(axis=1)
         self._w0 = w0
+        self.frames = (None if self.has_bloch else
+                       _frame_tables(chi0, rates, evals, evecs, w0, gen_rows))
         self.duration = t
 
     # -- coordinate queries -------------------------------------------------
@@ -364,19 +412,19 @@ class LocalEvolution:
         return U, Ud
 
     def phasors(self, times, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
-        """Level phasors exp(i chi(t)) and Cartan rates of an all-diagonal path.
+        """Frame phasors z = exp(i (c + w tau)) and the owning row of each sample.
 
-        On such a path U = diag(exp(i chi)) and dU/dt = i U diag(rates), so the
-        pair carries what ``sample`` stacks in O(n d) instead of O(n d^2).
-        ``side`` picks the row that owns the rates at interior segment
-        boundaries, as in ``sample``.
+        On a path without a Bloch segment U(t) = L[k] diag(z) R[k] with the
+        ``frames`` of row k, so (z, k) carries what ``sample`` stacks in O(n d)
+        instead of O(n d^2); dU/dt = L[k] diag(i w[k] z) R[k]. ``side`` picks
+        the row at interior segment boundaries, as in ``sample``; z is given
+        in that row's frame.
         """
-        if not self.is_diagonal:
-            raise ValueError("level phasors describe all-diagonal paths only")
+        if self.frames is None:
+            raise ValueError("frame phasors describe paths without Bloch segments only")
         t = self._times(times)
-        right = self._segment_index(t)
-        idx = right if side == "right" else self._segment_index(t, side=side)
-        return np.exp(1j * self._advance(self._chi0, self._rates, t, right)), self._rates[idx]
+        idx = self._segment_index(t, side=side)
+        return np.exp(1j * self._advance(self.frames.phase0, self.frames.rate, t, idx)), idx
 
     def synthesize(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Single-time (U, dU/dt)."""

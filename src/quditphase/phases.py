@@ -6,11 +6,14 @@ the dynamical phase is the Simpson quadrature of the instantaneous frequency
 points are overlap-magnitude returns to one; on them only the fractional
 values 2 pi (n_A/d_A + n_B/d_B) can occur for Cartan-closed local paths.
 
-The trace kernel streams the grid in blocks of rows. An all-diagonal path
-enters as its level phasors exp(i chi) and Cartan rates: it scales the rows or
-columns of alpha, its frequency is the exact per-segment constant
-rates @ diag(rho), and a pair of such paths costs O(n d_A d_B). Any other path
-enters as sampled (U, dU/dt) stacks contracted by matrix products, O(n d^3).
+The trace kernel streams the grid in blocks of rows. A path without a Bloch
+segment enters as its frame phasors z and row indices, U = L diag(z) R with
+constant frames per segment row: a pair of such paths takes its overlap as
+z_A C z_B with one d_A x d_B matrix C per pair of rows, its frequency is the
+exact per-row constant w @ diag(R rho R^dag) (rates @ diag(rho) on a Cartan
+row, <G> on a generator row), and it costs O(n d_A d_B). Only a path with a
+Bloch segment enters as sampled (U, dU/dt) stacks contracted by matrix
+products, O(n d^3).
 """
 
 from __future__ import annotations
@@ -193,7 +196,11 @@ class PhaseTrace:
     ``indeterminate`` flags samples where the overlap vanished and the total
     phase was bridged. ``unitarity_residual`` and ``determinant_residual`` are
     the largest entries of |U^dag U - 1| and |det U - 1| over every sampled
-    operator.
+    operator. A path sampled in its frames, U = L diag(z) R, reports them for
+    the parts the kernel uses: the largest |F^dag F - 1| entry over the frames
+    of the rows the grid visits together with |conj(z) z - 1| over the
+    samples, and |det L det R prod(z) - 1| per sample. On an all-diagonal path
+    L = R = 1 exactly, so both equal the residuals of U = diag(z).
     """
 
     t: np.ndarray
@@ -223,22 +230,25 @@ def _finalize_trace(t, overlap, dyn, guard, residuals) -> PhaseTrace:
                       determinant_residual=residuals[1])
 
 
-def _operator_residuals(operators) -> tuple[float, float]:
-    """Largest |U^dag U - 1| entry and |det U - 1| over sampled operators.
-
-    Each entry is an n x d x d stack of U, or the n x d level phasors z of a
-    diagonal U = diag(z), where the residuals reduce to |conj(z) z - 1| and
-    |prod(z) - 1|.
-    """
+def _operator_residuals(stacks) -> tuple[float, float]:
+    """Largest |U^dag U - 1| entry and |det U - 1| over n x d x d stacks of U."""
     unit = det = 0.0
-    for u in operators:
-        if u.ndim == 2:
-            unit = max(unit, float(np.abs(u.conj() * u - 1.0).max()))
-            det = max(det, float(np.abs(u.prod(axis=1) - 1.0).max()))
-            continue
+    for u in stacks:
         eye = np.eye(u.shape[-1])
         unit = max(unit, float(np.abs(u.conj().transpose(0, 2, 1) @ u - eye).max()))
         det = max(det, float(np.abs(np.linalg.det(u) - 1.0).max()))
+    return unit, det
+
+
+def _side_residuals(evo: LocalEvolution, side) -> tuple[float, float]:
+    """Residuals of one path's samples: a frame side (z, rows) from its parts
+    (see ``PhaseTrace``), a (U, dU/dt) side from its U stack."""
+    u, rows = side
+    if u.ndim == 3:
+        return _operator_residuals([u])
+    frames = evo.frames
+    unit = max(float(frames.unitarity[rows].max()), float(np.abs(u.conj() * u - 1.0).max()))
+    det = float(np.abs(frames.determinant[rows] * u.prod(axis=1) - 1.0).max())
     return unit, det
 
 
@@ -253,15 +263,8 @@ def _connection(rho, u, u_dot):
     return np.einsum("tki,tki->t", u_dot, w)
 
 
-def _frequency(rho, side) -> np.ndarray:
-    """Dynamical frequency -i Tr[rho U^dag dU/dt] contributed by one path.
-
-    A phasor side (z, rates) has U^dag dU/dt = i diag(rates), so its frequency
-    is the exact per-segment constant rates @ diag(rho).
-    """
-    u, u_dot = side
-    if u.ndim == 2:
-        return u_dot @ np.diagonal(rho).real
+def _frequency(rho, u, u_dot) -> np.ndarray:
+    """Dynamical frequency -i Tr[rho U^dag dU/dt] of sampled operators."""
     freq = -1j * _connection(rho, u, u_dot)
     if np.abs(freq.imag).max() > 1e-8:
         raise ValueError("dynamical frequency has a nonreal part; the operator "
@@ -269,14 +272,30 @@ def _frequency(rho, side) -> np.ndarray:
     return freq.real
 
 
-def _pair_overlap_frequency(alpha, rho_a, rho_b, side_a, side_b):
-    """Overlap Tr[alpha^dag U_A alpha U_B^T] and frequency per sample.
+def _row_frequencies(frames, rho) -> np.ndarray:
+    """Exact frequency of every row, w_k @ diag(R_k rho R_k^dag).
 
-    Each side is a phasor pair (z, rates), applied to alpha as a scaling of
-    its rows (A) or columns (B), or an operator pair (U, dU/dt), applied as a
-    matrix product.
+    With U = L diag(z) R and dz/dt = i w z, U^dag dU/dt = i R^dag diag(w) R:
+    the frequency is rates @ diag(rho) on a Cartan row and <G> on a
+    generator row, constant along the segment.
     """
-    u_a, u_b = side_a[0], side_b[0]
+    right = frames.right
+    levels = np.einsum("kij,kij->ki", right @ rho, right.conj()).real
+    return (frames.rate * levels).sum(axis=1)
+
+
+def _side_frequency(row_freq, rho, side) -> np.ndarray:
+    u, x = side
+    return row_freq[x] if u.ndim == 2 else _frequency(rho, u, x)
+
+
+def _pair_overlap(alpha, u_a, u_b) -> np.ndarray:
+    """Overlap Tr[alpha^dag U_A alpha U_B^T] per sample.
+
+    A side is an operator stack, applied as a matrix product, or the phasors
+    z of U = diag(z), applied as a scaling of the rows (A) or columns (B) of
+    alpha.
+    """
     d_a, d_b = alpha.shape
     if u_a.ndim == 2:
         alphas = u_a[:, :, None] * alpha
@@ -285,14 +304,65 @@ def _pair_overlap_frequency(alpha, rho_a, rho_b, side_a, side_b):
         n = u_a.shape[0]
         alphas = (u_a.reshape(n * d_a, d_a) @ alpha).reshape(n, d_a, d_b)
     alphas = alphas * u_b[:, None, :] if u_b.ndim == 2 else alphas @ u_b.transpose(0, 2, 1)
-    overlap = np.einsum("ij,tij->t", alpha.conj(), alphas)
-    return overlap, _frequency(rho_a, side_a) + _frequency(rho_b, side_b)
+    return np.einsum("ij,tij->t", alpha.conj(), alphas)
+
+
+def _operator(evo: LocalEvolution, side) -> np.ndarray:
+    """One side as ``_pair_overlap`` takes it: a U stack as it is, the phasors
+    of an all-diagonal path (whose frames are identities) as they are, and any
+    other frame side as U = L diag(z) R."""
+    u, rows = side
+    if u.ndim == 3 or evo.is_diagonal:
+        return u
+    return (evo.frames.left[rows] * u[:, None, :]) @ evo.frames.right[rows]
+
+
+def _runs(rows_a: np.ndarray, rows_b: np.ndarray):
+    """[lo, hi) runs of samples over which both row indices stay constant."""
+    change = np.flatnonzero((np.diff(rows_a) != 0) | (np.diff(rows_b) != 0)) + 1
+    edges = [0, *change.tolist(), rows_a.size]
+    return zip(edges[:-1], edges[1:])
+
+
+def _pair_contraction(alpha, rho_a, rho_b, evo_a: LocalEvolution, evo_b: LocalEvolution):
+    """contract(side_a, side_b) -> (overlap, frequency) for one pair trace.
+
+    With U = L diag(z) R on both sides the overlap is sum_ij z_A,i C_ij z_B,j,
+    C = conj(L_A^dag alpha conj(L_B)) * (R_A alpha R_B^T), built once per pair
+    of rows and applied to each run of samples in that pair. A pair with a
+    (U, dU/dt) side takes the dense overlap. A frame side's frequency is its
+    row constant.
+    """
+    row_freq = [None if evo.frames is None else _row_frequencies(evo.frames, rho)
+                for evo, rho in ((evo_a, rho_a), (evo_b, rho_b))]
+    coefficients = {}
+
+    def pair_coefficients(ka: int, kb: int) -> np.ndarray:
+        if (ka, kb) not in coefficients:
+            fa, fb = evo_a.frames, evo_b.frames
+            coefficients[ka, kb] = ((fa.left[ka].T @ alpha.conj() @ fb.left[kb])
+                                    * (fa.right[ka] @ alpha @ fb.right[kb].T))
+        return coefficients[ka, kb]
+
+    def contract(a, b):
+        (z_a, rows_a), (z_b, rows_b) = a, b
+        if z_a.ndim == 2 and z_b.ndim == 2:
+            overlap = np.empty(z_a.shape[0], dtype=complex)
+            for lo, hi in _runs(rows_a, rows_b):
+                c = pair_coefficients(int(rows_a[lo]), int(rows_b[lo]))
+                overlap[lo:hi] = np.einsum("tj,tj->t", z_a[lo:hi] @ c, z_b[lo:hi])
+        else:
+            overlap = _pair_overlap(alpha, _operator(evo_a, a), _operator(evo_b, b))
+        return overlap, (_side_frequency(row_freq[0], rho_a, a)
+                         + _side_frequency(row_freq[1], rho_b, b))
+
+    return contract
 
 
 def _samples(evos, times: np.ndarray, side: str = "right") -> list:
-    """Each path on ``times``: level phasors (z, rates) when it is all-diagonal,
-    else the (U, dU/dt) stacks of ``sample``."""
-    return [evo.phasors(times, side) if evo.is_diagonal else evo.sample(times, side)
+    """Each path on ``times``: frame phasors (z, rows) when it has no Bloch
+    segment, else the (U, dU/dt) stacks of ``sample``."""
+    return [evo.sample(times, side) if evo.frames is None else evo.phasors(times, side)
             for evo in evos]
 
 
@@ -312,8 +382,8 @@ def trace_from_samples(alpha0: CoefficientMatrix, t: np.ndarray,
     if u_a.shape != (n, alpha0.d_a, alpha0.d_a) or u_b.shape != (n, alpha0.d_b, alpha0.d_b):
         raise ValueError("operator stacks do not match the state dimensions")
     rho_a, rho_b = reduced_densities(alpha0)
-    overlap, freq = _pair_overlap_frequency(alpha0.alpha, rho_a, rho_b,
-                                            (u_a, u_a_dot), (u_b, u_b_dot))
+    overlap = _pair_overlap(alpha0.alpha, u_a, u_b)
+    freq = _frequency(rho_a, u_a, u_a_dot) + _frequency(rho_b, u_b, u_b_dot)
     dt = float(t[1] - t[0]) if n > 1 else 1.0
     return _finalize_trace(t, overlap, cumulative_simpson(freq, dt), guard,
                            _operator_residuals([u_a, u_b]))
@@ -350,12 +420,12 @@ def _block_rows(d: int) -> int:
 def _streamed_trace(evos, grid: TimeGrid, contract, guard: float) -> PhaseTrace:
     """Phase trace of local paths, streamed over blocks of grid rows.
 
-    Each block samples every path once (right side): an all-diagonal path as
-    level phasors and Cartan rates, any other path as (U, dU/dt) stacks.
-    ``contract`` reduces them at once to overlap and frequency, so no sample
-    outlives its block. The unitarity and determinant residuals are running
-    maxima over the blocks. Only the left limits at segment cuts are sampled
-    again; the dynamical quadrature is stitched there.
+    Each block samples every path once (right side): a path without a Bloch
+    segment as frame phasors and row indices, any other path as (U, dU/dt)
+    stacks. ``contract`` reduces them at once to overlap and frequency, so no
+    sample outlives its block. The unitarity and determinant residuals are
+    running maxima over the blocks. Only the left limits at segment cuts are
+    sampled again; the dynamical quadrature is stitched there.
     """
     times = grid.times()
     n = times.size
@@ -366,8 +436,9 @@ def _streamed_trace(evos, grid: TimeGrid, contract, guard: float) -> PhaseTrace:
     for lo in range(0, n, rows):
         samples = _samples(evos, times[lo:lo + rows])
         overlap[lo:lo + rows], freq[lo:lo + rows] = contract(*samples)
-        block_unit, block_det = _operator_residuals([u for u, _ in samples])
-        unit, det = max(unit, block_unit), max(det, block_det)
+        for evo, side in zip(evos, samples):
+            block_unit, block_det = _side_residuals(evo, side)
+            unit, det = max(unit, block_unit), max(det, block_det)
     cuts = _boundary_grid_indices(evos, grid)
     left = {}
     if cuts:
@@ -390,18 +461,13 @@ def run_trace(alpha0: CoefficientMatrix, pair: PairEvolution,
             f"{pair.a.d} and {pair.b.d}")
     _check_rate_guard(pair.a.max_phase_rate + pair.b.max_phase_rate, pair.grid, guard)
     rho_a, rho_b = reduced_densities(alpha0)
-
-    def contract(a, b):
-        return _pair_overlap_frequency(alpha0.alpha, rho_a, rho_b, a, b)
-
+    contract = _pair_contraction(alpha0.alpha, rho_a, rho_b, pair.a, pair.b)
     return _streamed_trace((pair.a, pair.b), pair.grid, contract, guard)
 
 
-def _single_overlap_frequency(rho, side):
-    """Overlap Tr[rho U] and frequency per sample, on a phasor or operator side."""
-    u = side[0]
-    overlap = u @ np.diagonal(rho) if u.ndim == 2 else np.einsum("ij,tji->t", rho, u)
-    return overlap, _frequency(rho, side)
+def _single_overlap(rho, u) -> np.ndarray:
+    """Overlap Tr[rho U] per sample of an operator stack."""
+    return np.einsum("ij,tji->t", rho, u)
 
 
 def single_trace_from_samples(rho0: QuditDensity, t: np.ndarray,
@@ -409,7 +475,7 @@ def single_trace_from_samples(rho0: QuditDensity, t: np.ndarray,
                               guard: float = math.pi / 4.0) -> PhaseTrace:
     """Phase trace of a single qudit, overlap Tr[rho0 U(t)]."""
     t = np.asarray(t, dtype=float)
-    overlap, freq = _single_overlap_frequency(rho0.rho, (u, u_dot))
+    overlap, freq = _single_overlap(rho0.rho, u), _frequency(rho0.rho, u, u_dot)
     dt = float(t[1] - t[0]) if t.size > 1 else 1.0
     return _finalize_trace(t, overlap, cumulative_simpson(freq, dt), guard,
                            _operator_residuals([u]))
@@ -423,9 +489,17 @@ def single_qudit_trace(rho0: QuditDensity, evo: LocalEvolution, grid: TimeGrid,
     if evo.duration < grid.t_max - 1e-9:
         raise ValueError("path shorter than the grid window")
     _check_rate_guard(evo.max_phase_rate, grid, guard)
+    rho = rho0.rho
+    if evo.frames is not None:
+        # Tr[rho L diag(z) R] = z @ diag(R rho L) per row
+        weights = np.einsum("kij,kji->ki", evo.frames.right @ rho, evo.frames.left)
+        row_freq = _row_frequencies(evo.frames, rho)
 
     def contract(side):
-        return _single_overlap_frequency(rho0.rho, side)
+        u, x = side
+        if u.ndim == 2:
+            return np.einsum("ti,ti->t", u, weights[x]), row_freq[x]
+        return _single_overlap(rho, u), _frequency(rho, u, x)
 
     return _streamed_trace((evo,), grid, contract, guard)
 
@@ -472,9 +546,18 @@ def _refine_peak(t: np.ndarray, mag: np.ndarray, total: np.ndarray,
     return tc, pc, mc
 
 
-def _coset_closed(evo: LocalEvolution, t: float, tol: float = 1e-8) -> bool:
-    w = evo.coset_factor([t])[0]
-    return bool(np.abs(w - np.eye(evo.d)).max() <= tol)
+def _lattice_labels(evo: LocalEvolution, times: list, lattice_tol: float,
+                    closure_tol: float = 1e-8) -> list:
+    """Fractional index n per event time where the path is Cartan-closed.
+
+    The coset factor and the Cartan levels are read once for all events; an
+    event whose coset factor is open (or whose levels miss the lattice) gets
+    None.
+    """
+    closed = np.abs(evo.coset_factor(times) - np.eye(evo.d)).max(axis=(1, 2)) <= closure_tol
+    levels = evo.cartan_levels(times)
+    return [lattice_condition_check(lv, evo.d, tol=lattice_tol) if ok else None
+            for ok, lv in zip(closed.tolist(), levels)]
 
 
 def detect_cycles(trace: PhaseTrace, pair: PairEvolution | None = None,
@@ -489,37 +572,27 @@ def detect_cycles(trace: PhaseTrace, pair: PairEvolution | None = None,
     t = trace.t
     hits = mag >= 1.0 - eps
     continuum = bool(hits.all())
-    events = []
-
-    def annotate(tc: float, phase: float, mc: float) -> CyclicEvent:
-        n_a = n_b = None
-        if pair is not None:
-            for label, evo in (("a", pair.a), ("b", pair.b)):
-                n = None
-                if _coset_closed(evo, tc):
-                    n = lattice_condition_check(evo.cartan_levels([tc])[0],
-                                                evo.d, tol=lattice_tol)
-                if label == "a":
-                    n_a = n
-                else:
-                    n_b = n
-        return CyclicEvent(t_cycle=tc, phase=phase, overlap_mag=mc, n_a=n_a, n_b=n_b)
-
     if continuum:
-        events.append(annotate(float(t[0]), float(trace.total_phase[0]), float(mag[0])))
-        return CycleScan(events=tuple(events), continuum=True)
-
-    n = mag.size
-    # runs of hits as [start, stop) pairs: the rising and falling edges
-    edges = np.flatnonzero(np.diff(hits, prepend=False, append=False))
-    for k, stop in zip(edges[0::2].tolist(), edges[1::2].tolist()):
-        kk = k + int(np.argmax(mag[k:stop]))
-        left_ok = kk == 0 or mag[kk] >= mag[kk - 1]
-        right_ok = kk == n - 1 or mag[kk] >= mag[kk + 1]
-        if left_ok and right_ok:
-            tc, pc, mc = _refine_peak(t, mag, trace.total_phase, kk)
-            events.append(annotate(tc, pc, mc))
-    return CycleScan(events=tuple(events), continuum=False)
+        peaks = [(float(t[0]), float(trace.total_phase[0]), float(mag[0]))]
+    else:
+        n = mag.size
+        peaks = []
+        # runs of hits as [start, stop) pairs: the rising and falling edges
+        edges = np.flatnonzero(np.diff(hits, prepend=False, append=False))
+        for k, stop in zip(edges[0::2].tolist(), edges[1::2].tolist()):
+            kk = k + int(np.argmax(mag[k:stop]))
+            left_ok = kk == 0 or mag[kk] >= mag[kk - 1]
+            right_ok = kk == n - 1 or mag[kk] >= mag[kk + 1]
+            if left_ok and right_ok:
+                peaks.append(_refine_peak(t, mag, trace.total_phase, kk))
+    labels_a = labels_b = [None] * len(peaks)
+    if pair is not None and peaks:
+        times = [tc for tc, _, _ in peaks]
+        labels_a = _lattice_labels(pair.a, times, lattice_tol)
+        labels_b = _lattice_labels(pair.b, times, lattice_tol)
+    events = tuple(CyclicEvent(t_cycle=tc, phase=pc, overlap_mag=mc, n_a=n_a, n_b=n_b)
+                   for (tc, pc, mc), n_a, n_b in zip(peaks, labels_a, labels_b))
+    return CycleScan(events=events, continuum=continuum)
 
 
 @dataclass(frozen=True)

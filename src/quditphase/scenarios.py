@@ -482,6 +482,21 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# json's spelling of the non-finite floats
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_column(values) -> str:
+    """A float list as json.dumps(..., indent=1) writes it two levels deep."""
+    col = np.asarray(values, dtype=float)
+    if not col.size:
+        return "[]"
+    items = list(map(float.__repr__, col.tolist()))
+    if not np.isfinite(col).all():
+        items = [_JSON_NONFINITE.get(v, v) for v in items]
+    return "[\n   " + ",\n   ".join(items) + "\n  ]"
+
+
 @dataclass
 class TraceRecord:
     """Serializable run result: columns, diagnostics, cycles."""
@@ -541,16 +556,19 @@ class TraceRecord:
                    cycles=tuple(cycles), continuum=continuum)
 
     def to_json(self) -> str:
-        payload = {
-            "name": self.name,
-            "columns": {c: [float(v) for v in self.columns[c]] for c in COLUMNS},
+        # the same text as json.dumps(payload, indent=1) with the columns in
+        # the payload; only the columns are written without the encoder
+        rest = json.dumps({
             "diagnostics": {k: float(v) for k, v in self.diagnostics.items()},
             "cycles": [{"t": ev.t_cycle, "phase": ev.phase,
                         "overlap": ev.overlap_mag, "n_a": ev.n_a, "n_b": ev.n_b}
                        for ev in self.cycles],
             "continuum": self.continuum,
-        }
-        return json.dumps(payload, indent=1)
+        }, indent=1)
+        columns = ",\n".join(f"  {json.dumps(c)}: {_json_column(self.columns[c])}"
+                             for c in COLUMNS)
+        return ('{\n "name": ' + json.dumps(self.name) + ',\n "columns": {\n'
+                + columns + "\n },\n" + rest[2:])
 
     @classmethod
     def from_json(cls, text: str) -> "TraceRecord":

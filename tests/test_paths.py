@@ -187,6 +187,34 @@ def test_derivative_consistency_second_order(name):
         assert np.abs(derivs["left"] - derivs["right"]).max() > 0.1
 
 
+def test_frame_phasors_reproduce_sampled_operators():
+    # U = L diag(z) R and dU/dt = L diag(i w z) R on every row, on both sides of cuts
+    evo = qp.LocalEvolution(3, [qp.CartanLinear(np.array([0.5, 0.2, -0.7]), 1.0),
+                                qp.GeneratorConst(QUTRIT_GEN, 1.0),
+                                qp.CartanHold(0.5),
+                                qp.GeneratorConst(QUTRIT_GEN.T, 1.0),
+                                qp.CartanLinear(np.array([-1.0, 0.4, 0.6]), 1.0)])
+    f = evo.frames
+    t = np.linspace(0.0, evo.duration, 451)           # every cut on a sample
+    for side in ("right", "left"):
+        z, rows = evo.phasors(t, side)
+        u, u_dot = evo.sample(t, side)
+        np.testing.assert_allclose((f.left[rows] * z[:, None, :]) @ f.right[rows], u,
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose((f.left[rows] * (1j * f.rate[rows] * z)[:, None, :])
+                                   @ f.right[rows], u_dot, rtol=0, atol=1e-12)
+    assert f.unitarity.max() < 1e-14
+    np.testing.assert_allclose(f.determinant, 1.0, rtol=0, atol=1e-14)
+    # an all-diagonal path has identity frames, a Bloch path has none
+    diag = qp.LocalEvolution(3, [qp.CartanLinear(np.array([1.0, 0.0, -1.0]), 1.0)])
+    assert (diag.frames.left == np.eye(3)).all() and (diag.frames.right == np.eye(3)).all()
+    assert (diag.frames.unitarity == 0.0).all() and (diag.frames.determinant == 1.0).all()
+    bloch = qp.LocalEvolution(2, [qp.BlochLoop(theta_end=1.0, phi_rate=1.0, duration=1.0)])
+    assert bloch.frames is None
+    with pytest.raises(ValueError, match="Bloch"):
+        bloch.phasors([0.5])
+
+
 def test_phase_rate_and_solid_angle_on_every_segment_kind():
     evo = qp.LocalEvolution(2, [
         qp.CartanLinear(np.array([0.8, -0.8]), 1.0),

@@ -424,6 +424,22 @@ def _dense_residuals(stacks):
     return unit, det
 
 
+def _frame_residuals(evo, times):
+    """Residuals of U = L diag(z) R by the frame definition, from the path's
+    tables: the largest |F^dag F - 1| over the frames of the visited rows and
+    |conj(z) z - 1| over the samples, and |det L det R prod(z) - 1|."""
+    f = evo.frames
+    rows = evo._segment_index(times)
+    z = np.exp(1j * (f.phase0[rows] + f.rate[rows] * (times - evo._starts[rows])[:, None]))
+    visited = np.unique(rows)
+    frames = np.concatenate([f.left[visited], f.right[visited]])
+    unit = max(np.abs(frames.conj().transpose(0, 2, 1) @ frames - np.eye(evo.d)).max(),
+               np.abs(z.conj() * z - 1.0).max())
+    det = np.abs(np.linalg.det(f.left[rows]) * np.linalg.det(f.right[rows])
+                 * z.prod(axis=1) - 1.0).max()
+    return float(unit), float(det)
+
+
 def _mixed_generator(d, seed):
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -460,9 +476,11 @@ def test_streamed_pair_trace_matches_dense_stacks(monkeypatch):
     for name in ("overlap", "overlap_mag", "total_phase"):
         np.testing.assert_allclose(getattr(streamed, name), getattr(dense, name),
                                    rtol=0, atol=1e-12, err_msg=name)
+    # A (with a Bloch segment) is sampled as stacks, B in its frames
+    (unit_a, det_a), (unit_b, det_b) = _dense_residuals([u_a]), _frame_residuals(b, times)
+    assert streamed.unitarity_residual == pytest.approx(max(unit_a, unit_b), abs=1e-15)
+    assert streamed.determinant_residual == pytest.approx(max(det_a, det_b), abs=1e-15)
     unit, det = _dense_residuals([u_a, u_b])
-    assert streamed.unitarity_residual == pytest.approx(unit, abs=1e-15)
-    assert streamed.determinant_residual == pytest.approx(det, abs=1e-15)
     assert (dense.unitarity_residual, dense.determinant_residual) == (unit, det)
 
     _one_block(monkeypatch)                     # the same kernel on one full-grid stack
@@ -495,7 +513,7 @@ def test_streamed_single_trace_matches_dense_stacks(monkeypatch):
     for name in ("overlap", "overlap_mag", "total_phase"):
         np.testing.assert_allclose(getattr(streamed, name), getattr(dense, name),
                                    rtol=0, atol=1e-12, err_msg=name)
-    unit, det = _dense_residuals([u])
+    unit, det = _frame_residuals(evo, times)     # a generator path: frame definition
     assert streamed.unitarity_residual == pytest.approx(unit, abs=1e-15)
     assert streamed.determinant_residual == pytest.approx(det, abs=1e-15)
 
@@ -541,9 +559,16 @@ def _record_sample_calls(monkeypatch):
                    "b": [{"kind": "cartan_linear", "rates": [1, 0, 0, 0, 0, 0, 0, -1],
                           "duration": 2}]},
      "grid": {"t_max": 2, "steps": 5000}},
-], ids=["pair", "single", "generator"])
+    {"name": "bloch", "dims": [2, 8], "initial_state": {"preset": "max_entangled"},
+     "evolution": {"a": [{"kind": "bloch_loop", "theta_end": 1.2, "phi_rate": 2,
+                          "duration": 1},
+                         {"kind": "cartan_linear", "rates": [1, -1], "duration": 1}],
+                   "b": [{"kind": "cartan_linear", "rates": [1, 0, 0, 0, 0, 0, 0, -1],
+                          "duration": 2}]},
+     "grid": {"t_max": 2, "steps": 5000}},
+], ids=["pair", "single", "generator", "bloch"])
 def test_run_scenario_samples_each_row_once(monkeypatch, raw):
-    # all-diagonal paths are sampled as level phasors, every other path as stacks
+    # paths without a Bloch segment are sampled as frame phasors, Bloch paths as stacks
     calls = _record_sample_calls(monkeypatch)
     out = qp.scenarios.run_scenario(qp.scenarios.ScenarioConfig.from_dict(raw))
     built = out.built
@@ -553,37 +578,50 @@ def test_run_scenario_samples_each_row_once(monkeypatch, raw):
     assert len(right) > len(evos)                      # more than one block per path
     assert max(c[3].size for c in right) <= limit
     for evo in evos:
-        sampler = "phasors" if evo.is_diagonal else "sample"
+        sampler = "sample" if evo.frames is None else "phasors"
         assert {c[1] for c in calls if c[0] is evo} == {sampler}
         sampled = np.concatenate([c[3] for c in right if c[0] is evo])
         np.testing.assert_array_equal(sampled, built.grid.times())
     assert {c[2] for c in calls} <= {"right", "left"}
     if raw["name"] == "generator":
+        assert not built.evo_a.is_diagonal and built.evo_a.frames is not None
+    if raw["name"] == "bloch":
         assert any(c[1] == "sample" for c in right)
     assert all(c[3].size == 1 for c in calls if c[2] == "left")
 
 
-# -- level-phasor route against the dense (U, dU/dt) route -------------------------
+# -- frame-phasor route against the dense (U, dU/dt) route -------------------------
 
 _PHASOR_DT = 2.0 ** -8     # exact binary step, so cuts land on block edges exactly
+
+
+def _dense_samples(evos, times, side="right"):
+    return [evo.sample(times, side) for evo in evos]
 
 
 def _dense_route(evos, state, grid):
     """(trace_from_samples on full-grid stacks, the streamed kernel on stacks).
 
-    Copies of the paths claim not to be diagonal, so the kernel samples them
-    with ``sample`` instead of ``phasors``.
+    The kernel runs with every path sampled by ``sample``, the route of paths
+    with a Bloch segment, instead of in its frames.
     """
     times = grid.times()
     stacks = [evo.sample(times) for evo in evos]
-    copies = [qp.LocalEvolution(evo.d, evo.segments) for evo in evos]
-    for evo in copies:
-        evo.is_diagonal = False
-    if len(evos) == 2:
-        return (qp.trace_from_samples(state, times, *stacks[0], *stacks[1]),
-                qp.run_trace(state, qp.PairEvolution(*copies, grid)))
-    return (qp.single_trace_from_samples(state, times, *stacks[0]),
-            qp.single_qudit_trace(state, copies[0], grid))
+    with mock.patch.object(phases, "_samples", _dense_samples):
+        if len(evos) == 2:
+            return (qp.trace_from_samples(state, times, *stacks[0], *stacks[1]),
+                    qp.run_trace(state, qp.PairEvolution(*evos, grid)))
+        return (qp.single_trace_from_samples(state, times, *stacks[0]),
+                qp.single_qudit_trace(state, evos[0], grid))
+
+
+def _expected_residuals(evos, times):
+    """Dense-stack residuals of all-diagonal and Bloch paths, frame-definition
+    residuals of the other paths, maximized over the paths."""
+    res = [_dense_residuals([evo.sample(times)[0]])
+           if evo.is_diagonal or evo.frames is None else _frame_residuals(evo, times)
+           for evo in evos]
+    return max(r[0] for r in res), max(r[1] for r in res)
 
 
 def _assert_matches_dense(trace, evos, state, grid):
@@ -594,40 +632,68 @@ def _assert_matches_dense(trace, evos, state, grid):
     for name in ("overlap", "total_phase", "dynamical_phase", "geometric_phase"):
         np.testing.assert_allclose(getattr(trace, name), getattr(route, name),
                                    rtol=0, atol=1e-12, err_msg=name)
-    for ref_trace in (ref, route):
-        assert trace.unitarity_residual == pytest.approx(ref_trace.unitarity_residual,
-                                                         abs=1e-15)
-        assert trace.determinant_residual == pytest.approx(
-            ref_trace.determinant_residual, abs=1e-15)
+    unit, det = _expected_residuals(evos, grid.times())
+    assert trace.unitarity_residual == pytest.approx(unit, abs=1e-15)
+    assert trace.determinant_residual == pytest.approx(det, abs=1e-15)
+    if all(evo.is_diagonal or evo.frames is None for evo in evos):
+        for ref_trace in (ref, route):
+            assert trace.unitarity_residual == pytest.approx(ref_trace.unitarity_residual,
+                                                             abs=1e-15)
+            assert trace.determinant_residual == pytest.approx(
+                ref_trace.determinant_residual, abs=1e-15)
+
+
+def _draw_edges(data, steps, rows, min_cuts=0):
+    """Segment edges on the grid; some cuts sit on block edges."""
+    cuts = data.draw(st.lists(st.sampled_from([rows, 2 * rows, 3 * rows])
+                              | st.integers(1, steps - 1), min_size=min_cuts, max_size=3))
+    return [0] + sorted({c for c in cuts if 0 < c < steps}) + [steps]
+
+
+def _draw_segment(data, kind, d, duration):
+    if kind == "linear":
+        rates = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d)))
+        return qp.CartanLinear(rates - rates.mean(), duration)
+    if kind == "hold":
+        return qp.CartanHold(duration)
+    if kind == "bloch":
+        return qp.BlochLoop(theta_end=data.draw(st.floats(0.0, 2.0)),
+                            phi_rate=data.draw(st.floats(-3.0, 3.0)), duration=duration)
+    return qp.GeneratorConst(_mixed_generator(d, data.draw(st.integers(0, 2 ** 16))),
+                             duration)
 
 
 def _draw_path(data, d, steps, rows, dense):
     """Random path on the grid: Cartan ramps and holds, plus generator (or, for
     d = 2, Bloch) segments when ``dense``; some cuts sit on block edges."""
-    cuts = data.draw(st.lists(st.sampled_from([rows, 2 * rows, 3 * rows])
-                              | st.integers(1, steps - 1), max_size=3))
-    edges = [0] + sorted({c for c in cuts if 0 < c < steps}) + [steps]
+    edges = _draw_edges(data, steps, rows)
     kinds = ["linear", "hold"]
     if dense:
         kinds += ["generator", "bloch" if d == 2 else "generator"]
     segments = []
     for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        duration = (hi - lo) * _PHASOR_DT
         kind = "generator" if dense and k == 0 else data.draw(st.sampled_from(kinds))
-        if kind == "linear":
-            rates = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=d,
-                                                max_size=d)))
-            segments.append(qp.CartanLinear(rates - rates.mean(), duration))
-        elif kind == "hold":
-            segments.append(qp.CartanHold(duration))
-        elif kind == "bloch":
-            segments.append(qp.BlochLoop(theta_end=data.draw(st.floats(0.0, 2.0)),
-                                         phi_rate=data.draw(st.floats(-3.0, 3.0)),
-                                         duration=duration))
-        else:
-            seed = data.draw(st.integers(0, 2 ** 16))
-            segments.append(qp.GeneratorConst(_mixed_generator(d, seed), duration))
+        segments.append(_draw_segment(data, kind, d, (hi - lo) * _PHASOR_DT))
     return qp.LocalEvolution(d, segments)
+
+
+def _draw_frame_path(data, d, steps, rows):
+    """Random Bloch-free path with at least one generator segment among Cartan
+    ramps and holds, in any order: a generator row after a ramp starts from
+    chi0 != 0, a Cartan row after a generator has W0 != 1."""
+    edges = _draw_edges(data, steps, rows, min_cuts=1)
+    kinds = [data.draw(st.sampled_from(["linear", "hold", "generator"]))
+             for _ in edges[1:]]
+    if "generator" not in kinds:
+        kinds[len(kinds) // 2] = "generator"
+    return qp.LocalEvolution(d, [_draw_segment(data, kind, d, (hi - lo) * _PHASOR_DT)
+                                 for kind, lo, hi in zip(kinds, edges[:-1], edges[1:])])
+
+
+def _random_density(d, rng):
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    return qp.purity_decompose(m @ m.conj().T / np.trace(m @ m.conj().T).real,
+                               qp.make_generators(d))
 
 
 @settings(max_examples=40, deadline=None)
@@ -649,9 +715,7 @@ def test_phasor_route_matches_dense_stacks(data):
         _assert_matches_dense(qp.run_trace(state, qp.PairEvolution(a, b, grid)),
                               (a, b), state, grid)
 
-        m = rng.normal(size=(d_a, d_a)) + 1j * rng.normal(size=(d_a, d_a))
-        rho = qp.purity_decompose(m @ m.conj().T / np.trace(m @ m.conj().T).real,
-                                  qp.make_generators(d_a))
+        rho = _random_density(d_a, rng)
         single = _draw_path(data, d_a, steps, rows, False)
         _assert_matches_dense(qp.single_qudit_trace(rho, single, grid), (single,),
                               rho, grid)
@@ -663,3 +727,120 @@ def test_preset_phasor_route_matches_dense_route(name):
     assert built.evo_a.is_diagonal and built.evo_b.is_diagonal
     trace = qp.run_trace(built.alpha0, built.pair)
     _assert_matches_dense(trace, (built.evo_a, built.evo_b), built.alpha0, built.grid)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_frame_route_matches_dense_stacks(data):
+    d_a = data.draw(st.integers(2, 7))
+    d_b = data.draw(st.integers(d_a + 1, 8))
+    steps = 2 * data.draw(st.integers(300, 520))      # three to five blocks
+    grid = qp.TimeGrid(steps * _PHASOR_DT, steps)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    with mock.patch.object(phases, "BLOCK_BYTES", 1):
+        rows = phases._block_rows(8)
+        # a frame path on one or both sides; its partner may be all-diagonal
+        # or, for d = 2, have a Bloch segment (the dense mixed contraction)
+        kinds = ["frame", "diagonal"] + (["bloch"] if d_a == 2 else [])
+        kind_a, kind_b = data.draw(st.sampled_from(
+            [(k, "frame") for k in kinds] + [("frame", "diagonal")]))
+
+        def path(kind, d):
+            if kind == "frame":
+                return _draw_frame_path(data, d, steps, rows)
+            return _draw_path(data, d, steps, rows, kind == "bloch")
+
+        a, b = path(kind_a, d_a), path(kind_b, d_b)
+        state = qp.random_state(d_a, d_b, rng)
+        _assert_matches_dense(qp.run_trace(state, qp.PairEvolution(a, b, grid)),
+                              (a, b), state, grid)
+
+        rho = _random_density(d_a, rng)
+        single = _draw_frame_path(data, d_a, steps, rows)
+        _assert_matches_dense(qp.single_qudit_trace(rho, single, grid), (single,),
+                              rho, grid)
+
+
+def test_generator_pair_dynamical_phase_is_sum_of_generator_means():
+    # on a generator segment U = exp(i G tau) U0, so -i Tr[rho U^dag dU/dt] is
+    # the constant <G> = Tr[rho U0^dag G U0]; on a ramp it is rates @ diag(rho)
+    d = 8
+    rng = np.random.default_rng(21)
+    rates = rng.normal(size=d)
+    a = qp.LocalEvolution(d, [qp.GeneratorConst(_mixed_generator(d, 11), 1.0),
+                              qp.CartanLinear(rates - rates.mean(), 0.5),
+                              qp.GeneratorConst(_mixed_generator(d, 12), 1.5)])
+    b = qp.LocalEvolution(d, [qp.CartanHold(0.75),
+                              qp.GeneratorConst(_mixed_generator(d, 13), 2.25)])
+    pair = qp.PairEvolution(a, b, qp.TimeGrid(3.0, 2400))
+    state = qp.random_state(d, d, rng)
+    trace = qp.run_trace(state, pair)
+    expected = 0.0
+    for evo, rho in zip((a, b), qp.reduced_densities(state)):
+        start = 0.0
+        for seg in evo.segments:
+            u0 = evo.sample([start])[0][0]
+            if isinstance(seg, qp.GeneratorConst):
+                mean = np.trace(rho @ u0.conj().T @ seg.generator @ u0).real
+            elif isinstance(seg, qp.CartanLinear):
+                mean = seg.rates @ np.diagonal(rho).real
+            else:
+                mean = 0.0
+            expected += mean * seg.duration
+            start += seg.duration
+    assert abs(trace.dynamical_phase[-1] - expected) < 1e-13
+
+
+def _labels_per_event(scan, pair, lattice_tol=1e-6):
+    """Reference annotation: one coset_factor and cartan_levels call per event
+    and path."""
+    labels = []
+    for ev in scan.events:
+        per_path = []
+        for evo in (pair.a, pair.b):
+            n = None
+            if np.abs(evo.coset_factor([ev.t_cycle])[0] - np.eye(evo.d)).max() <= 1e-8:
+                n = qp.lattice_condition_check(evo.cartan_levels([ev.t_cycle])[0], evo.d,
+                                               tol=lattice_tol)
+            per_path.append(n)
+        labels.append(tuple(per_path))
+    return labels
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(qp.LocalEvolution, name)
+
+    def counted(self, times):
+        calls.append(self)
+        return original(self, times)
+
+    monkeypatch.setattr(qp.LocalEvolution, name, counted)
+    return calls
+
+
+def test_detect_cycles_labels_all_events_at_once(monkeypatch):
+    # fig6d has the most events of the presets; the generator pair has events
+    # where the coset factor is open (exp(i sigma_x pi) = -1) and closed
+    built = qp.scenarios.figure_preset("fig6d").build()
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    gen_pair = qp.PairEvolution(qp.LocalEvolution(2, [qp.GeneratorConst(sigma_x, TWO_PI)]),
+                                qp.LocalEvolution(2, [qp.CartanHold(TWO_PI)]),
+                                qp.TimeGrid(TWO_PI, 4000))
+    cases = [(built.alpha0, built.pair), (qp.max_entangled(2, 2), gen_pair)]
+    labels = []
+    for state, pair in cases:
+        trace = qp.run_trace(state, pair)
+        reference = qp.detect_cycles(trace)
+        expected = _labels_per_event(reference, pair)
+        cosets = _count_calls(monkeypatch, "coset_factor")
+        levels = _count_calls(monkeypatch, "cartan_levels")
+        scan = qp.detect_cycles(trace, pair)
+        monkeypatch.undo()
+        assert cosets == [pair.a, pair.b] and levels == [pair.a, pair.b]
+        assert [(e.t_cycle, e.phase, e.overlap_mag) for e in scan.events] == [
+            (e.t_cycle, e.phase, e.overlap_mag) for e in reference.events]
+        assert [(e.n_a, e.n_b) for e in scan.events] == expected
+        labels.append(expected)
+    assert len(labels[0]) >= 10 and (None, None) in labels[0] and (1, 2) in labels[0]
+    assert (None, 0) in labels[1] and (0, 0) in labels[1]

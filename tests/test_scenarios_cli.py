@@ -184,6 +184,34 @@ def test_trace_record_json_round_trip(tmp_path):
     assert list(payload["columns"]) == list(COLUMNS)
 
 
+def _json_by_encoder(rec):
+    """The record as one payload written by json.dumps(..., indent=1)."""
+    return json.dumps({
+        "name": rec.name,
+        "columns": {c: [float(v) for v in rec.columns[c]] for c in COLUMNS},
+        "diagnostics": {k: float(v) for k, v in rec.diagnostics.items()},
+        "cycles": [{"t": ev.t_cycle, "phase": ev.phase, "overlap": ev.overlap_mag,
+                    "n_a": ev.n_a, "n_b": ev.n_b} for ev in rec.cycles],
+        "continuum": rec.continuum,
+    }, indent=1)
+
+
+def test_trace_record_json_matches_encoder():
+    for name in qp.scenarios.available_presets():
+        rec = qp.run_scenario(qp.figure_preset(name)).record
+        assert rec.to_json() == _json_by_encoder(rec), name
+    special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-310,
+               1.7976931348623157e308, 0.1, 1 / 3, 1e16, 12345.0]
+    cols = {c: np.array(special[i:] + special[:i]) for i, c in enumerate(COLUMNS)}
+    cycles = (qp.CyclicEvent(t_cycle=0.5, phase=-0.0, overlap_mag=1.0, n_a=1, n_b=None),)
+    rec = TraceRecord(name='odd "name" \u00e9', columns=cols,
+                      diagnostics={"x": -0.0, "y": math.nan}, cycles=cycles, continuum=False)
+    assert rec.to_json() == _json_by_encoder(rec)
+    empty = TraceRecord(name="empty", columns={c: np.array([]) for c in COLUMNS},
+                        diagnostics={}, cycles=(), continuum=True)
+    assert empty.to_json() == _json_by_encoder(empty)
+
+
 def test_cli_run_preset_to_csv(tmp_path, capsys):
     dest = tmp_path / "out.csv"
     code = main(["run", "fig1a", "--output", str(dest)])
