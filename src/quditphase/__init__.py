@@ -5,7 +5,9 @@ SU(d) generator basis; two-qudit pure states are coefficient matrices with a
 gauge-fixed singular value decomposition. Local unitary paths are authored in
 Cartan/coset factorized form and the phase engine integrates total, dynamical
 and geometric phases along them, detecting the fractional cyclic values
-2 pi (n_A/d_A + n_B/d_B).
+2 pi (n_A/d_A + n_B/d_B). The engine has one kernel, for pairs: a single
+qudit runs as its purified pair, alpha = sqrt(rho) with qudit B held at the
+identity.
 """
 
 from .sud import (GeneratorBasis, CartanAngles, VelocityDecomposition,
@@ -14,7 +16,7 @@ from .sud import (GeneratorBasis, CartanAngles, VelocityDecomposition,
                   project_special_unitary_path, random_special_unitary)
 from .states import (QuditDensity, DiagonalProfile, CoefficientMatrix,
                      SchmidtForm, EntanglementReport, density_from_purity,
-                     purity_decompose, qutrit_theta_bound, qutrit_profile,
+                     purity_decompose, purify, qutrit_theta_bound, qutrit_profile,
                      schmidt_decompose, reduced_densities, entanglement_report,
                      apply_local, two_qubit_schmidt, two_qutrit_schmidt,
                      two_qutrit_equal_marginals, qubit_qutrit_embedded,
@@ -26,9 +28,9 @@ from .paths import (CartanLinear, CartanHold, BlochLoop, GeneratorConst,
                     lattice_condition_check)
 from .phases import (GridTooCoarseError, PhaseTrace, CyclicEvent, CycleScan,
                      FractionalLattice, cumulative_simpson, unwrap_phases,
-                     trace_from_samples, run_trace, single_trace_from_samples,
-                     single_qudit_trace, detect_cycles, fractional_lattice,
-                     master_phase_formula, circular_distance)
+                     trace_from_samples, run_trace, single_qudit_trace,
+                     detect_cycles, fractional_lattice, master_phase_formula,
+                     circular_distance)
 from . import closed_form
 from .scenarios import (ConfigError, NoOracleError, ScenarioConfig,
                         BuiltScenario, TraceRecord, RunOutput, VerifyReport,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import logging
 import math
 import os
@@ -164,11 +165,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_shared_parser = functools.cache(build_parser)   # parse_args leaves it unchanged
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(message)s",
                         stream=sys.stderr)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -310,6 +310,7 @@ class LocalEvolution:
         self._left = left
         self._moves_left = left.any(axis=(1, 2)) | bloch_rate.any(axis=1)
         self._w0 = w0
+        self.is_identity = self.is_diagonal and not rates.any()
         self.frames = (None if self.has_bloch else
                        _frame_tables(chi0, rates, evals, evecs, w0, gen_rows))
         self.duration = t
@@ -424,6 +425,8 @@ class LocalEvolution:
             raise ValueError("frame phasors describe paths without Bloch segments only")
         t = self._times(times)
         idx = self._segment_index(t, side=side)
+        if self.is_identity:        # exp(i 0) on every row, without the exponentials
+            return np.ones((t.size, self.d), dtype=complex), idx
         return np.exp(1j * self._advance(self.frames.phase0, self.frames.rate, t, idx)), idx
 
     def synthesize(self, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -468,16 +471,17 @@ class TimeGrid:
         return np.linspace(0.0, self.t_max, self.steps + 1)
 
 
-def _check_snapping(evo: LocalEvolution, grid: TimeGrid, label: str) -> None:
-    for b in evo.boundaries():
-        if b >= grid.t_max - _BOUNDARY_TOL:
+def off_grid_boundary(boundaries, t_max: float, steps: int) -> float | None:
+    """First boundary before t_max whose b / dt misses an integer by more than
+    1e-9 max(1, steps) on the uniform grid, or None."""
+    dt = t_max / steps
+    for b in boundaries:
+        if b >= t_max - _BOUNDARY_TOL:
             continue
-        r = b / grid.dt
-        if abs(r - round(r)) > 1e-9 * max(1.0, grid.steps):
-            raise ValueError(
-                f"segment boundary t = {b:g} of path {label} does not fall on "
-                f"the grid (steps = {grid.steps}); choose a step count that "
-                "subdivides every segment")
+        r = b / dt
+        if abs(r - round(r)) > 1e-9 * max(1.0, steps):
+            return b
+    return None
 
 
 @dataclass(frozen=True)
@@ -494,7 +498,12 @@ class PairEvolution:
                 raise ValueError(
                     f"path {label} is defined on [0, {evo.duration:g}] but the "
                     f"grid extends to {self.grid.t_max:g}")
-            _check_snapping(evo, self.grid, label)
+            b = off_grid_boundary(evo.boundaries(), self.grid.t_max, self.grid.steps)
+            if b is not None:
+                raise ValueError(
+                    f"segment boundary t = {b:g} of path {label} does not fall on "
+                    f"the grid (steps = {self.grid.steps}); choose a step count "
+                    "that subdivides every segment")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,8 @@ z_A C z_B with one d_A x d_B matrix C per pair of rows, its frequency is the
 exact per-row constant w @ diag(R rho R^dag) (rates @ diag(rho) on a Cartan
 row, <G> on a generator row), and it costs O(n d_A d_B). Only a path with a
 Bloch segment enters as sampled (U, dU/dt) stacks contracted by matrix
-products, O(n d^3).
+products, O(n d^3). A single qudit runs as its purified pair, alpha =
+sqrt(rho) with qudit B held at the identity: Tr[alpha^dag U alpha] = Tr[rho U].
 """
 
 from __future__ import annotations
@@ -24,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import CoefficientMatrix, QuditDensity, reduced_densities
-from .paths import LocalEvolution, PairEvolution, TimeGrid, lattice_condition_check
+from .states import CoefficientMatrix, QuditDensity, purify, reduced_densities
+from .paths import (LocalEvolution, PairEvolution, TimeGrid, identity_evolution,
+                    lattice_condition_check)
 
 __all__ = [
     "GridTooCoarseError",
@@ -37,7 +39,6 @@ __all__ = [
     "unwrap_phases",
     "trace_from_samples",
     "run_trace",
-    "single_trace_from_samples",
     "single_qudit_trace",
     "detect_cycles",
     "fractional_lattice",
@@ -246,6 +247,8 @@ def _side_residuals(evo: LocalEvolution, side) -> tuple[float, float]:
     u, rows = side
     if u.ndim == 3:
         return _operator_residuals([u])
+    if evo.is_identity:             # unit frames and phasors: both are exactly 0
+        return 0.0, 0.0
     frames = evo.frames
     unit = max(float(frames.unitarity[rows].max()), float(np.abs(u.conj() * u - 1.0).max()))
     det = float(np.abs(frames.determinant[rows] * u.prod(axis=1) - 1.0).max())
@@ -417,16 +420,20 @@ def _block_rows(d: int) -> int:
     return max(256, BLOCK_BYTES // (16 * d * d))
 
 
-def _streamed_trace(evos, grid: TimeGrid, contract, guard: float) -> PhaseTrace:
-    """Phase trace of local paths, streamed over blocks of grid rows.
+def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
+                    evo_b: LocalEvolution, grid: TimeGrid, guard: float) -> PhaseTrace:
+    """Phase trace of alpha(t) = U_A alpha0 U_B^T, streamed over blocks of grid rows.
 
-    Each block samples every path once (right side): a path without a Bloch
+    Each block samples both paths once (right side): a path without a Bloch
     segment as frame phasors and row indices, any other path as (U, dU/dt)
-    stacks. ``contract`` reduces them at once to overlap and frequency, so no
-    sample outlives its block. The unitarity and determinant residuals are
-    running maxima over the blocks. Only the left limits at segment cuts are
-    sampled again; the dynamical quadrature is stitched there.
+    stacks. The pair contraction reduces them at once to overlap and
+    frequency, so no sample outlives its block. The unitarity and determinant
+    residuals are running maxima over the blocks. Only the left limits at
+    segment cuts are sampled again; the dynamical quadrature is stitched there.
     """
+    _check_rate_guard(evo_a.max_phase_rate + evo_b.max_phase_rate, grid, guard)
+    evos = (evo_a, evo_b)
+    contract = _pair_contraction(alpha0.alpha, *reduced_densities(alpha0), evo_a, evo_b)
     times = grid.times()
     n = times.size
     overlap = np.empty(n, dtype=complex)
@@ -459,49 +466,22 @@ def run_trace(alpha0: CoefficientMatrix, pair: PairEvolution,
         raise ValueError(
             f"state is {alpha0.d_a}x{alpha0.d_b} but the paths act on "
             f"{pair.a.d} and {pair.b.d}")
-    _check_rate_guard(pair.a.max_phase_rate + pair.b.max_phase_rate, pair.grid, guard)
-    rho_a, rho_b = reduced_densities(alpha0)
-    contract = _pair_contraction(alpha0.alpha, rho_a, rho_b, pair.a, pair.b)
-    return _streamed_trace((pair.a, pair.b), pair.grid, contract, guard)
-
-
-def _single_overlap(rho, u) -> np.ndarray:
-    """Overlap Tr[rho U] per sample of an operator stack."""
-    return np.einsum("ij,tji->t", rho, u)
-
-
-def single_trace_from_samples(rho0: QuditDensity, t: np.ndarray,
-                              u: np.ndarray, u_dot: np.ndarray,
-                              guard: float = math.pi / 4.0) -> PhaseTrace:
-    """Phase trace of a single qudit, overlap Tr[rho0 U(t)]."""
-    t = np.asarray(t, dtype=float)
-    overlap, freq = _single_overlap(rho0.rho, u), _frequency(rho0.rho, u, u_dot)
-    dt = float(t[1] - t[0]) if t.size > 1 else 1.0
-    return _finalize_trace(t, overlap, cumulative_simpson(freq, dt), guard,
-                           _operator_residuals([u]))
+    return _streamed_trace(alpha0, pair.a, pair.b, pair.grid, guard)
 
 
 def single_qudit_trace(rho0: QuditDensity, evo: LocalEvolution, grid: TimeGrid,
                        guard: float = math.pi / 4.0) -> PhaseTrace:
-    """Run a single-qudit trace over a uniform grid."""
+    """Run a single-qudit trace, overlap Tr[rho0 U(t)], over a uniform grid.
+
+    The qudit runs as its purified pair: alpha = sqrt(rho0) with qudit B held
+    at the identity, so Tr[alpha^dag U alpha] = Tr[rho0 U].
+    """
     if evo.d != rho0.d:
         raise ValueError("path dimension does not match the state")
     if evo.duration < grid.t_max - 1e-9:
         raise ValueError("path shorter than the grid window")
-    _check_rate_guard(evo.max_phase_rate, grid, guard)
-    rho = rho0.rho
-    if evo.frames is not None:
-        # Tr[rho L diag(z) R] = z @ diag(R rho L) per row
-        weights = np.einsum("kij,kji->ki", evo.frames.right @ rho, evo.frames.left)
-        row_freq = _row_frequencies(evo.frames, rho)
-
-    def contract(side):
-        u, x = side
-        if u.ndim == 2:
-            return np.einsum("ti,ti->t", u, weights[x]), row_freq[x]
-        return _single_overlap(rho, u), _frequency(rho, u, x)
-
-    return _streamed_trace((evo,), grid, contract, guard)
+    return _streamed_trace(purify(rho0), evo, identity_evolution(evo.d, evo.duration),
+                           grid, guard)
 
 
 @dataclass(frozen=True)
@@ -550,14 +530,18 @@ def _lattice_labels(evo: LocalEvolution, times: list, lattice_tol: float,
                     closure_tol: float = 1e-8) -> list:
     """Fractional index n per event time where the path is Cartan-closed.
 
-    The coset factor and the Cartan levels are read once for all events; an
-    event whose coset factor is open (or whose levels miss the lattice) gets
-    None.
+    The coset factor and the Cartan levels are read once for all events. A
+    coset factor in the center, W = e^{2 pi i m/d} 1, is closed and adds m
+    to the index of the levels; an event whose coset factor is open (or whose
+    levels miss the lattice) gets None.
     """
-    closed = np.abs(evo.coset_factor(times) - np.eye(evo.d)).max(axis=(1, 2)) <= closure_tol
-    levels = evo.cartan_levels(times)
-    return [lattice_condition_check(lv, evo.d, tol=lattice_tol) if ok else None
-            for ok, lv in zip(closed.tolist(), levels)]
+    d, w = evo.d, evo.coset_factor(times)
+    m = np.rint(d * np.angle(w[:, 0, 0]) / (2.0 * math.pi)).astype(int)
+    center = np.exp(2j * math.pi * m / d)[:, None, None] * np.eye(d)
+    closed = np.abs(w - center).max(axis=(1, 2)) <= closure_tol
+    labels = [lattice_condition_check(lv, d, tol=lattice_tol) if ok else None
+              for ok, lv in zip(closed.tolist(), evo.cartan_levels(times))]
+    return [None if n is None else (n + shift) % d for n, shift in zip(labels, m.tolist())]
 
 
 def detect_cycles(trace: PhaseTrace, pair: PairEvolution | None = None,

@@ -24,11 +24,13 @@ import yaml
 
 from . import closed_form as cf
 from .paths import (BlochLoop, CartanHold, CartanLinear, GeneratorConst,
-                    LocalEvolution, PairEvolution, TimeGrid)
-from .phases import (CycleScan, CyclicEvent, PhaseTrace, detect_cycles,
-                     run_trace, single_qudit_trace)
+                    LocalEvolution, PairEvolution, TimeGrid, identity_evolution,
+                    off_grid_boundary)
+# single_qudit_trace is unused here but stays importable: perfbench/spans.py wraps it
+from .phases import (CycleScan, CyclicEvent, PhaseTrace, detect_cycles, run_trace,
+                     single_qudit_trace)  # noqa: F401
 from .states import (CoefficientMatrix, QuditDensity, density_from_purity,
-                     entanglement_report, max_entangled, qubit_qutrit_embedded,
+                     entanglement_report, max_entangled, purify, qubit_qutrit_embedded,
                      qubit_qutrit_full, qudit_schmidt_diagonal, two_qubit_schmidt,
                      two_qutrit_equal_marginals, two_qutrit_schmidt)
 from .sud import make_generators
@@ -203,22 +205,21 @@ class ScenarioConfig:
 
 @dataclass
 class BuiltScenario:
-    """Runnable objects produced from a ScenarioConfig."""
+    """Runnable objects produced from a ScenarioConfig; a single qudit runs as
+    its purified pair, alpha0 = sqrt(rho0) with evo_b holding B at the identity."""
 
     config: ScenarioConfig
     kind: str                      # "pair" or "single"
-    alpha0: CoefficientMatrix | None
+    alpha0: CoefficientMatrix
     rho0: QuditDensity | None
     evo_a: LocalEvolution
-    evo_b: LocalEvolution | None
+    evo_b: LocalEvolution
     grid: TimeGrid
     cyclic_eps: float
     oracle_tol: float
 
     @property
     def pair(self) -> PairEvolution:
-        if self.kind != "pair":
-            raise ValueError("not a two-qudit scenario")
         return PairEvolution(a=self.evo_a, b=self.evo_b, grid=self.grid)
 
 
@@ -239,13 +240,8 @@ def _build_segment(spec: dict, d: int, where: str):
         if kind == "bloch_loop":
             dur = _number(spec.get("duration"), f"{where}.duration")
             phi_rate = _number(spec.get("phi_rate", 0.0), f"{where}.phi_rate")
-            if "theta" in spec:
-                theta = _number(spec["theta"], f"{where}.theta")
-                start = spec.get("theta_start")
-                start = _number(start, f"{where}.theta_start") if start is not None else None
-                return BlochLoop(theta_end=theta, phi_rate=phi_rate, duration=dur,
-                                 theta_start=start)
-            end = _number(spec.get("theta_end"), f"{where}.theta_end")
+            key = "theta" if "theta" in spec else "theta_end"
+            end = _number(spec.get(key), f"{where}.{key}")
             start = spec.get("theta_start")
             start = _number(start, f"{where}.theta_start") if start is not None else None
             return BlochLoop(theta_end=end, phi_rate=phi_rate, duration=dur,
@@ -360,16 +356,7 @@ def _build_single_state(state: dict, d: int, where: str) -> QuditDensity:
 def _adjust_steps(steps: int, t_max: float, boundaries: np.ndarray,
                   name: str) -> int:
     def fits(s: int) -> bool:
-        if s % 2:
-            return False
-        dt = t_max / s
-        for b in boundaries:
-            if b >= t_max - 1e-9:
-                continue
-            r = b / dt
-            if abs(r - round(r)) > 1e-9 * max(1.0, s):
-                return False
-        return True
+        return s % 2 == 0 and off_grid_boundary(boundaries, t_max, s) is None
 
     if fits(steps):
         return steps
@@ -397,23 +384,22 @@ def _build(config: ScenarioConfig, steps_override: int | None = None) -> BuiltSc
         raise ConfigError(f"evolution: unknown keys {sorted(unknown)}; "
                           f"expected {sorted(allowed)}")
     if len(config.dims) == 1:
-        d = config.dims[0]
+        kind, d = "single", config.dims[0]
         rho0 = _build_single_state(config.initial_state, d, "initial_state")
+        alpha0 = purify(rho0)
         specs = config.evolution.get("path", config.evolution.get("a"))
-        evo = _build_evolution(specs, d, config.t_max, "evolution.path")
-        steps = _adjust_steps(steps, config.t_max, evo.boundaries(), config.name)
-        grid = TimeGrid(t_max=config.t_max, steps=steps)
-        return BuiltScenario(config=config, kind="single", alpha0=None, rho0=rho0,
-                             evo_a=evo, evo_b=None, grid=grid,
-                             cyclic_eps=cyclic_eps, oracle_tol=oracle_tol)
-    d_a, d_b = config.dims
-    alpha0 = _build_pair_state(config.initial_state, (d_a, d_b), "initial_state")
-    evo_a = _build_evolution(config.evolution.get("a"), d_a, config.t_max, "evolution.a")
-    evo_b = _build_evolution(config.evolution.get("b"), d_b, config.t_max, "evolution.b")
+        evo_a = _build_evolution(specs, d, config.t_max, "evolution.path")
+        evo_b = identity_evolution(d, config.t_max)
+    else:
+        kind, rho0 = "pair", None
+        d_a, d_b = config.dims
+        alpha0 = _build_pair_state(config.initial_state, (d_a, d_b), "initial_state")
+        evo_a = _build_evolution(config.evolution.get("a"), d_a, config.t_max, "evolution.a")
+        evo_b = _build_evolution(config.evolution.get("b"), d_b, config.t_max, "evolution.b")
     bounds = np.concatenate([evo_a.boundaries(), evo_b.boundaries()])
     steps = _adjust_steps(steps, config.t_max, bounds, config.name)
     grid = TimeGrid(t_max=config.t_max, steps=steps)
-    return BuiltScenario(config=config, kind="pair", alpha0=alpha0, rho0=None,
+    return BuiltScenario(config=config, kind=kind, alpha0=alpha0, rho0=rho0,
                          evo_a=evo_a, evo_b=evo_b, grid=grid,
                          cyclic_eps=cyclic_eps, oracle_tol=oracle_tol)
 
@@ -600,9 +586,9 @@ def run_scenario(config: ScenarioConfig, split: str | None = None,
     if split is not None:
         built = apply_split(built, split)
     diagnostics = {}
+    pair = built.pair
+    trace = run_trace(built.alpha0, pair)
     if built.kind == "pair":
-        pair = built.pair
-        trace = run_trace(built.alpha0, pair)
         scan = detect_cycles(trace, pair, eps=built.cyclic_eps)
         rep = entanglement_report(built.alpha0)
         diagnostics["concurrence"] = rep.concurrence
@@ -613,7 +599,6 @@ def run_scenario(config: ScenarioConfig, split: str | None = None,
         diagnostics["q_a"] = rep.q_a
         diagnostics["q_b"] = rep.q_b
     else:
-        trace = single_qudit_trace(built.rho0, built.evo_a, built.grid)
         scan = detect_cycles(trace, None, eps=built.cyclic_eps)
         diagnostics["purity_q"] = built.rho0.q
         diagnostics["purity_tr_rho2"] = built.rho0.purity
@@ -684,15 +669,6 @@ def _is_diagonal_matrix(m: np.ndarray, tol: float = 1e-12) -> bool:
 def _oracle_series(built: BuiltScenario) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
     """(label, total, dynamical, geometric) closed-form series on the grid."""
     times = built.grid.times()
-    if built.kind == "single":
-        if not built.evo_a.is_diagonal or not _is_diagonal_matrix(built.rho0.rho):
-            raise NoOracleError("no closed form: single-qudit oracle needs a "
-                                "diagonal state and a diagonal path")
-        weights = np.diagonal(built.rho0.rho).real
-        chi = built.evo_a.cartan_levels(times)
-        dyn = chi @ weights
-        total = cf.diagonal_total_phase_series(weights, chi, dynamical=dyn)
-        return "single_qudit_diagonal", total, dyn, total - dyn
     alpha = built.alpha0.alpha
     d_a, d_b = built.alpha0.d_a, built.alpha0.d_b
     if not (built.evo_a.is_diagonal and built.evo_b.is_diagonal):
@@ -705,7 +681,9 @@ def _oracle_series(built: BuiltScenario) -> tuple[str, np.ndarray, np.ndarray, n
         chi_t = chi_a + chi_b
         dyn = chi_t @ weights
         total = cf.diagonal_total_phase_series(weights, chi_t, dynamical=dyn)
-        return "two_qudit_diagonal", total, dyn, total - dyn
+        # a single qudit's purification sqrt(rho) is diagonal with rho
+        label = "two_qudit_diagonal" if built.kind == "pair" else "single_qudit_diagonal"
+        return label, total, dyn, total - dyn
     if (d_a, d_b) == (2, 3):
         full = qubit_qutrit_full().alpha
         if np.abs(alpha - full).max() <= 1e-9:

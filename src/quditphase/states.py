@@ -24,6 +24,7 @@ __all__ = [
     "EntanglementReport",
     "density_from_purity",
     "purity_decompose",
+    "purify",
     "qutrit_theta_bound",
     "qutrit_profile",
     "schmidt_decompose",
@@ -119,6 +120,13 @@ def purity_decompose(rho: np.ndarray, basis: GeneratorBasis) -> QuditDensity:
     else:
         q_hat = np.zeros(basis.size)
     return QuditDensity(d=d, rho=rho, q=q, q_hat=q_hat)
+
+
+def purify(rho0: QuditDensity) -> CoefficientMatrix:
+    """Purification alpha = V sqrt(p) V^dag of rho = V p V^dag: the pair state
+    with Tr[alpha^dag U alpha] = Tr[rho U] while qudit B is held at the identity."""
+    p, v = np.linalg.eigh(rho0.rho)
+    return CoefficientMatrix.from_array((v * np.sqrt(np.maximum(p, 0.0))) @ v.conj().T)
 
 
 @dataclass(frozen=True)

@@ -209,7 +209,13 @@ def test_frame_phasors_reproduce_sampled_operators():
     diag = qp.LocalEvolution(3, [qp.CartanLinear(np.array([1.0, 0.0, -1.0]), 1.0)])
     assert (diag.frames.left == np.eye(3)).all() and (diag.frames.right == np.eye(3)).all()
     assert (diag.frames.unitarity == 0.0).all() and (diag.frames.determinant == 1.0).all()
-    bloch = qp.LocalEvolution(2, [qp.BlochLoop(theta_end=1.0, phi_rate=1.0, duration=1.0)])
+    # a path that holds the identity gives the same ones without exponentials
+    held = qp.LocalEvolution(3, [qp.CartanHold(0.5), qp.CartanHold(0.5)])
+    assert held.is_identity and not diag.is_identity and not evo.is_identity
+    z, rows = held.phasors(np.linspace(0.0, 1.0, 11))
+    assert rows.tolist() == [0] * 5 + [1] * 6
+    assert (z == np.exp(1j * held.frames.phase0[rows])).all()
+    bloch =qp.LocalEvolution(2, [qp.BlochLoop(theta_end=1.0, phi_rate=1.0, duration=1.0)])
     assert bloch.frames is None
     with pytest.raises(ValueError, match="Bloch"):
         bloch.phasors([0.5])

@@ -447,6 +447,12 @@ def _mixed_generator(d, seed):
     return g - np.trace(g).real / d * np.eye(d)
 
 
+def _held_stacks(d, times):
+    """(U, dU/dt) stacks of a qudit held at the identity."""
+    return (np.broadcast_to(np.eye(d, dtype=complex), (times.size, d, d)),
+            np.zeros((times.size, d, d), dtype=complex))
+
+
 def _one_block(monkeypatch):
     monkeypatch.setattr(phases, "BLOCK_BYTES", 2 ** 40)
 
@@ -509,7 +515,7 @@ def test_streamed_single_trace_matches_dense_stacks(monkeypatch):
     streamed = qp.single_qudit_trace(rho, evo, grid)
     times = grid.times()
     u, u_dot = evo.sample(times)
-    dense = qp.single_trace_from_samples(rho, times, u, u_dot)
+    dense = qp.trace_from_samples(qp.purify(rho), times, u, u_dot, *_held_stacks(d, times))
     for name in ("overlap", "overlap_mag", "total_phase"):
         np.testing.assert_allclose(getattr(streamed, name), getattr(dense, name),
                                    rtol=0, atol=1e-12, err_msg=name)
@@ -603,7 +609,8 @@ def _dense_route(evos, state, grid):
     """(trace_from_samples on full-grid stacks, the streamed kernel on stacks).
 
     The kernel runs with every path sampled by ``sample``, the route of paths
-    with a Bloch segment, instead of in its frames.
+    with a Bloch segment, instead of in its frames. A single qudit's reference
+    is its purified pair with qudit B held at the identity.
     """
     times = grid.times()
     stacks = [evo.sample(times) for evo in evos]
@@ -611,7 +618,8 @@ def _dense_route(evos, state, grid):
         if len(evos) == 2:
             return (qp.trace_from_samples(state, times, *stacks[0], *stacks[1]),
                     qp.run_trace(state, qp.PairEvolution(*evos, grid)))
-        return (qp.single_trace_from_samples(state, times, *stacks[0]),
+        return (qp.trace_from_samples(qp.purify(state), times, *stacks[0],
+                                      *_held_stacks(evos[0].d, times)),
                 qp.single_qudit_trace(state, evos[0], grid))
 
 
@@ -793,15 +801,20 @@ def test_generator_pair_dynamical_phase_is_sum_of_generator_means():
 
 def _labels_per_event(scan, pair, lattice_tol=1e-6):
     """Reference annotation: one coset_factor and cartan_levels call per event
-    and path."""
+    and path. A coset factor e^{2 pi i m/d} 1 in the center is closed and adds
+    m to the index of the levels."""
     labels = []
     for ev in scan.events:
         per_path = []
         for evo in (pair.a, pair.b):
             n = None
-            if np.abs(evo.coset_factor([ev.t_cycle])[0] - np.eye(evo.d)).max() <= 1e-8:
-                n = qp.lattice_condition_check(evo.cartan_levels([ev.t_cycle])[0], evo.d,
-                                               tol=lattice_tol)
+            w = evo.coset_factor([ev.t_cycle])[0]
+            for m in range(evo.d):
+                center = np.exp(2j * np.pi * m / evo.d) * np.eye(evo.d)
+                if np.abs(w - center).max() <= 1e-8:
+                    n = qp.lattice_condition_check(evo.cartan_levels([ev.t_cycle])[0],
+                                                   evo.d, tol=lattice_tol)
+                    n = None if n is None else (n + m) % evo.d
             per_path.append(n)
         labels.append(tuple(per_path))
     return labels
@@ -820,14 +833,21 @@ def _count_calls(monkeypatch, name):
 
 
 def test_detect_cycles_labels_all_events_at_once(monkeypatch):
-    # fig6d has the most events of the presets; the generator pair has events
-    # where the coset factor is open (exp(i sigma_x pi) = -1) and closed
+    # fig6d has the most events of the presets; the sigma_x pair returns at
+    # exp(i sigma_x pi) = -1, a center element, and at 1; the 3x3 pair returns
+    # at t = pi, where the coset factor diag(-1, -1, 1) is open
     built = qp.scenarios.figure_preset("fig6d").build()
     sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
     gen_pair = qp.PairEvolution(qp.LocalEvolution(2, [qp.GeneratorConst(sigma_x, TWO_PI)]),
                                 qp.LocalEvolution(2, [qp.CartanHold(TWO_PI)]),
                                 qp.TimeGrid(TWO_PI, 4000))
-    cases = [(built.alpha0, built.pair), (qp.max_entangled(2, 2), gen_pair)]
+    block = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    open_pair = qp.PairEvolution(qp.LocalEvolution(3, [qp.GeneratorConst(block, TWO_PI)]),
+                                 qp.LocalEvolution(3, [qp.CartanHold(TWO_PI)]),
+                                 qp.TimeGrid(TWO_PI, 4000))
+    open_state = qp.CoefficientMatrix.from_array(np.diag([1.0, 1.0, 0.0]) / np.sqrt(2.0))
+    cases = [(built.alpha0, built.pair), (qp.max_entangled(2, 2), gen_pair),
+             (open_state, open_pair)]
     labels = []
     for state, pair in cases:
         trace = qp.run_trace(state, pair)
@@ -843,4 +863,21 @@ def test_detect_cycles_labels_all_events_at_once(monkeypatch):
         assert [(e.n_a, e.n_b) for e in scan.events] == expected
         labels.append(expected)
     assert len(labels[0]) >= 10 and (None, None) in labels[0] and (1, 2) in labels[0]
-    assert (None, 0) in labels[1] and (0, 0) in labels[1]
+    assert (1, 0) in labels[1] and (0, 0) in labels[1] and (None, 0) not in labels[1]
+    assert (None, 0) in labels[2]
+
+
+def test_detect_cycles_labels_center_coset_factors():
+    # a d = 3 generator with spectrum (1, 1, -2) in a random frame: at 2 pi/3
+    # and 4 pi/3 its factor is the center element e^{2 pi i m/3} 1, m = 1, 2
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    gen = q @ np.diag([1.0, 1.0, -2.0]) @ q.T
+    pair = qp.PairEvolution(qp.LocalEvolution(3, [qp.GeneratorConst(gen, TWO_PI)]),
+                            qp.LocalEvolution(3, [qp.CartanHold(TWO_PI)]),
+                            qp.TimeGrid(TWO_PI, 6000))
+    scan = qp.detect_cycles(qp.run_trace(qp.max_entangled(3, 3), pair), pair)
+    inner = [ev for ev in scan.events if 0.1 < ev.t_cycle < TWO_PI - 0.1]
+    assert [round(3 * ev.t_cycle / TWO_PI) for ev in inner] == [1, 2]
+    for m, ev in enumerate(inner, start=1):
+        assert qp.circular_distance(ev.phase, TWO_PI * m / 3) < 1e-6
+        assert (ev.n_a, ev.n_b) == (m, 0)

@@ -1,5 +1,6 @@
 """Scenario configs, presets, trace records, CLI verbs and exit codes."""
 
+import importlib
 import json
 import math
 import os
@@ -475,6 +476,45 @@ def test_single_qudit_scenario_roundtrip(tmp_path):
     out.record.write(str(dest))
     back = TraceRecord.from_csv(dest.read_text())
     assert "purity_q" in back.diagnostics
+
+
+SINGLE_YAML = """
+name: single-contract
+dims: 3
+initial_state: {purity: {q: 0.5}}
+evolution:
+  path:
+    - {kind: cartan_linear, rates: [1.0, 1.0, -2.0], duration: "2*pi"}
+grid: {t_max: "2*pi", steps: 3000}
+"""
+
+
+def test_single_qudit_contract(tmp_path, capsys):
+    # the single qudit runs as its purified pair; what stays single-specific
+    # is the purity diagnostics and cycles without (n_a, n_b) labels
+    path = tmp_path / "single.yaml"
+    path.write_text(SINGLE_YAML)
+    out = qp.run_scenario(qp.ScenarioConfig.from_file(str(path)))
+    assert list(out.record.diagnostics) == ["purity_q", "purity_tr_rho2",
+                                            "unitarity_residual_max",
+                                            "determinant_residual_max"]
+    # U = e^{2 pi i m/3} 1 at t = 2 pi m/3: lattice returns, left unannotated
+    events = out.scan.events
+    assert [round(3 * ev.t_cycle / TWO_PI) for ev in events] == [0, 1, 2, 3]
+    for m, ev in enumerate(events):
+        assert qp.circular_distance(ev.phase, TWO_PI * m / 3) < 1e-6
+        assert (ev.n_a, ev.n_b) == (None, None)
+    assert main(["run", str(path), "--split", "half"]) == 2
+    assert "--split applies to two-qudit scenarios" in capsys.readouterr().err
+    assert main(["verify", str(path)]) == 0
+    assert "oracle = single_qudit_diagonal" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("module", ["sud", "states", "paths", "phases", "closed_form",
+                                    "scenarios"])
+def test_module_exports_resolve(module):
+    mod = importlib.import_module(f"quditphase.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_cli_steps_override(tmp_path):
