@@ -20,13 +20,17 @@ constant left generator. Every query reads those rows, so
 form Bloch generator on a ``BlochLoop`` and ``V G V^dag`` on a
 ``GeneratorConst``.
 
-Without a Bloch segment every row is one fixed-frame exponential,
+Every row is also one fixed-frame sum of exponentials,
 ``U(t) = L_k diag(exp(i (c_k + w_k tau))) R_k`` with tau = t - start_k: a
-Cartan ramp or hold has L = W0, R = 1, c = chi0 and w = rates; a generator
-segment has L = E (the eigenvectors of G), R = E^dag W0 diag(exp(i chi0)),
-c = 0 and w = the eigenvalues of G. Such a path is also sampled as its frame
-phasors and row indices, O(n d) instead of O(n d^2). Paths are immutable after
-construction and sampling is pure.
+Cartan ramp or hold has L = V_k W0, R = 1, c = chi0 and w = rates; a generator
+segment has L = V_k E (E the eigenvectors of G), R = E^dag W0 diag(exp(i chi0)),
+c = 0 and w = the eigenvalues of G, with V_k = V(theta_k, phi_k) the row's
+constant coset factor (1 without a Bloch segment). On a ``BlochLoop`` row theta
+and phi are linear in tau, so V(theta, phi) W0 diag(exp(i chi0)) is an exact
+sum of 8 rank-one terms with exponents +-theta/2 + (i - j) phi: L is 2 x 8 and
+R is 8 x 2 (see ``FrameTables``). Every path is sampled as its frame phasors and
+row indices, O(n K) with K = d, or 8 on a path with a Bloch segment. Paths are
+immutable after construction and sampling is pure.
 """
 
 from __future__ import annotations
@@ -143,11 +147,24 @@ class GeneratorConst:
 
 @dataclass(frozen=True)
 class FrameTables:
-    """Per-row constant frames of a Bloch-free path.
+    """Per-row frames of a path, one width K per path (d, or 8 with a Bloch segment).
 
     Row k gives ``U(t) = left[k] diag(exp(i (phase0[k] + rate[k] tau))) right[k]``
-    on its segment. ``unitarity`` is the row's largest |F^dag F - 1| entry over
-    both frames F and ``determinant`` is det(left[k]) det(right[k]).
+    on its segment, left d x K and right K x d. A Cartan, hold or generator
+    row is a unitary d-term frame, padded to K with zero columns, zero phases
+    and zero rates; on a path with a Bloch segment its left frame carries the
+    row's constant coset factor, left = V(theta_k, phi_k) left. A Bloch row
+    (``rectangular``) is the exact 8-term sum of V(theta, phi) F with
+    F = W0 diag(exp(i chi0)): term (s, i, j), s = +-1, has the exponent
+    s theta/2 + (i - j) phi, left column e_i and right row coef F[j], coef 1/2
+    on i = j and s/2 otherwise; its first two terms are e^{+-i theta/2}.
+
+    ``unitarity`` is the row's largest |F^dag F - 1| entry over both frames of
+    a unitary row, and on a Bloch row the largest of |F^dag F - 1| for its
+    factor F and of the term sum's deviation from V(theta, phi) F at both ends
+    of the row. ``determinant`` is det U over the product of the first d
+    phasors: det(left) det(right) on a unitary row, det(W0) e^{i sum chi0} on
+    a Bloch row, where det V = e^{i theta/2} e^{-i theta/2}.
     """
 
     left: np.ndarray
@@ -156,28 +173,67 @@ class FrameTables:
     rate: np.ndarray
     unitarity: np.ndarray
     determinant: np.ndarray
+    rectangular: np.ndarray
 
 
-def _frame_tables(chi0, rates, evals, evecs, w0, gen_rows) -> FrameTables:
-    """Fixed frames of every row: Cartan rows (W0, 1), generator rows
-    (E, E^dag W0 diag(exp(i chi0)))."""
+# The 8 rank-one terms (s, i, j) of V(theta, phi): exponent (theta, phi) @ _BLOCH_EXPONENT
+# = s theta/2 + (i - j) phi, coefficient 1/2 on i = j and s/2 otherwise. The first two
+# carry e^{+-i theta/2}.
+_BLOCH_S, _BLOCH_I, _BLOCH_J = np.array([(1, 0, 0), (-1, 0, 0), (1, 1, 1), (-1, 1, 1),
+                                         (1, 0, 1), (-1, 0, 1), (1, 1, 0), (-1, 1, 0)]).T
+_BLOCH_EXPONENT = np.array([_BLOCH_S / 2.0, _BLOCH_I - _BLOCH_J])
+_BLOCH_COEF = np.where(_BLOCH_I == _BLOCH_J, 0.5, 0.5 * _BLOCH_S)
+
+
+def _frame_tables(chi0, rates, evals, evecs, w0, gen_rows, bloch=None) -> FrameTables:
+    """Frames of every row. Cartan rows (V W0, 1) and generator rows
+    (V E, E^dag W0 diag(exp(i chi0))) are unitary, with V = 1 on a path
+    without a Bloch segment. A path with one passes ``bloch`` = (bloch0,
+    bloch_rate, durations, bloch_rows): V = V(theta_k, phi_k), the width is 8
+    and each Bloch row is the 8-term sum of V(theta, phi) F,
+    F = W0 diag(exp(i chi0))."""
     rows, d = chi0.shape
+    width = d if bloch is None else _BLOCH_S.size
     gen = np.zeros(rows, dtype=bool)
     gen[gen_rows] = True
-    frames = np.empty((2, rows, d, d), dtype=complex)
-    left, right = frames
-    left[:] = np.where(gen[:, None, None], evecs, w0)
-    right[:] = np.eye(d)
+    left = np.zeros((rows, d, width), dtype=complex)
+    right = np.zeros((rows, width, d), dtype=complex)
+    phase0 = np.zeros((rows, width))
+    rate = np.zeros((rows, width))
+    square = np.empty((2, rows, d, d), dtype=complex)       # the unitary d-term frames
+    square[0] = np.where(gen[:, None, None], evecs, w0)
+    if bloch is not None:
+        square[0] = _bloch_matrix(*bloch[0].T) @ square[0]
+    square[1] = np.eye(d)
     for k in gen_rows:
-        right[k] = evecs[k].conj().T @ w0[k] * np.exp(1j * chi0[k])
-    both = frames.reshape(2 * rows, d, d)
+        square[1, k] = evecs[k].conj().T @ w0[k] * np.exp(1j * chi0[k])
+    left[:, :, :d], right[:, :d] = square
+    phase0[:, :d] = np.where(gen[:, None], 0.0, chi0)
+    rate[:, :d] = np.where(gen[:, None], evals, rates)
+    both = square.reshape(2 * rows, d, d)
     unitarity = np.abs(both.conj().transpose(0, 2, 1) @ both - np.eye(d)).max(axis=(1, 2))
     det = np.linalg.det(both)
-    return FrameTables(left=left, right=right,
-                       phase0=np.where(gen[:, None], 0.0, chi0),
-                       rate=np.where(gen[:, None], evals, rates),
-                       unitarity=np.maximum(unitarity[:rows], unitarity[rows:]),
-                       determinant=det[:rows] * det[rows:])
+    unitarity = np.maximum(unitarity[:rows], unitarity[rows:])
+    determinant = det[:rows] * det[rows:]
+    rectangular = np.zeros(rows, dtype=bool)
+    if bloch is not None:
+        bloch0, bloch_rate, durations, bloch_rows = bloch
+        rectangular[bloch_rows] = True
+        for k in bloch_rows:
+            f = w0[k] * np.exp(1j * chi0[k])
+            left[k] = np.eye(2)[:, _BLOCH_I]
+            right[k] = _BLOCH_COEF[:, None] * f[_BLOCH_J]
+            phase0[k], rate[k] = np.array([bloch0[k], bloch_rate[k]]) @ _BLOCH_EXPONENT
+            ends = np.array([0.0, durations[k]])
+            terms = (left[k] * np.exp(1j * (phase0[k] + ends[:, None] * rate[k]))[:, None, :]
+                     @ right[k])
+            authored = _bloch_matrix(*bloch0[k:k + 2].T) @ f
+            unitarity[k] = max(np.abs(f.conj().T @ f - np.eye(2)).max(),
+                               np.abs(terms - authored).max())
+            determinant[k] = np.linalg.det(w0[k]) * np.exp(1j * chi0[k].sum())
+    return FrameTables(left=left, right=right, phase0=phase0, rate=rate,
+                       unitarity=unitarity, determinant=determinant,
+                       rectangular=rectangular)
 
 
 def _bloch_matrix(theta, phi) -> np.ndarray:
@@ -239,9 +295,9 @@ class LocalEvolution:
         Row k holds the coordinates at the segment start (``chi0``, the
         (theta, phi) pair ``bloch0`` and the generator product ``w0``), the
         right Cartan rates, the (theta, phi) rates, the generator eigenpairs
-        and the constant left generator of a generator segment. A path without
-        a Bloch segment also gets its fixed frames (``frames``; None otherwise).
-        Nothing after construction asks which kind a segment is.
+        and the constant left generator of a generator segment, and every row
+        gets its frames (``frames``, see ``FrameTables``). Nothing after
+        construction asks which kind a segment is.
         """
         n, d = len(self.segments), self.d
         self.has_bloch = any(isinstance(s, BlochLoop) for s in self.segments)
@@ -258,7 +314,7 @@ class LocalEvolution:
         left = np.zeros((n + 1, d, d), dtype=complex)
         w0 = np.empty((n + 1, d, d), dtype=complex)
         w0[0] = np.eye(d)
-        gen_rows = []
+        gen_rows, bloch_rows = [], []
         t = 0.0
         for k, seg in enumerate(self.segments):
             durations[k] = seg.duration
@@ -280,6 +336,7 @@ class LocalEvolution:
                         raise ValueError(
                             f"Bloch segment {k} starts at theta = {seg.theta_start:g} "
                             f"but the path arrives at {bloch0[k, 0]:g}")
+                bloch_rows.append(k)
                 theta_end = float(seg.theta_end)
                 bloch_rate[k] = ((theta_end - bloch0[k, 0]) / seg.duration, seg.phi_rate)
             elif isinstance(seg, GeneratorConst):
@@ -311,8 +368,9 @@ class LocalEvolution:
         self._moves_left = left.any(axis=(1, 2)) | bloch_rate.any(axis=1)
         self._w0 = w0
         self.is_identity = self.is_diagonal and not rates.any()
-        self.frames = (None if self.has_bloch else
-                       _frame_tables(chi0, rates, evals, evecs, w0, gen_rows))
+        self.frames = _frame_tables(chi0, rates, evals, evecs, w0, gen_rows,
+                                    (bloch0, bloch_rate, durations, bloch_rows)
+                                    if self.has_bloch else None)
         self.duration = t
 
     # -- coordinate queries -------------------------------------------------
@@ -415,14 +473,11 @@ class LocalEvolution:
     def phasors(self, times, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
         """Frame phasors z = exp(i (c + w tau)) and the owning row of each sample.
 
-        On a path without a Bloch segment U(t) = L[k] diag(z) R[k] with the
-        ``frames`` of row k, so (z, k) carries what ``sample`` stacks in O(n d)
-        instead of O(n d^2); dU/dt = L[k] diag(i w[k] z) R[k]. ``side`` picks
-        the row at interior segment boundaries, as in ``sample``; z is given
-        in that row's frame.
+        U(t) = L[k] diag(z) R[k] with the ``frames`` of row k, so (z, k)
+        carries what ``sample`` stacks in O(n K) instead of O(n d^2);
+        dU/dt = L[k] diag(i w[k] z) R[k]. ``side`` picks the row at interior
+        segment boundaries, as in ``sample``; z is given in that row's frame.
         """
-        if self.frames is None:
-            raise ValueError("frame phasors describe paths without Bloch segments only")
         t = self._times(times)
         idx = self._segment_index(t, side=side)
         if self.is_identity:        # exp(i 0) on every row, without the exponentials
@@ -515,18 +570,30 @@ class CartanTrajectory:
     h: np.ndarray
 
 
+def center_power(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(m, deviation) per stacked d x d factor w: the center element
+    e^{2 pi i m/d} 1 nearest w[0, 0] and the largest entry of |w - it|."""
+    d = w.shape[-1]
+    m = np.rint(d * np.angle(w[..., 0, 0]) / (2.0 * math.pi)).astype(int)
+    center = np.exp(2j * math.pi * m / d)[..., None, None] * np.eye(d)
+    return m, np.abs(w - center).max(axis=(-2, -1))
+
+
 def cartan_trajectory(evo: LocalEvolution, times, basis: GeneratorBasis | None = None,
                       closure_tol: float = 1e-8) -> CartanTrajectory:
     """Accumulated Cartan angles h(t) with h(0) = 0 and unwrapped levels.
 
     For paths containing non-diagonal constant-generator segments the
-    factorization is only defined where that coset factor has closed; querying
-    it elsewhere raises.
+    factorization is only defined where that coset factor has closed to a
+    center element e^{2 pi i m/d} 1; the levels there are shifted by
+    2 pi m/d (h is not: the Cartan basis is traceless). Querying an open
+    coset factor raises.
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
+    m = np.zeros(t.size, dtype=int)
     if evo.has_generator:
         w = evo._base_coset(np.clip(t, 0.0, evo.duration), evo._segment_index(t))
-        dev = np.abs(w - np.eye(evo.d)).max(axis=(1, 2))
+        m, dev = center_power(w)
         bad = np.flatnonzero(dev > closure_tol)
         if bad.size:
             raise ValueError(
@@ -535,7 +602,8 @@ def cartan_trajectory(evo: LocalEvolution, times, basis: GeneratorBasis | None =
     if basis is None:
         basis = make_generators(evo.d)
     levels = evo.cartan_levels(t)
-    return CartanTrajectory(times=t, levels=levels, h=basis.h_from_levels(levels))
+    return CartanTrajectory(times=t, levels=levels + (2.0 * math.pi / evo.d) * m[:, None],
+                            h=basis.h_from_levels(levels))
 
 
 def _segment_area(theta_a: float, theta_b: float, phi_rate: float, duration: float) -> float:

@@ -6,15 +6,18 @@ the dynamical phase is the Simpson quadrature of the instantaneous frequency
 points are overlap-magnitude returns to one; on them only the fractional
 values 2 pi (n_A/d_A + n_B/d_B) can occur for Cartan-closed local paths.
 
-The trace kernel streams the grid in blocks of rows. A path without a Bloch
-segment enters as its frame phasors z and row indices, U = L diag(z) R with
-constant frames per segment row: a pair of such paths takes its overlap as
-z_A C z_B with one d_A x d_B matrix C per pair of rows, its frequency is the
-exact per-row constant w @ diag(R rho R^dag) (rates @ diag(rho) on a Cartan
-row, <G> on a generator row), and it costs O(n d_A d_B). Only a path with a
-Bloch segment enters as sampled (U, dU/dt) stacks contracted by matrix
-products, O(n d^3). A single qudit runs as its purified pair, alpha =
-sqrt(rho) with qudit B held at the identity: Tr[alpha^dag U alpha] = Tr[rho U].
+The trace kernel streams the grid in blocks of rows. Every path is a frame
+path: it enters as its frame phasors z and row indices, U = L diag(z) R with
+constant frames per segment row and one width K per path (d, or 8 on a path
+with a Bloch segment, whose Bloch rows are exact 8-term sums; see
+``paths.FrameTables``). A pair takes its overlap as z_A C z_B with one
+K_A x K_B matrix C per pair of rows, O(n K_A K_B). The frequency on a row with
+unitary frames is the exact row constant w @ diag(R rho R^dag) (rates @
+diag(rho) on a Cartan row, <G> on a generator row); on a Bloch row it is the
+exact per-sample form Re conj(z) M (w z), M = (L^dag L) * (R rho R^dag)^T.
+A single qudit runs as its purified pair, alpha = sqrt(rho) with qudit B held
+at the identity: Tr[alpha^dag U alpha] = Tr[rho U]. ``trace_from_samples``
+contracts sampled (U, dU/dt) stacks instead; it is the dense reference.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import CoefficientMatrix, QuditDensity, purify, reduced_densities
-from .paths import (LocalEvolution, PairEvolution, TimeGrid, identity_evolution,
-                    lattice_condition_check)
+from .paths import (LocalEvolution, PairEvolution, TimeGrid, center_power,
+                    identity_evolution, lattice_condition_check)
 
 __all__ = [
     "GridTooCoarseError",
@@ -197,10 +200,16 @@ class PhaseTrace:
     ``indeterminate`` flags samples where the overlap vanished and the total
     phase was bridged. ``unitarity_residual`` and ``determinant_residual`` are
     the largest entries of |U^dag U - 1| and |det U - 1| over every sampled
-    operator. A path sampled in its frames, U = L diag(z) R, reports them for
-    the parts the kernel uses: the largest |F^dag F - 1| entry over the frames
-    of the rows the grid visits together with |conj(z) z - 1| over the
-    samples, and |det L det R prod(z) - 1| per sample. On an all-diagonal path
+    operator of ``trace_from_samples``. The kernel samples each path in its
+    frames, U = L diag(z) R, and reports them for the parts it relies on. The
+    unitarity residual is the largest ``FrameTables.unitarity`` over the rows
+    the grid visits together with |conj(z) z - 1| over the samples: on a row
+    with unitary frames that is |F^dag F - 1| over both frames; on a Bloch row
+    it is |F^dag F - 1| of its factor F = W0 diag(exp(i chi0)) and the
+    construction-time deviation of its 8-term sum from V(theta, phi) F at both
+    ends of the row. The determinant residual is |det L det R prod(z) - 1| per
+    sample on a unitary row and |det(W0) e^{i sum chi0} z_+ z_- - 1| on a
+    Bloch row, z_+- the e^{+-i theta/2} terms. On an all-diagonal path
     L = R = 1 exactly, so both equal the residuals of U = diag(z).
     """
 
@@ -242,102 +251,91 @@ def _operator_residuals(stacks) -> tuple[float, float]:
 
 
 def _side_residuals(evo: LocalEvolution, side) -> tuple[float, float]:
-    """Residuals of one path's samples: a frame side (z, rows) from its parts
-    (see ``PhaseTrace``), a (U, dU/dt) side from its U stack."""
-    u, rows = side
-    if u.ndim == 3:
-        return _operator_residuals([u])
+    """Residuals of one path's samples (z, rows) from their parts (see
+    ``PhaseTrace``); det U / ``determinant`` is the product of the first d
+    phasors."""
+    z, rows = side
     if evo.is_identity:             # unit frames and phasors: both are exactly 0
         return 0.0, 0.0
     frames = evo.frames
-    unit = max(float(frames.unitarity[rows].max()), float(np.abs(u.conj() * u - 1.0).max()))
-    det = float(np.abs(frames.determinant[rows] * u.prod(axis=1) - 1.0).max())
+    unit = max(float(frames.unitarity[rows].max()), float(np.abs(z.conj() * z - 1.0).max()))
+    det = float(np.abs(frames.determinant[rows] * z[:, :evo.d].prod(axis=1) - 1.0).max())
     return unit, det
 
 
-def _connection(rho, u, u_dot):
-    """Tr[rho U^dag dU/dt] per sample, as sum_ki dU_ki (conj(U) rho^T)_ki.
+def _frequency(rho, u, u_dot) -> np.ndarray:
+    """Dynamical frequency -i Tr[rho U^dag dU/dt] of sampled operators.
 
-    The constant factor multiplies the flattened stack in one matrix product
-    instead of one small product per sample.
+    Tr[rho U^dag dU/dt] = sum_ki dU_ki (conj(U) rho^T)_ki, with the constant
+    factor applied to the flattened stack in one matrix product.
     """
     n, d, _ = u.shape
     w = (u.conj().reshape(n * d, d) @ rho.T).reshape(n, d, d)
-    return np.einsum("tki,tki->t", u_dot, w)
-
-
-def _frequency(rho, u, u_dot) -> np.ndarray:
-    """Dynamical frequency -i Tr[rho U^dag dU/dt] of sampled operators."""
-    freq = -1j * _connection(rho, u, u_dot)
+    freq = -1j * np.einsum("tki,tki->t", u_dot, w)
     if np.abs(freq.imag).max() > 1e-8:
         raise ValueError("dynamical frequency has a nonreal part; the operator "
                          "samples are not unitary")
     return freq.real
 
 
-def _row_frequencies(frames, rho) -> np.ndarray:
-    """Exact frequency of every row, w_k @ diag(R_k rho R_k^dag).
+def _pair_overlap(alpha, u_a, u_b) -> np.ndarray:
+    """Overlap Tr[alpha^dag U_A alpha U_B^T] per sample of operator stacks."""
+    n, d_a, d_b = u_a.shape[0], *alpha.shape
+    # U_A alpha as one product over the flattened stack
+    alphas = (u_a.reshape(n * d_a, d_a) @ alpha).reshape(n, d_a, d_b)
+    return np.einsum("ij,tij->t", alpha.conj(), alphas @ u_b.transpose(0, 2, 1))
 
-    With U = L diag(z) R and dz/dt = i w z, U^dag dU/dt = i R^dag diag(w) R:
-    the frequency is rates @ diag(rho) on a Cartan row and <G> on a
-    generator row, constant along the segment.
+
+def _runs(*rows):
+    """[lo, hi) runs of samples over which every row index stays constant."""
+    moved = np.zeros(max(rows[0].size - 1, 0), dtype=bool)
+    for r in rows:
+        moved |= np.diff(r) != 0
+    edges = [0, *(np.flatnonzero(moved) + 1).tolist(), rows[0].size]
+    return zip(edges[:-1], edges[1:])
+
+
+def _path_frequency(frames, rho):
+    """frequency(z, rows): -i Tr[rho U^dag dU/dt] of one path's samples.
+
+    With U = L diag(z) R and dz/dt = i w z it is Re conj(z) M (w z),
+    M = (L^dag L) * (R rho R^dag)^T. A row with unitary frames has
+    L^dag L = 1, so there it is the exact row constant w @ diag(R rho R^dag):
+    rates @ diag(rho) on a Cartan row, <G> on a generator row. A Bloch row
+    takes the form per sample.
     """
     right = frames.right
     levels = np.einsum("kij,kij->ki", right @ rho, right.conj()).real
-    return (frames.rate * levels).sum(axis=1)
+    row_freq = (frames.rate * levels).sum(axis=1)
+    forms = {}
+    for k in np.flatnonzero(frames.rectangular).tolist():
+        left = frames.left[k]
+        forms[k] = ((left.conj().T @ left) * (right[k] @ rho @ right[k].conj().T).T
+                    * frames.rate[k])
+    if not forms:
+        return lambda z, rows: row_freq[rows]
 
+    def frequency(z, rows):
+        freq = row_freq[rows]
+        for lo, hi in _runs(rows):
+            form = forms.get(int(rows[lo]))
+            if form is not None:
+                freq[lo:hi] = np.einsum("tr,tr->t", z[lo:hi].conj() @ form, z[lo:hi]).real
+        return freq
 
-def _side_frequency(row_freq, rho, side) -> np.ndarray:
-    u, x = side
-    return row_freq[x] if u.ndim == 2 else _frequency(rho, u, x)
-
-
-def _pair_overlap(alpha, u_a, u_b) -> np.ndarray:
-    """Overlap Tr[alpha^dag U_A alpha U_B^T] per sample.
-
-    A side is an operator stack, applied as a matrix product, or the phasors
-    z of U = diag(z), applied as a scaling of the rows (A) or columns (B) of
-    alpha.
-    """
-    d_a, d_b = alpha.shape
-    if u_a.ndim == 2:
-        alphas = u_a[:, :, None] * alpha
-    else:
-        # U_A alpha as one product over the flattened stack
-        n = u_a.shape[0]
-        alphas = (u_a.reshape(n * d_a, d_a) @ alpha).reshape(n, d_a, d_b)
-    alphas = alphas * u_b[:, None, :] if u_b.ndim == 2 else alphas @ u_b.transpose(0, 2, 1)
-    return np.einsum("ij,tij->t", alpha.conj(), alphas)
-
-
-def _operator(evo: LocalEvolution, side) -> np.ndarray:
-    """One side as ``_pair_overlap`` takes it: a U stack as it is, the phasors
-    of an all-diagonal path (whose frames are identities) as they are, and any
-    other frame side as U = L diag(z) R."""
-    u, rows = side
-    if u.ndim == 3 or evo.is_diagonal:
-        return u
-    return (evo.frames.left[rows] * u[:, None, :]) @ evo.frames.right[rows]
-
-
-def _runs(rows_a: np.ndarray, rows_b: np.ndarray):
-    """[lo, hi) runs of samples over which both row indices stay constant."""
-    change = np.flatnonzero((np.diff(rows_a) != 0) | (np.diff(rows_b) != 0)) + 1
-    edges = [0, *change.tolist(), rows_a.size]
-    return zip(edges[:-1], edges[1:])
+    return frequency
 
 
 def _pair_contraction(alpha, rho_a, rho_b, evo_a: LocalEvolution, evo_b: LocalEvolution):
     """contract(side_a, side_b) -> (overlap, frequency) for one pair trace.
 
     With U = L diag(z) R on both sides the overlap is sum_ij z_A,i C_ij z_B,j,
-    C = conj(L_A^dag alpha conj(L_B)) * (R_A alpha R_B^T), built once per pair
-    of rows and applied to each run of samples in that pair. A pair with a
-    (U, dU/dt) side takes the dense overlap. A frame side's frequency is its
-    row constant.
+    C = (L_A^T conj(alpha) L_B) * (R_A alpha R_B^T), built once per pair of
+    rows and applied to each run of samples in that pair. Rectangular frames
+    (L d x K, R K x d) enter as they are.
     """
-    row_freq = [None if evo.frames is None else _row_frequencies(evo.frames, rho)
-                for evo, rho in ((evo_a, rho_a), (evo_b, rho_b))]
+    frequency = [_path_frequency(evo.frames, rho)
+                 for evo, rho in ((evo_a, rho_a), (evo_b, rho_b))]
     coefficients = {}
 
     def pair_coefficients(ka: int, kb: int) -> np.ndarray:
@@ -349,24 +347,13 @@ def _pair_contraction(alpha, rho_a, rho_b, evo_a: LocalEvolution, evo_b: LocalEv
 
     def contract(a, b):
         (z_a, rows_a), (z_b, rows_b) = a, b
-        if z_a.ndim == 2 and z_b.ndim == 2:
-            overlap = np.empty(z_a.shape[0], dtype=complex)
-            for lo, hi in _runs(rows_a, rows_b):
-                c = pair_coefficients(int(rows_a[lo]), int(rows_b[lo]))
-                overlap[lo:hi] = np.einsum("tj,tj->t", z_a[lo:hi] @ c, z_b[lo:hi])
-        else:
-            overlap = _pair_overlap(alpha, _operator(evo_a, a), _operator(evo_b, b))
-        return overlap, (_side_frequency(row_freq[0], rho_a, a)
-                         + _side_frequency(row_freq[1], rho_b, b))
+        overlap = np.empty(z_a.shape[0], dtype=complex)
+        for lo, hi in _runs(rows_a, rows_b):
+            c = pair_coefficients(int(rows_a[lo]), int(rows_b[lo]))
+            overlap[lo:hi] = np.einsum("tj,tj->t", z_a[lo:hi] @ c, z_b[lo:hi])
+        return overlap, frequency[0](*a) + frequency[1](*b)
 
     return contract
-
-
-def _samples(evos, times: np.ndarray, side: str = "right") -> list:
-    """Each path on ``times``: frame phasors (z, rows) when it has no Bloch
-    segment, else the (U, dU/dt) stacks of ``sample``."""
-    return [evo.sample(times, side) if evo.frames is None else evo.phasors(times, side)
-            for evo in evos]
 
 
 def trace_from_samples(alpha0: CoefficientMatrix, t: np.ndarray,
@@ -416,7 +403,12 @@ def _boundary_grid_indices(evos, grid: TimeGrid) -> list:
 
 
 def _block_rows(d: int) -> int:
-    """Grid rows per block: one complex d x d stack within BLOCK_BYTES."""
+    """Grid rows per block: as many as one complex d x d stack within BLOCK_BYTES.
+
+    The kernel holds n x K phasors per block, not d x d stacks; the row count
+    is kept as the d x d budget gives it, so block edges stay where the
+    block-edge tests put segment cuts.
+    """
     return max(256, BLOCK_BYTES // (16 * d * d))
 
 
@@ -424,9 +416,8 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
                     evo_b: LocalEvolution, grid: TimeGrid, guard: float) -> PhaseTrace:
     """Phase trace of alpha(t) = U_A alpha0 U_B^T, streamed over blocks of grid rows.
 
-    Each block samples both paths once (right side): a path without a Bloch
-    segment as frame phasors and row indices, any other path as (U, dU/dt)
-    stacks. The pair contraction reduces them at once to overlap and
+    Each block samples both paths once (right side) as frame phasors and row
+    indices. The pair contraction reduces them at once to overlap and
     frequency, so no sample outlives its block. The unitarity and determinant
     residuals are running maxima over the blocks. Only the left limits at
     segment cuts are sampled again; the dynamical quadrature is stitched there.
@@ -441,7 +432,7 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
     unit = det = 0.0
     rows = _block_rows(max(evo.d for evo in evos))
     for lo in range(0, n, rows):
-        samples = _samples(evos, times[lo:lo + rows])
+        samples = [evo.phasors(times[lo:lo + rows]) for evo in evos]
         overlap[lo:lo + rows], freq[lo:lo + rows] = contract(*samples)
         for evo, side in zip(evos, samples):
             block_unit, block_det = _side_residuals(evo, side)
@@ -449,7 +440,7 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
     cuts = _boundary_grid_indices(evos, grid)
     left = {}
     if cuts:
-        _, left_freq = contract(*_samples(evos, times[cuts], side="left"))
+        _, left_freq = contract(*(evo.phasors(times[cuts], "left") for evo in evos))
         left = dict(zip(cuts, left_freq))
     dyn = _cumulative_piecewise(freq, left, cuts, grid.dt)
     return _finalize_trace(times, overlap, dyn, guard, (unit, det))
@@ -535,10 +526,9 @@ def _lattice_labels(evo: LocalEvolution, times: list, lattice_tol: float,
     to the index of the levels; an event whose coset factor is open (or whose
     levels miss the lattice) gets None.
     """
-    d, w = evo.d, evo.coset_factor(times)
-    m = np.rint(d * np.angle(w[:, 0, 0]) / (2.0 * math.pi)).astype(int)
-    center = np.exp(2j * math.pi * m / d)[:, None, None] * np.eye(d)
-    closed = np.abs(w - center).max(axis=(1, 2)) <= closure_tol
+    d = evo.d
+    m, dev = center_power(evo.coset_factor(times))
+    closed = dev <= closure_tol
     labels = [lattice_condition_check(lv, d, tol=lattice_tol) if ok else None
               for ok, lv in zip(closed.tolist(), evo.cartan_levels(times))]
     return [None if n is None else (n + shift) % d for n, shift in zip(labels, m.tolist())]

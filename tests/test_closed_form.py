@@ -158,6 +158,44 @@ def test_two_qubit_partial_against_engine(c):
             assert dev < 1e-6, (c, chi_a, chi_b, dev)
 
 
+def _cartan_then_loop(chi, theta, phi_rate, bend):
+    """Cartan angle chi, then a closed Bloch loop: theta ramps up while phi
+    turns by ``bend``, phi winds at ``phi_rate``, theta ramps back as phi
+    turns by -bend. 4 time units."""
+    return qp.LocalEvolution(2, [qp.CartanLinear(np.array([chi, -chi]), 1.0),
+                                 qp.BlochLoop(theta_end=theta, phi_rate=bend, duration=1.0),
+                                 qp.BlochLoop(theta_end=theta, phi_rate=phi_rate, duration=1.0),
+                                 qp.BlochLoop(theta_end=0.0, phi_rate=-bend, duration=1.0)])
+
+
+@pytest.mark.parametrize("c", (0.0, 0.3, 0.8))
+def test_two_qubit_partial_with_bloch_loops_against_engine(c):
+    # Schmidt state from its coefficients; C = 2 lambda_0 lambda_1 is what the
+    # closed form reads, so q is never rebuilt from sqrt(1 - C^2) near C = 1
+    q = math.sqrt(1.0 - c * c)
+    lam = np.sqrt([(1.0 + q) / 2.0, (1.0 - q) / 2.0])
+    state = qp.CoefficientMatrix.from_array(np.diag(lam))
+    for chi_a, chi_b, loop_a, loop_b in (
+            (0.4, -0.3, (1.0, TWO_PI, 0.5), (0.7, -TWO_PI, -0.7)),
+            (-0.9, 0.5, (2.0, 2 * TWO_PI, 0.5), (1.3, TWO_PI, -0.7))):
+        a = _cartan_then_loop(chi_a, *loop_a)
+        b = _cartan_then_loop(chi_b, *loop_b)
+        tr = qp.run_trace(state, qp.PairEvolution(a, b, qp.TimeGrid(4.0, 6000)))
+        res = cf.two_qubit_partial(2.0 * lam[0] * lam[1], chi_a, chi_b,
+                                   qp.solid_angle(a), qp.solid_angle(b))
+        assert abs(tr.geometric_phase[-1] - res.phi_g) < 1e-10, (c, chi_a, chi_b)
+
+
+def test_single_qubit_partial_with_bloch_loop_tight():
+    # a diagonal rho against the closed form at the quadrature's precision
+    for q, chi, loop in ((0.6, 0.4, (1.2, TWO_PI, 0.3)), (0.25, -1.1, (2.2, -TWO_PI, 0.8))):
+        rho = qp.density_from_purity(2, q, _qubit_direction())
+        evo = _cartan_then_loop(chi, *loop)
+        tr = qp.single_qudit_trace(rho, evo, qp.TimeGrid(4.0, 6000))
+        res = cf.single_qubit_partial(q, chi, qp.solid_angle(evo))
+        assert abs(tr.geometric_phase[-1] - res.phi_g) < 1e-10, (q, chi)
+
+
 def test_two_qubit_cyclic_values():
     assert cf.two_qubit_cyclic(1.0, 1, 5.0, 2.0) == pytest.approx(math.pi)
     assert cf.two_qubit_cyclic(0.0, 0, TWO_PI, 0.0) == pytest.approx(-math.pi)

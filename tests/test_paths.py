@@ -205,7 +205,7 @@ def test_frame_phasors_reproduce_sampled_operators():
                                    @ f.right[rows], u_dot, rtol=0, atol=1e-12)
     assert f.unitarity.max() < 1e-14
     np.testing.assert_allclose(f.determinant, 1.0, rtol=0, atol=1e-14)
-    # an all-diagonal path has identity frames, a Bloch path has none
+    # an all-diagonal path has identity frames
     diag = qp.LocalEvolution(3, [qp.CartanLinear(np.array([1.0, 0.0, -1.0]), 1.0)])
     assert (diag.frames.left == np.eye(3)).all() and (diag.frames.right == np.eye(3)).all()
     assert (diag.frames.unitarity == 0.0).all() and (diag.frames.determinant == 1.0).all()
@@ -215,10 +215,27 @@ def test_frame_phasors_reproduce_sampled_operators():
     z, rows = held.phasors(np.linspace(0.0, 1.0, 11))
     assert rows.tolist() == [0] * 5 + [1] * 6
     assert (z == np.exp(1j * held.frames.phase0[rows])).all()
-    bloch =qp.LocalEvolution(2, [qp.BlochLoop(theta_end=1.0, phi_rate=1.0, duration=1.0)])
-    assert bloch.frames is None
-    with pytest.raises(ValueError, match="Bloch"):
-        bloch.phasors([0.5])
+    # a Bloch path is 8 terms wide: a Bloch row is its 8-term sum, the other
+    # rows are unitary 2-term frames padded with zero columns and zero rates
+    bloch = qp.LocalEvolution(2, [qp.GeneratorConst(QUBIT_GEN, 0.5),
+                                  qp.BlochLoop(theta_end=1.0, phi_rate=1.5, duration=1.0),
+                                  qp.CartanLinear(np.array([0.8, -0.8]), 0.5)])
+    fb = bloch.frames
+    assert fb.left.shape == (4, 2, 8) and fb.right.shape == (4, 8, 2)
+    assert fb.rectangular.tolist() == [False, True, False, False]
+    unitary = ~fb.rectangular
+    assert not fb.left[unitary][:, :, 2:].any() and not fb.right[unitary][:, 2:].any()
+    assert not fb.phase0[unitary][:, 2:].any() and not fb.rate[unitary][:, 2:].any()
+    t = np.linspace(0.0, bloch.duration, 401)
+    for side in ("right", "left"):
+        z, rows = bloch.phasors(t, side)
+        u, u_dot = bloch.sample(t, side)
+        np.testing.assert_allclose((fb.left[rows] * z[:, None, :]) @ fb.right[rows], u,
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose((fb.left[rows] * (1j * fb.rate[rows] * z)[:, None, :])
+                                   @ fb.right[rows], u_dot, rtol=0, atol=1e-12)
+    assert fb.unitarity.max() < 1e-14
+    np.testing.assert_allclose(fb.determinant, 1.0, rtol=0, atol=1e-14)
 
 
 def test_phase_rate_and_solid_angle_on_every_segment_kind():
@@ -327,6 +344,27 @@ def test_cartan_trajectory_gated_by_open_coset():
     traj = qp.cartan_trajectory(evo, [0.0, 4 * math.pi])
     np.testing.assert_allclose(traj.levels, 0.0, atol=1e-12)
     with pytest.raises(ValueError):
+        qp.cartan_trajectory(evo, [1.0])
+
+
+def test_cartan_trajectory_accepts_center_coset_factors():
+    # spectrum (1, 1, -2) in a random frame: exp(i G t) is e^{2 pi i m/3} 1 at
+    # t = 2 pi m/3, so U = diag(e^{i 2 pi m/3}) there and the levels shift by
+    # 2 pi m/3 (m = -1 at 4 pi/3, the nearest branch); h stays 0
+    q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(3, 3)))
+    gen = q @ np.diag([1.0, 1.0, -2.0]) @ q.T
+    evo = qp.LocalEvolution(3, [qp.GeneratorConst(gen, TWO_PI)])
+    times = [0.0, TWO_PI / 3, 2 * TWO_PI / 3, TWO_PI]
+    traj = qp.cartan_trajectory(evo, times)
+    shifts = TWO_PI / 3 * np.array([0, 1, -1, 0])
+    np.testing.assert_allclose(traj.levels, np.repeat(shifts[:, None], 3, axis=1),
+                               rtol=0, atol=1e-15)
+    assert (traj.h == 0.0).all()
+    u = np.stack([evo.synthesize(t)[0] for t in times])
+    np.testing.assert_allclose(u, np.exp(1j * traj.levels)[:, None, :] * np.eye(3),
+                               rtol=0, atol=1e-12)
+    assert [qp.lattice_condition_check(lv) for lv in traj.levels] == [0, 1, 2, 0]
+    with pytest.raises(ValueError, match="open"):
         qp.cartan_trajectory(evo, [1.0])
 
 

@@ -417,27 +417,45 @@ def test_cycles_on_fractional_lattice_when_maximally_entangled():
 _DT = 2.0 ** -13       # exact binary step, so block edges land on the grid exactly
 
 
+def _unit_residual(m):
+    return float(np.abs(m.conj().transpose(0, 2, 1) @ m - np.eye(m.shape[-1])).max())
+
+
 def _dense_residuals(stacks):
-    unit = max(float(np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(u.shape[-1])).max())
-               for u in stacks)
+    unit = max(_unit_residual(u) for u in stacks)
     det = max(float(np.abs(np.linalg.det(u) - 1.0).max()) for u in stacks)
     return unit, det
 
 
 def _frame_residuals(evo, times):
     """Residuals of U = L diag(z) R by the frame definition, from the path's
-    tables: the largest |F^dag F - 1| over the frames of the visited rows and
-    |conj(z) z - 1| over the samples, and |det L det R prod(z) - 1|."""
-    f = evo.frames
+    tables and its dense samples.
+
+    A row with unitary frames gives the largest |F^dag F - 1| over its d
+    frame terms and |det L det R prod(z) - 1|. A Bloch row gives
+    |F^dag F - 1| of F = W0 diag(exp(i chi0)), the deviation of its term sum
+    from ``sample``'s U at both ends of the row, and
+    |det(W0) e^{i sum chi0} z_+ z_- - 1| with z_+- = e^{+-i theta/2}, the
+    first two terms. Every sample adds |conj(z) z - 1|.
+    """
+    f, d = evo.frames, evo.d
     rows = evo._segment_index(times)
     z = np.exp(1j * (f.phase0[rows] + f.rate[rows] * (times - evo._starts[rows])[:, None]))
     visited = np.unique(rows)
-    frames = np.concatenate([f.left[visited], f.right[visited]])
-    unit = max(np.abs(frames.conj().transpose(0, 2, 1) @ frames - np.eye(evo.d)).max(),
-               np.abs(z.conj() * z - 1.0).max())
-    det = np.abs(np.linalg.det(f.left[rows]) * np.linalg.det(f.right[rows])
-                 * z.prod(axis=1) - 1.0).max()
-    return float(unit), float(det)
+    unitary = visited[~f.rectangular[visited]]
+    terms = [f.left[unitary][:, :, :d], f.right[unitary][:, :d]]
+    unit = [np.abs(z.conj() * z - 1.0).max()] + [_unit_residual(m) for m in terms if m.size]
+    det_frames = np.linalg.det(f.left[:, :, :d]) * np.linalg.det(f.right[:, :d])
+    for k in visited[f.rectangular[visited]]:
+        factor = evo._w0[k] * np.exp(1j * evo._chi0[k])
+        ends = np.array([evo._starts[k], evo._ends[k]])
+        sums = (f.left[k] * np.exp(1j * (f.phase0[k] + f.rate[k] * (ends - ends[0])[:, None]))
+                [:, None, :]) @ f.right[k]
+        dense = np.stack([evo.sample(ends[:1])[0][0], evo.sample(ends[1:], "left")[0][0]])
+        unit += [_unit_residual(factor[None]), np.abs(sums - dense).max()]
+        det_frames[k] = np.linalg.det(evo._w0[k]) * np.exp(1j * evo._chi0[k].sum())
+    det = np.abs(det_frames[rows] * z[:, :d].prod(axis=1) - 1.0).max()
+    return float(max(unit)), float(det)
 
 
 def _mixed_generator(d, seed):
@@ -482,8 +500,8 @@ def test_streamed_pair_trace_matches_dense_stacks(monkeypatch):
     for name in ("overlap", "overlap_mag", "total_phase"):
         np.testing.assert_allclose(getattr(streamed, name), getattr(dense, name),
                                    rtol=0, atol=1e-12, err_msg=name)
-    # A (with a Bloch segment) is sampled as stacks, B in its frames
-    (unit_a, det_a), (unit_b, det_b) = _dense_residuals([u_a]), _frame_residuals(b, times)
+    # both paths are sampled in their frames, A (with a Bloch segment) in 8 terms
+    (unit_a, det_a), (unit_b, det_b) = _frame_residuals(a, times), _frame_residuals(b, times)
     assert streamed.unitarity_residual == pytest.approx(max(unit_a, unit_b), abs=1e-15)
     assert streamed.determinant_residual == pytest.approx(max(det_a, det_b), abs=1e-15)
     unit, det = _dense_residuals([u_a, u_b])
@@ -574,7 +592,7 @@ def _record_sample_calls(monkeypatch):
      "grid": {"t_max": 2, "steps": 5000}},
 ], ids=["pair", "single", "generator", "bloch"])
 def test_run_scenario_samples_each_row_once(monkeypatch, raw):
-    # paths without a Bloch segment are sampled as frame phasors, Bloch paths as stacks
+    # every path, Bloch paths too, is sampled as frame phasors and never as stacks
     calls = _record_sample_calls(monkeypatch)
     out = qp.scenarios.run_scenario(qp.scenarios.ScenarioConfig.from_dict(raw))
     built = out.built
@@ -584,15 +602,14 @@ def test_run_scenario_samples_each_row_once(monkeypatch, raw):
     assert len(right) > len(evos)                      # more than one block per path
     assert max(c[3].size for c in right) <= limit
     for evo in evos:
-        sampler = "sample" if evo.frames is None else "phasors"
-        assert {c[1] for c in calls if c[0] is evo} == {sampler}
+        assert {c[1] for c in calls if c[0] is evo} == {"phasors"}
         sampled = np.concatenate([c[3] for c in right if c[0] is evo])
         np.testing.assert_array_equal(sampled, built.grid.times())
     assert {c[2] for c in calls} <= {"right", "left"}
     if raw["name"] == "generator":
-        assert not built.evo_a.is_diagonal and built.evo_a.frames is not None
+        assert not built.evo_a.is_diagonal and not built.evo_a.frames.rectangular.any()
     if raw["name"] == "bloch":
-        assert any(c[1] == "sample" for c in right)
+        assert built.evo_a.frames.rectangular.any()
     assert all(c[3].size == 1 for c in calls if c[2] == "left")
 
 
@@ -601,34 +618,43 @@ def test_run_scenario_samples_each_row_once(monkeypatch, raw):
 _PHASOR_DT = 2.0 ** -8     # exact binary step, so cuts land on block edges exactly
 
 
-def _dense_samples(evos, times, side="right"):
-    return [evo.sample(times, side) for evo in evos]
+def _dense_frequency(rho, u, u_dot):
+    """-i Tr[rho U^dag dU/dt] per sample of operator stacks."""
+    return (-1j * np.einsum("ij,tkj,tki->t", rho, u.conj(), u_dot)).real
 
 
 def _dense_route(evos, state, grid):
-    """(trace_from_samples on full-grid stacks, the streamed kernel on stacks).
+    """(trace_from_samples on full-grid stacks, the same stacks stitched).
 
-    The kernel runs with every path sampled by ``sample``, the route of paths
-    with a Bloch segment, instead of in its frames. A single qudit's reference
-    is its purified pair with qudit B held at the identity.
+    The stitched reference takes the dense overlap and integrates the dense
+    frequency of ``sample`` stacks piecewise, with ``sample(..., side="left")``
+    giving the left limits at the segment cuts, as the kernel stitches its
+    own. A single qudit's reference is its purified pair with qudit B held at
+    the identity (frequency 0).
     """
     times = grid.times()
+    if len(evos) == 1:
+        state = qp.purify(state)
     stacks = [evo.sample(times) for evo in evos]
-    with mock.patch.object(phases, "_samples", _dense_samples):
-        if len(evos) == 2:
-            return (qp.trace_from_samples(state, times, *stacks[0], *stacks[1]),
-                    qp.run_trace(state, qp.PairEvolution(*evos, grid)))
-        return (qp.trace_from_samples(qp.purify(state), times, *stacks[0],
-                                      *_held_stacks(evos[0].d, times)),
-                qp.single_qudit_trace(state, evos[0], grid))
+    stacks += [_held_stacks(state.d_b, times)] * (2 - len(evos))
+    ref = qp.trace_from_samples(state, times, *stacks[0], *stacks[1])
+    rhos = qp.reduced_densities(state)
+    freq = sum(_dense_frequency(rho, *uu) for rho, uu in zip(rhos, stacks))
+    cuts = phases._boundary_grid_indices(evos, grid)
+    left = sum(_dense_frequency(rho, *evo.sample(times[cuts], side="left"))
+               for rho, evo in zip(rhos, evos)) if cuts else []
+    dyn = phases._cumulative_piecewise(freq, dict(zip(cuts, left)), cuts, grid.dt)
+    route = phases._finalize_trace(times, ref.overlap, dyn, math.pi / 4.0,
+                                   (ref.unitarity_residual, ref.determinant_residual))
+    return ref, route
 
 
 def _expected_residuals(evos, times):
-    """Dense-stack residuals of all-diagonal and Bloch paths, frame-definition
-    residuals of the other paths, maximized over the paths."""
-    res = [_dense_residuals([evo.sample(times)[0]])
-           if evo.is_diagonal or evo.frames is None else _frame_residuals(evo, times)
-           for evo in evos]
+    """Dense-stack residuals of all-diagonal paths (whose frames are exact
+    identities), frame-definition residuals of every other path, Bloch paths
+    included, maximized over the paths."""
+    res = [_dense_residuals([evo.sample(times)[0]]) if evo.is_diagonal
+           else _frame_residuals(evo, times) for evo in evos]
     return max(r[0] for r in res), max(r[1] for r in res)
 
 
@@ -643,7 +669,7 @@ def _assert_matches_dense(trace, evos, state, grid):
     unit, det = _expected_residuals(evos, grid.times())
     assert trace.unitarity_residual == pytest.approx(unit, abs=1e-15)
     assert trace.determinant_residual == pytest.approx(det, abs=1e-15)
-    if all(evo.is_diagonal or evo.frames is None for evo in evos):
+    if all(evo.is_diagonal for evo in evos):
         for ref_trace in (ref, route):
             assert trace.unitarity_residual == pytest.approx(ref_trace.unitarity_residual,
                                                              abs=1e-15)
@@ -664,11 +690,23 @@ def _draw_segment(data, kind, d, duration):
         return qp.CartanLinear(rates - rates.mean(), duration)
     if kind == "hold":
         return qp.CartanHold(duration)
-    if kind == "bloch":
-        return qp.BlochLoop(theta_end=data.draw(st.floats(0.0, 2.0)),
-                            phi_rate=data.draw(st.floats(-3.0, 3.0)), duration=duration)
     return qp.GeneratorConst(_mixed_generator(d, data.draw(st.integers(0, 2 ** 16))),
                              duration)
+
+
+def _draw_segments(data, d, kinds, edges):
+    """Path of segments of the given kinds between grid edges. A Bloch segment
+    moves theta at most at rate 1, so the rate guard holds however short it is."""
+    segments, theta = [], 0.0
+    for kind, lo, hi in zip(kinds, edges[:-1], edges[1:]):
+        duration = (hi - lo) * _PHASOR_DT
+        if kind == "bloch":
+            theta += float(np.clip(data.draw(st.floats(0.0, 2.0)) - theta, -duration, duration))
+            segments.append(qp.BlochLoop(theta_end=theta, duration=duration,
+                                         phi_rate=data.draw(st.floats(-3.0, 3.0))))
+        else:
+            segments.append(_draw_segment(data, kind, d, duration))
+    return qp.LocalEvolution(d, segments)
 
 
 def _draw_path(data, d, steps, rows, dense):
@@ -678,11 +716,10 @@ def _draw_path(data, d, steps, rows, dense):
     kinds = ["linear", "hold"]
     if dense:
         kinds += ["generator", "bloch" if d == 2 else "generator"]
-    segments = []
-    for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        kind = "generator" if dense and k == 0 else data.draw(st.sampled_from(kinds))
-        segments.append(_draw_segment(data, kind, d, (hi - lo) * _PHASOR_DT))
-    return qp.LocalEvolution(d, segments)
+    drawn = [data.draw(st.sampled_from(kinds)) for _ in edges[1:]]
+    if dense:
+        drawn[0] = "generator"
+    return _draw_segments(data, d, drawn, edges)
 
 
 def _draw_frame_path(data, d, steps, rows):
@@ -694,8 +731,7 @@ def _draw_frame_path(data, d, steps, rows):
              for _ in edges[1:]]
     if "generator" not in kinds:
         kinds[len(kinds) // 2] = "generator"
-    return qp.LocalEvolution(d, [_draw_segment(data, kind, d, (hi - lo) * _PHASOR_DT)
-                                 for kind, lo, hi in zip(kinds, edges[:-1], edges[1:])])
+    return _draw_segments(data, d, kinds, edges)
 
 
 def _random_density(d, rng):
@@ -765,6 +801,50 @@ def test_frame_route_matches_dense_stacks(data):
 
         rho = _random_density(d_a, rng)
         single = _draw_frame_path(data, d_a, steps, rows)
+        _assert_matches_dense(qp.single_qudit_trace(rho, single, grid), (single,),
+                              rho, grid)
+
+
+def _draw_bloch_path(data, steps, rows):
+    """Random d = 2 path with a Bloch row first, in the middle or last, among
+    Cartan ramps, holds, generators and more Bloch rows; the neighbours of the
+    placed Bloch row may be generators (a Bloch row after one has W0 != 1, a
+    generator row after one runs in the frame V_k E). Some cuts sit on block
+    edges."""
+    edges = _draw_edges(data, steps, rows, min_cuts=2)
+    n = len(edges) - 1
+    kinds = [data.draw(st.sampled_from(["linear", "hold", "generator", "bloch"]))
+             for _ in range(n)]
+    place = data.draw(st.sampled_from([0, n // 2, n - 1]))
+    kinds[place] = "bloch"
+    for k in (place - 1, place + 1):
+        if 0 <= k < n and data.draw(st.booleans()):
+            kinds[k] = "generator"
+    return _draw_segments(data, 2, kinds, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_bloch_frame_route_matches_dense_stacks(data):
+    # Bloch rows as 8-term rectangular frames against the stitched sample stacks
+    d_b = data.draw(st.integers(2, 8))
+    steps = 2 * data.draw(st.integers(300, 520))      # three to five blocks
+    grid = qp.TimeGrid(steps * _PHASOR_DT, steps)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    with mock.patch.object(phases, "BLOCK_BYTES", 1):
+        rows = phases._block_rows(8)
+        a = _draw_bloch_path(data, steps, rows)
+        assert a.frames.rectangular.any()
+        if d_b == 2 and data.draw(st.booleans()):
+            b = _draw_bloch_path(data, steps, rows)
+        else:
+            b = _draw_path(data, d_b, steps, rows, data.draw(st.booleans()))
+        state = qp.random_state(2, d_b, rng)
+        _assert_matches_dense(qp.run_trace(state, qp.PairEvolution(a, b, grid)),
+                              (a, b), state, grid)
+
+        rho = _random_density(2, rng)
+        single = _draw_bloch_path(data, steps, rows)
         _assert_matches_dense(qp.single_qudit_trace(rho, single, grid), (single,),
                               rho, grid)
 
