@@ -28,9 +28,10 @@ c = 0 and w = the eigenvalues of G, with V_k = V(theta_k, phi_k) the row's
 constant coset factor (1 without a Bloch segment). On a ``BlochLoop`` row theta
 and phi are linear in tau, so V(theta, phi) W0 diag(exp(i chi0)) is an exact
 sum of 8 rank-one terms with exponents +-theta/2 + (i - j) phi: L is 2 x 8 and
-R is 8 x 2 (see ``FrameTables``). Every path is sampled as its frame phasors and
-row indices, O(n K) with K = d, or 8 on a path with a Bloch segment. Paths are
-immutable after construction and sampling is pure.
+R is 8 x 2 (see ``FrameTables``). The trace kernel samples a path one row at a
+time as its frame phasors (``row_phasors``), O(n K) with the row's live width K:
+d, or 8 on a Bloch row. Paths are immutable after construction and sampling is
+pure.
 """
 
 from __future__ import annotations
@@ -147,13 +148,15 @@ class GeneratorConst:
 
 @dataclass(frozen=True)
 class FrameTables:
-    """Per-row frames of a path, one width K per path (d, or 8 with a Bloch segment).
+    """Per-row frames of a path, stored at one width per path (d, or 8 with a Bloch segment).
 
     Row k gives ``U(t) = left[k] diag(exp(i (phase0[k] + rate[k] tau))) right[k]``
-    on its segment, left d x K and right K x d. A Cartan, hold or generator
-    row is a unitary d-term frame, padded to K with zero columns, zero phases
-    and zero rates; on a path with a Bloch segment its left frame carries the
-    row's constant coset factor, left = V(theta_k, phi_k) left. A Bloch row
+    on its segment, left d x K and right K x d at the row's live width K: d,
+    or 8 on a ``rectangular`` row. A Cartan, hold or generator row is a
+    unitary d-term frame; on a path with a Bloch segment it is padded to 8
+    with zero columns, phases and rates, storage only (``LocalEvolution.
+    row_frame`` drops them), and its left frame carries the row's constant
+    coset factor, left = V(theta_k, phi_k) left. A Bloch row
     (``rectangular``) is the exact 8-term sum of V(theta, phi) F with
     F = W0 diag(exp(i chi0)): term (s, i, j), s = +-1, has the exponent
     s theta/2 + (i - j) phi, left column e_i and right row coef F[j], coef 1/2
@@ -367,7 +370,6 @@ class LocalEvolution:
         self._left = left
         self._moves_left = left.any(axis=(1, 2)) | bloch_rate.any(axis=1)
         self._w0 = w0
-        self.is_identity = self.is_diagonal and not rates.any()
         self.frames = _frame_tables(chi0, rates, evals, evecs, w0, gen_rows,
                                     (bloch0, bloch_rate, durations, bloch_rows)
                                     if self.has_bloch else None)
@@ -388,6 +390,17 @@ class LocalEvolution:
         else:
             idx = np.searchsorted(self._ends, t - _BOUNDARY_TOL, side="left")
         return np.minimum(idx, max(len(self.segments) - 1, 0))
+
+    def row_starts(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(first sample, row) of every row that owns samples of ascending times t.
+
+        Each sample has the owner ``_segment_index`` gives it: one within
+        ``_BOUNDARY_TOL`` of a boundary belongs to the later row. One
+        searchsorted of the boundaries into the times finds the cuts.
+        """
+        first = np.concatenate(([0], np.searchsorted(t + _BOUNDARY_TOL, self._ends[:-1])))
+        owns = np.append(first[1:], t.size) > first
+        return first[owns], np.flatnonzero(owns)
 
     def _check_range(self, t: np.ndarray) -> np.ndarray:
         if t.size and (t.min() < -_BOUNDARY_TOL or t.max() > self.duration + _BOUNDARY_TOL):
@@ -411,13 +424,6 @@ class LocalEvolution:
     def cartan_rates(self, times) -> np.ndarray:
         """Per-level phase rates d chi_n/dt, taken from the segment that starts at t."""
         return self._rates[self._segment_index(self._times(times))]
-
-    def bloch_coordinates(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """(theta(t), phi(t)) coordinates of the d = 2 coset factor."""
-        t = self._times(times)
-        theta, phi = self._advance(self._bloch0, self._bloch_rate, t,
-                                   self._segment_index(t)).T
-        return theta, phi
 
     def coset_factor(self, times) -> np.ndarray:
         """Authored coset factor V(theta, phi) W(t), stacked over the samples."""
@@ -470,19 +476,24 @@ class LocalEvolution:
             Ud[moving] += (1j * left) @ U[moving]
         return U, Ud
 
-    def phasors(self, times, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
-        """Frame phasors z = exp(i (c + w tau)) and the owning row of each sample.
+    def row_frame(self, k: int) -> tuple:
+        """(left, right, phase0, rate) of row k at its live width (see ``FrameTables``)."""
+        f = self.frames
+        width = f.rate.shape[1] if f.rectangular[k] else self.d
+        return f.left[k, :, :width], f.right[k, :width], f.phase0[k, :width], f.rate[k, :width]
 
-        U(t) = L[k] diag(z) R[k] with the ``frames`` of row k, so (z, k)
-        carries what ``sample`` stacks in O(n K) instead of O(n d^2);
-        dU/dt = L[k] diag(i w[k] z) R[k]. ``side`` picks the row at interior
-        segment boundaries, as in ``sample``; z is given in that row's frame.
+    def row_phasors(self, k: int, t: np.ndarray) -> np.ndarray:
+        """Frame phasors z = exp(i (c + w (t - start))) of row k at times t.
+
+        U(t) = L diag(z) R and dU/dt = L diag(i w z) R with (L, R, c, w) =
+        ``row_frame(k)``. A row without rates (a hold, or a path held at the
+        identity) takes one exponential, broadcast over the times.
         """
-        t = self._times(times)
-        idx = self._segment_index(t, side=side)
-        if self.is_identity:        # exp(i 0) on every row, without the exponentials
-            return np.ones((t.size, self.d), dtype=complex), idx
-        return np.exp(1j * self._advance(self.frames.phase0, self.frames.rate, t, idx)), idx
+        t = np.minimum(t, self.duration)          # past the end is the end, as in every query
+        _, _, phase0, rate = self.row_frame(k)
+        if not rate.any():
+            return np.broadcast_to(np.exp(1j * phase0), (t.size, phase0.size))
+        return np.exp(1j * (phase0 + (t - self._starts[k])[:, None] * rate))
 
     def synthesize(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """Single-time (U, dU/dt)."""
@@ -491,10 +502,9 @@ class LocalEvolution:
 
     @property
     def max_phase_rate(self) -> float:
-        """Largest per-level phase rate driven by any segment (rad per time)."""
-        theta_dot, phi_dot = np.abs(self._bloch_rate).T
-        return float(max(np.abs(self._rates).max(), np.abs(self._evals).max(),
-                         (phi_dot + 0.5 * theta_dot).max()))
+        """Largest frame phase rate |w| of any row (rad per time): the per-level
+        rates, the generator eigenvalues and |phi_dot| + |theta_dot|/2 on a Bloch row."""
+        return float(np.abs(self.frames.rate).max())
 
     def boundaries(self) -> np.ndarray:
         return self._ends.copy()

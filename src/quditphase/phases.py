@@ -6,18 +6,17 @@ the dynamical phase is the Simpson quadrature of the instantaneous frequency
 points are overlap-magnitude returns to one; on them only the fractional
 values 2 pi (n_A/d_A + n_B/d_B) can occur for Cartan-closed local paths.
 
-The trace kernel streams the grid in blocks of rows. Every path is a frame
-path: it enters as its frame phasors z and row indices, U = L diag(z) R with
-constant frames per segment row and one width K per path (d, or 8 on a path
-with a Bloch segment, whose Bloch rows are exact 8-term sums; see
-``paths.FrameTables``). A pair takes its overlap as z_A C z_B with one
-K_A x K_B matrix C per pair of rows, O(n K_A K_B). The frequency on a row with
-unitary frames is the exact row constant w @ diag(R rho R^dag) (rates @
-diag(rho) on a Cartan row, <G> on a generator row); on a Bloch row it is the
-exact per-sample form Re conj(z) M (w z), M = (L^dag L) * (R rho R^dag)^T.
-A single qudit runs as its purified pair, alpha = sqrt(rho) with qudit B held
-at the identity: Tr[alpha^dag U alpha] = Tr[rho U]. ``trace_from_samples``
-contracts sampled (U, dU/dt) stacks instead; it is the dense reference.
+Every path is a frame path: U = L diag(z) R with constant frames per segment
+row, at the row's live width K (d, or 8 on a Bloch row; see
+``paths.FrameTables``). The trace kernel walks the grid one run at a time, a
+maximal stretch of samples on which each path stays on one row. Over a run
+the matrix C of the overlap z_A C z_B and each path's frequency (an exact row
+constant, or on a Bloch row an exact quadratic form in z) are fixed, so only
+the phasors are evaluated, O(n K_A K_B) in all, and each run's quadrature
+ends on the left limit at the next cut. A single qudit runs as its purified
+pair, alpha = sqrt(rho) with qudit B held at the identity:
+Tr[alpha^dag U alpha] = Tr[rho U]. ``trace_from_samples`` contracts sampled
+(U, dU/dt) stacks instead; it is the dense reference.
 """
 
 from __future__ import annotations
@@ -49,9 +48,15 @@ __all__ = [
     "circular_distance",
 ]
 
+# The largest phase step per grid step (unwrap and rate guard), the overlap
+# magnitude below which a sample has no argument, and the unwrap's transit
+# thresholds (chord distance per chord length, magnitude per path maximum).
+GUARD = math.pi / 4.0
 INDETERMINATE_TOL = 1e-12
-# Byte budget of one n x d x d complex stack in the streamed trace kernel.
-BLOCK_BYTES = 2 ** 20
+TRANSIT_RATIO = 0.25
+NEAR_ORIGIN = 0.05
+# Grid samples per chunk of a run: 1 MiB of phasors at width 8.
+CHUNK_ROWS = 2 ** 13
 
 
 class GridTooCoarseError(RuntimeError):
@@ -100,27 +105,6 @@ def _cumulative_smooth(y: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _cumulative_piecewise(freq: np.ndarray, left_values: dict, cuts: list,
-                          dx: float) -> np.ndarray:
-    """Stitch cumulative Simpson across known integrand breakpoints.
-
-    ``freq`` holds right-limit values; ``left_values`` maps a breakpoint
-    sample index to the left-limit integrand there. Each chunk between
-    breakpoints is smooth and integrated at fourth order.
-    """
-    n = freq.size
-    out = np.zeros(n)
-    edges = [0] + [c for c in cuts if 0 < c < n - 1] + [n - 1]
-    offset = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        y = freq[lo:hi + 1].copy()
-        if hi in left_values:
-            y[-1] = left_values[hi]
-        out[lo:hi + 1] = offset + _cumulative_smooth(y, dx)
-        offset = out[hi]
-    return out
-
-
 def _chord_origin_distance(z0: complex, z1: complex) -> float:
     """Distance from the origin to the segment joining two complex samples."""
     d = z1 - z0
@@ -132,27 +116,24 @@ def _chord_origin_distance(z0: complex, z1: complex) -> float:
     return abs(z0 + tau * d)
 
 
-def unwrap_phases(z: np.ndarray, dynamical: np.ndarray | None = None,
-                  guard: float = math.pi / 4.0,
-                  indeterminate_tol: float = INDETERMINATE_TOL,
-                  transit_ratio: float = 0.25,
-                  near_origin: float = 0.05) -> tuple[np.ndarray, np.ndarray]:
+def unwrap_phases(z: np.ndarray,
+                  dynamical: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Continuously unwrapped argument of a sampled complex path.
 
     Nearest-branch continuation sample to sample. The argument legitimately
     swings fast wherever the path runs close to the origin (transits), so the
-    aliasing guard only fires for steps exceeding ``guard`` whose chord stays
-    away from the origin both relative to its own length and relative to the
-    overall magnitude scale of the path. Samples with magnitude below
-    ``indeterminate_tol`` have no defined argument; their phase is bridged by
-    the local slope of ``dynamical`` (zero slope if not supplied) and flagged
-    in the returned mask.
+    aliasing guard only fires for steps exceeding ``GUARD`` whose chord stays
+    away from the origin both relative to its own length (``TRANSIT_RATIO``)
+    and relative to the overall magnitude scale of the path (``NEAR_ORIGIN``).
+    Samples with magnitude below ``INDETERMINATE_TOL`` have no defined
+    argument; their phase is bridged by the local slope of ``dynamical``
+    (zero slope if not supplied) and flagged in the returned mask.
     """
     z = np.asarray(z, dtype=complex)
     n = z.size
     mag = np.abs(z)
-    scale = near_origin * (mag.max() if n else 1.0)
-    determinate = mag > indeterminate_tol
+    scale = NEAR_ORIGIN * (mag.max() if n else 1.0)
+    determinate = mag > INDETERMINATE_TOL
     args = np.angle(z)
     phases = np.empty(n)
     phases[0] = args[0] if determinate[0] else 0.0
@@ -161,14 +142,14 @@ def unwrap_phases(z: np.ndarray, dynamical: np.ndarray | None = None,
         if min(mag[k0], mag[k1]) <= scale:
             return
         dist = _chord_origin_distance(z[k0], z[k1])
-        if dist > transit_ratio * abs(z[k1] - z[k0]):
+        if dist > TRANSIT_RATIO * abs(z[k1] - z[k0]):
             raise GridTooCoarseError(
                 f"phase increment {delta:.3f} rad between samples {k0} and "
-                f"{k1} exceeds the guard {guard:.3f}; refine the grid")
+                f"{k1} exceeds the guard {GUARD:.3f}; refine the grid")
 
     if determinate.all():
         delta = np.angle(z[1:] * np.conj(z[:-1]))
-        for k in np.flatnonzero(np.abs(delta) >= guard):
+        for k in np.flatnonzero(np.abs(delta) >= GUARD):
             check(k, k + 1, delta[k])
         phases[1:] = phases[0] + np.cumsum(delta)
         return phases, ~determinate
@@ -176,7 +157,7 @@ def unwrap_phases(z: np.ndarray, dynamical: np.ndarray | None = None,
     for k in range(1, n):
         if determinate[k] and determinate[k - 1]:
             delta = math.remainder(args[k] - args[k - 1], 2.0 * math.pi)
-            if abs(delta) >= guard:
+            if abs(delta) >= GUARD:
                 check(k - 1, k, delta)
             phases[k] = phases[k - 1] + delta
         elif determinate[k]:
@@ -224,7 +205,7 @@ class PhaseTrace:
     determinant_residual: float
 
 
-def _finalize_trace(t, overlap, dyn, guard, residuals) -> PhaseTrace:
+def _finalize_trace(t, overlap, dyn, residuals) -> PhaseTrace:
     mag = np.abs(overlap)
     if abs(overlap[0] - 1.0) > 1e-8:
         raise ValueError(
@@ -232,7 +213,7 @@ def _finalize_trace(t, overlap, dyn, guard, residuals) -> PhaseTrace:
             "start at the identity and the state must be normalized")
     if mag.max() > 1.0 + 1e-9:
         raise ValueError("overlap magnitude exceeds 1; inputs are inconsistent")
-    total, indet = unwrap_phases(overlap, dynamical=dyn, guard=guard)
+    total, indet = unwrap_phases(overlap, dynamical=dyn)
     total = total - total[0]
     return PhaseTrace(t=t, overlap=overlap, overlap_mag=mag, total_phase=total,
                       dynamical_phase=dyn, geometric_phase=total - dyn,
@@ -247,19 +228,6 @@ def _operator_residuals(stacks) -> tuple[float, float]:
         eye = np.eye(u.shape[-1])
         unit = max(unit, float(np.abs(u.conj().transpose(0, 2, 1) @ u - eye).max()))
         det = max(det, float(np.abs(np.linalg.det(u) - 1.0).max()))
-    return unit, det
-
-
-def _side_residuals(evo: LocalEvolution, side) -> tuple[float, float]:
-    """Residuals of one path's samples (z, rows) from their parts (see
-    ``PhaseTrace``); det U / ``determinant`` is the product of the first d
-    phasors."""
-    z, rows = side
-    if evo.is_identity:             # unit frames and phasors: both are exactly 0
-        return 0.0, 0.0
-    frames = evo.frames
-    unit = max(float(frames.unitarity[rows].max()), float(np.abs(z.conj() * z - 1.0).max()))
-    det = float(np.abs(frames.determinant[rows] * z[:, :evo.d].prod(axis=1) - 1.0).max())
     return unit, det
 
 
@@ -286,80 +254,9 @@ def _pair_overlap(alpha, u_a, u_b) -> np.ndarray:
     return np.einsum("ij,tij->t", alpha.conj(), alphas @ u_b.transpose(0, 2, 1))
 
 
-def _runs(*rows):
-    """[lo, hi) runs of samples over which every row index stays constant."""
-    moved = np.zeros(max(rows[0].size - 1, 0), dtype=bool)
-    for r in rows:
-        moved |= np.diff(r) != 0
-    edges = [0, *(np.flatnonzero(moved) + 1).tolist(), rows[0].size]
-    return zip(edges[:-1], edges[1:])
-
-
-def _path_frequency(frames, rho):
-    """frequency(z, rows): -i Tr[rho U^dag dU/dt] of one path's samples.
-
-    With U = L diag(z) R and dz/dt = i w z it is Re conj(z) M (w z),
-    M = (L^dag L) * (R rho R^dag)^T. A row with unitary frames has
-    L^dag L = 1, so there it is the exact row constant w @ diag(R rho R^dag):
-    rates @ diag(rho) on a Cartan row, <G> on a generator row. A Bloch row
-    takes the form per sample.
-    """
-    right = frames.right
-    levels = np.einsum("kij,kij->ki", right @ rho, right.conj()).real
-    row_freq = (frames.rate * levels).sum(axis=1)
-    forms = {}
-    for k in np.flatnonzero(frames.rectangular).tolist():
-        left = frames.left[k]
-        forms[k] = ((left.conj().T @ left) * (right[k] @ rho @ right[k].conj().T).T
-                    * frames.rate[k])
-    if not forms:
-        return lambda z, rows: row_freq[rows]
-
-    def frequency(z, rows):
-        freq = row_freq[rows]
-        for lo, hi in _runs(rows):
-            form = forms.get(int(rows[lo]))
-            if form is not None:
-                freq[lo:hi] = np.einsum("tr,tr->t", z[lo:hi].conj() @ form, z[lo:hi]).real
-        return freq
-
-    return frequency
-
-
-def _pair_contraction(alpha, rho_a, rho_b, evo_a: LocalEvolution, evo_b: LocalEvolution):
-    """contract(side_a, side_b) -> (overlap, frequency) for one pair trace.
-
-    With U = L diag(z) R on both sides the overlap is sum_ij z_A,i C_ij z_B,j,
-    C = (L_A^T conj(alpha) L_B) * (R_A alpha R_B^T), built once per pair of
-    rows and applied to each run of samples in that pair. Rectangular frames
-    (L d x K, R K x d) enter as they are.
-    """
-    frequency = [_path_frequency(evo.frames, rho)
-                 for evo, rho in ((evo_a, rho_a), (evo_b, rho_b))]
-    coefficients = {}
-
-    def pair_coefficients(ka: int, kb: int) -> np.ndarray:
-        if (ka, kb) not in coefficients:
-            fa, fb = evo_a.frames, evo_b.frames
-            coefficients[ka, kb] = ((fa.left[ka].T @ alpha.conj() @ fb.left[kb])
-                                    * (fa.right[ka] @ alpha @ fb.right[kb].T))
-        return coefficients[ka, kb]
-
-    def contract(a, b):
-        (z_a, rows_a), (z_b, rows_b) = a, b
-        overlap = np.empty(z_a.shape[0], dtype=complex)
-        for lo, hi in _runs(rows_a, rows_b):
-            c = pair_coefficients(int(rows_a[lo]), int(rows_b[lo]))
-            overlap[lo:hi] = np.einsum("tj,tj->t", z_a[lo:hi] @ c, z_b[lo:hi])
-        return overlap, frequency[0](*a) + frequency[1](*b)
-
-    return contract
-
-
 def trace_from_samples(alpha0: CoefficientMatrix, t: np.ndarray,
                        u_a: np.ndarray, u_a_dot: np.ndarray,
-                       u_b: np.ndarray, u_b_dot: np.ndarray,
-                       guard: float = math.pi / 4.0) -> PhaseTrace:
+                       u_b: np.ndarray, u_b_dot: np.ndarray) -> PhaseTrace:
     """Phase trace of alpha(t) = U_A alpha(0) U_B^T from sampled operators.
 
     The operators need not be special unitary: a global phase e^{i phi(t)}
@@ -375,79 +272,106 @@ def trace_from_samples(alpha0: CoefficientMatrix, t: np.ndarray,
     overlap = _pair_overlap(alpha0.alpha, u_a, u_b)
     freq = _frequency(rho_a, u_a, u_a_dot) + _frequency(rho_b, u_b, u_b_dot)
     dt = float(t[1] - t[0]) if n > 1 else 1.0
-    return _finalize_trace(t, overlap, cumulative_simpson(freq, dt), guard,
+    return _finalize_trace(t, overlap, cumulative_simpson(freq, dt),
                            _operator_residuals([u_a, u_b]))
 
 
-def _check_rate_guard(rate: float, grid: TimeGrid, guard: float) -> None:
+def _check_rate_guard(rate: float, grid: TimeGrid) -> None:
     step = 2.0 * rate * grid.dt
-    if step >= guard:
-        need = int(math.ceil(2.0 * rate * grid.t_max / guard))
+    if step >= GUARD:
+        need = int(math.ceil(2.0 * rate * grid.t_max / GUARD))
         need += need % 2
         raise GridTooCoarseError(
             f"per-step phase increment {step:.3f} rad exceeds the guard "
-            f"{guard:.3f}; use at least {need} steps")
+            f"{GUARD:.3f}; use at least {need} steps")
 
 
-def _boundary_grid_indices(evos, grid: TimeGrid) -> list:
-    idx = set()
-    for evo in evos:
-        for b in evo.boundaries():
-            if b <= 1e-12 or b >= grid.t_max - 1e-12:
-                continue
-            r = b / grid.dt
-            k = int(round(r))
-            if abs(r - k) <= 1e-6:
-                idx.add(k)
-    return sorted(idx)
+def _row_constants(frames, rho: np.ndarray) -> np.ndarray:
+    """Frequency w @ diag(R rho R^dag) of every row, exact on rows with unitary frames."""
+    levels = np.einsum("kij,kij->ki", frames.right @ rho, frames.right.conj()).real
+    return (frames.rate * levels).sum(axis=1)
 
 
-def _block_rows(d: int) -> int:
-    """Grid rows per block: as many as one complex d x d stack within BLOCK_BYTES.
+def _row_frequency(evo: LocalEvolution, k: int, rho: np.ndarray, constants: np.ndarray,
+                   z: np.ndarray) -> np.ndarray:
+    """-i Tr[rho U^dag dU/dt] at row k's phasors z.
 
-    The kernel holds n x K phasors per block, not d x d stacks; the row count
-    is kept as the d x d budget gives it, so block edges stay where the
-    block-edge tests put segment cuts.
+    With U = L diag(z) R and dz/dt = i w z it is Re conj(z) M (w z),
+    M = (L^dag L) * (R rho R^dag)^T. A row with unitary frames has
+    L^dag L = 1, so there it is the row constant (``_row_constants``):
+    rates @ diag(rho) on a Cartan row, <G> on a generator row. A Bloch row
+    takes the form per sample.
     """
-    return max(256, BLOCK_BYTES // (16 * d * d))
+    if not evo.frames.rectangular[k]:
+        return np.full(z.shape[0], constants[k])
+    left, right, _, rate = evo.row_frame(k)
+    form = (left.conj().T @ left) * (right @ rho @ right.conj().T).T * rate
+    return np.einsum("tr,tr->t", z.conj() @ form, z).real
+
+
+def _row_residuals(evo: LocalEvolution, k: int, z: np.ndarray) -> tuple[float, float]:
+    """Residuals of row k's phasors z from their parts (see ``PhaseTrace``);
+    det U / ``determinant`` is the product of the first d phasors."""
+    frames = evo.frames
+    unit = max(float(frames.unitarity[k]), float(np.abs(z.conj() * z - 1.0).max()))
+    det = float(np.abs(frames.determinant[k] * z[:, :evo.d].prod(axis=1) - 1.0).max())
+    return unit, det
 
 
 def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
-                    evo_b: LocalEvolution, grid: TimeGrid, guard: float) -> PhaseTrace:
-    """Phase trace of alpha(t) = U_A alpha0 U_B^T, streamed over blocks of grid rows.
+                    evo_b: LocalEvolution, grid: TimeGrid) -> tuple:
+    """(times, overlap, dynamical phase, residuals) of alpha(t) = U_A alpha0 U_B^T,
+    one run of grid samples at a time, for ``_finalize_trace``.
 
-    Each block samples both paths once (right side) as frame phasors and row
-    indices. The pair contraction reduces them at once to overlap and
-    frequency, so no sample outlives its block. The unitarity and determinant
-    residuals are running maxima over the blocks. Only the left limits at
-    segment cuts are sampled again; the dynamical quadrature is stitched there.
+    A run is a maximal stretch of samples on which each path stays on one
+    row. Its rows give C = (L_A^T conj(alpha) L_B) * (R_A alpha R_B^T), so the
+    overlap is z_A C z_B, and each path's frequency form. The phasors are
+    evaluated in chunks of at most ``CHUNK_ROWS`` samples, on the run's own
+    samples plus, before a cut, its end sample in the run's rows: the left
+    limit of the frequency there. Each run is integrated on its own and the
+    running dynamical phase carried into the next. The unitarity and
+    determinant residuals are maxima over the owned samples. The last
+    chunk's phasors are freed on return, before the unwrap runs.
     """
-    _check_rate_guard(evo_a.max_phase_rate + evo_b.max_phase_rate, grid, guard)
-    evos = (evo_a, evo_b)
-    contract = _pair_contraction(alpha0.alpha, *reduced_densities(alpha0), evo_a, evo_b)
+    _check_rate_guard(evo_a.max_phase_rate + evo_b.max_phase_rate, grid)
+    alpha = alpha0.alpha
+    rho_a, rho_b = reduced_densities(alpha0)
+    const_a, const_b = _row_constants(evo_a.frames, rho_a), _row_constants(evo_b.frames, rho_b)
     times = grid.times()
     n = times.size
     overlap = np.empty(n, dtype=complex)
-    freq = np.empty(n)
-    unit = det = 0.0
-    rows = _block_rows(max(evo.d for evo in evos))
-    for lo in range(0, n, rows):
-        samples = [evo.phasors(times[lo:lo + rows]) for evo in evos]
-        overlap[lo:lo + rows], freq[lo:lo + rows] = contract(*samples)
-        for evo, side in zip(evos, samples):
-            block_unit, block_det = _side_residuals(evo, side)
-            unit, det = max(unit, block_unit), max(det, block_det)
-    cuts = _boundary_grid_indices(evos, grid)
-    left = {}
-    if cuts:
-        _, left_freq = contract(*(evo.phasors(times[cuts], "left") for evo in evos))
-        left = dict(zip(cuts, left_freq))
-    dyn = _cumulative_piecewise(freq, left, cuts, grid.dt)
-    return _finalize_trace(times, overlap, dyn, guard, (unit, det))
+    dyn = np.empty(n)
+    unit = det = offset = 0.0
+    (first_a, rows_a), (first_b, rows_b) = evo_a.row_starts(times), evo_b.row_starts(times)
+    # a set, not np.union1d, which imports numpy.ma (about 1 MiB) on first use
+    starts = np.array(sorted({*first_a.tolist(), *first_b.tolist()}))
+    rows_a = rows_a[np.searchsorted(first_a, starts, side="right") - 1]
+    rows_b = rows_b[np.searchsorted(first_b, starts, side="right") - 1]
+    for lo, hi, ka, kb in zip(starts.tolist(), [*starts[1:].tolist(), n],
+                              rows_a.tolist(), rows_b.tolist()):
+        left_a, right_a, _, _ = evo_a.row_frame(ka)
+        left_b, right_b, _, _ = evo_b.row_frame(kb)
+        c = (left_a.T @ alpha.conj() @ left_b) * (right_a @ alpha @ right_b.T)
+        end = min(hi + 1, n)
+        freq = np.empty(end - lo)
+        for s in range(lo, end, CHUNK_ROWS):
+            e = min(s + CHUNK_ROWS, end)
+            z_a, z_b = evo_a.row_phasors(ka, times[s:e]), evo_b.row_phasors(kb, times[s:e])
+            freq[s - lo:e - lo] = (_row_frequency(evo_a, ka, rho_a, const_a, z_a)
+                                   + _row_frequency(evo_b, kb, rho_b, const_b, z_b))
+            owned = min(e, hi) - s
+            if owned:
+                z_a, z_b = z_a[:owned], z_b[:owned]
+                overlap[s:s + owned] = np.einsum("tj,tj->t", z_a @ c, z_b)
+                (unit_a, det_a), (unit_b, det_b) = (_row_residuals(evo_a, ka, z_a),
+                                                    _row_residuals(evo_b, kb, z_b))
+                unit, det = max(unit, unit_a, unit_b), max(det, det_a, det_b)
+        dyn[lo:end] = offset + _cumulative_smooth(freq, grid.dt)
+        offset = dyn[end - 1]
+    return times, overlap, dyn, (unit, det)
 
 
-def run_trace(alpha0: CoefficientMatrix, pair: PairEvolution,
-              guard: float = math.pi / 4.0) -> PhaseTrace:
+def run_trace(alpha0: CoefficientMatrix, pair: PairEvolution) -> PhaseTrace:
     """Run a two-qudit trace over the pair's time grid.
 
     The dynamical quadrature is stitched at segment boundaries with the
@@ -457,11 +381,10 @@ def run_trace(alpha0: CoefficientMatrix, pair: PairEvolution,
         raise ValueError(
             f"state is {alpha0.d_a}x{alpha0.d_b} but the paths act on "
             f"{pair.a.d} and {pair.b.d}")
-    return _streamed_trace(alpha0, pair.a, pair.b, pair.grid, guard)
+    return _finalize_trace(*_streamed_trace(alpha0, pair.a, pair.b, pair.grid))
 
 
-def single_qudit_trace(rho0: QuditDensity, evo: LocalEvolution, grid: TimeGrid,
-                       guard: float = math.pi / 4.0) -> PhaseTrace:
+def single_qudit_trace(rho0: QuditDensity, evo: LocalEvolution, grid: TimeGrid) -> PhaseTrace:
     """Run a single-qudit trace, overlap Tr[rho0 U(t)], over a uniform grid.
 
     The qudit runs as its purified pair: alpha = sqrt(rho0) with qudit B held
@@ -471,8 +394,8 @@ def single_qudit_trace(rho0: QuditDensity, evo: LocalEvolution, grid: TimeGrid,
         raise ValueError("path dimension does not match the state")
     if evo.duration < grid.t_max - 1e-9:
         raise ValueError("path shorter than the grid window")
-    return _streamed_trace(purify(rho0), evo, identity_evolution(evo.d, evo.duration),
-                           grid, guard)
+    return _finalize_trace(*_streamed_trace(purify(rho0), evo,
+                                            identity_evolution(evo.d, evo.duration), grid))
 
 
 @dataclass(frozen=True)

@@ -187,6 +187,27 @@ def test_derivative_consistency_second_order(name):
         assert np.abs(derivs["left"] - derivs["right"]).max() > 0.1
 
 
+def _assert_row_sampler_matches_sample(evo, t):
+    """Row by row, U = L diag(z) R and dU/dt = L diag(i w z) R from the row
+    sampler match ``sample`` on the row's own samples and, at the cut that
+    ends the row, ``sample(..., side="left")``."""
+    first, rows = evo.row_starts(t)
+    ends = [*first[1:].tolist(), t.size]
+    owner = np.repeat(rows, np.diff([*first.tolist(), t.size]))
+    np.testing.assert_array_equal(owner, evo._segment_index(t))
+    for lo, hi, k in zip(first.tolist(), ends, rows.tolist()):
+        left, right, _, rate = evo.row_frame(k)
+        z = evo.row_phasors(k, t[lo:hi + 1])
+        u = (left * z[:, None, :]) @ right
+        u_dot = (left * (1j * rate * z)[:, None, :]) @ right
+        ref_u, ref_dot = evo.sample(t[lo:hi])
+        if hi < t.size:
+            cut_u, cut_dot = evo.sample(t[hi:hi + 1], "left")
+            ref_u, ref_dot = np.concatenate([ref_u, cut_u]), np.concatenate([ref_dot, cut_dot])
+        np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(u_dot, ref_dot, rtol=0, atol=1e-12)
+
+
 def test_frame_phasors_reproduce_sampled_operators():
     # U = L diag(z) R and dU/dt = L diag(i w z) R on every row, on both sides of cuts
     evo = qp.LocalEvolution(3, [qp.CartanLinear(np.array([0.5, 0.2, -0.7]), 1.0),
@@ -196,27 +217,31 @@ def test_frame_phasors_reproduce_sampled_operators():
                                 qp.CartanLinear(np.array([-1.0, 0.4, 0.6]), 1.0)])
     f = evo.frames
     t = np.linspace(0.0, evo.duration, 451)           # every cut on a sample
-    for side in ("right", "left"):
-        z, rows = evo.phasors(t, side)
-        u, u_dot = evo.sample(t, side)
-        np.testing.assert_allclose((f.left[rows] * z[:, None, :]) @ f.right[rows], u,
-                                   rtol=0, atol=1e-13)
-        np.testing.assert_allclose((f.left[rows] * (1j * f.rate[rows] * z)[:, None, :])
-                                   @ f.right[rows], u_dot, rtol=0, atol=1e-12)
+    assert evo.row_starts(t)[0].tolist() == [0, 100, 200, 250, 350]
+    _assert_row_sampler_matches_sample(evo, t)
     assert f.unitarity.max() < 1e-14
     np.testing.assert_allclose(f.determinant, 1.0, rtol=0, atol=1e-14)
     # an all-diagonal path has identity frames
-    diag = qp.LocalEvolution(3, [qp.CartanLinear(np.array([1.0, 0.0, -1.0]), 1.0)])
+    diag = qp.LocalEvolution(3, [qp.CartanLinear(np.array([1.0, 0.0, -1.0]), 1.0),
+                                 qp.CartanHold(1.0)])
     assert (diag.frames.left == np.eye(3)).all() and (diag.frames.right == np.eye(3)).all()
     assert (diag.frames.unitarity == 0.0).all() and (diag.frames.determinant == 1.0).all()
-    # a path that holds the identity gives the same ones without exponentials
+    # a row without rates takes one exponential, broadcast over its times: ones
+    # on a path that holds the identity, the arrival phases on a later hold
     held = qp.LocalEvolution(3, [qp.CartanHold(0.5), qp.CartanHold(0.5)])
-    assert held.is_identity and not diag.is_identity and not evo.is_identity
-    z, rows = held.phasors(np.linspace(0.0, 1.0, 11))
-    assert rows.tolist() == [0] * 5 + [1] * 6
-    assert (z == np.exp(1j * held.frames.phase0[rows])).all()
-    # a Bloch path is 8 terms wide: a Bloch row is its 8-term sum, the other
-    # rows are unitary 2-term frames padded with zero columns and zero rates
+    t = np.linspace(0.0, 1.0, 11)
+    first, rows = held.row_starts(t)
+    assert first.tolist() == [0, 5] and rows.tolist() == [0, 1]
+    for k, times in ((0, t[:5]), (1, t[5:])):
+        z = held.row_phasors(k, times)
+        assert z.shape == (times.size, 3) and z.strides[0] == 0 and (z == 1.0).all()
+    z = diag.row_phasors(1, np.linspace(1.0, 2.0, 5))
+    assert z.strides[0] == 0
+    np.testing.assert_array_equal(z[0], np.exp(1j * np.array([1.0, 0.0, -1.0])))
+    assert diag.row_phasors(0, t).strides[0] != 0
+    _assert_row_sampler_matches_sample(diag, np.linspace(0.0, 2.0, 21))
+    # a Bloch path is stored 8 terms wide: a Bloch row is its 8-term sum, the
+    # other rows are unitary 2-term frames whose zero padding is storage only
     bloch = qp.LocalEvolution(2, [qp.GeneratorConst(QUBIT_GEN, 0.5),
                                   qp.BlochLoop(theta_end=1.0, phi_rate=1.5, duration=1.0),
                                   qp.CartanLinear(np.array([0.8, -0.8]), 0.5)])
@@ -226,14 +251,9 @@ def test_frame_phasors_reproduce_sampled_operators():
     unitary = ~fb.rectangular
     assert not fb.left[unitary][:, :, 2:].any() and not fb.right[unitary][:, 2:].any()
     assert not fb.phase0[unitary][:, 2:].any() and not fb.rate[unitary][:, 2:].any()
-    t = np.linspace(0.0, bloch.duration, 401)
-    for side in ("right", "left"):
-        z, rows = bloch.phasors(t, side)
-        u, u_dot = bloch.sample(t, side)
-        np.testing.assert_allclose((fb.left[rows] * z[:, None, :]) @ fb.right[rows], u,
-                                   rtol=0, atol=1e-13)
-        np.testing.assert_allclose((fb.left[rows] * (1j * fb.rate[rows] * z)[:, None, :])
-                                   @ fb.right[rows], u_dot, rtol=0, atol=1e-12)
+    assert [bloch.row_frame(k)[0].shape for k in range(4)] == [(2, 2), (2, 8), (2, 2), (2, 2)]
+    assert [bloch.row_phasors(k, t[:3]).shape for k in range(3)] == [(3, 2), (3, 8), (3, 2)]
+    _assert_row_sampler_matches_sample(bloch, np.linspace(0.0, bloch.duration, 401))
     assert fb.unitarity.max() < 1e-14
     np.testing.assert_allclose(fb.determinant, 1.0, rtol=0, atol=1e-14)
 
@@ -246,8 +266,12 @@ def test_phase_rate_and_solid_angle_on_every_segment_kind():
         qp.CartanHold(0.5),
         qp.BlochLoop(theta_end=0.0, phi_rate=0.0, duration=1.0),
     ])
-    # the phi winding plus half the theta ramp of the first loop dominates
+    # the phi winding plus half the theta ramp of the first loop dominates; it
+    # is the largest frame rate, the same float as the largest segment rate
     assert evo.max_phase_rate == pytest.approx(TWO_PI + math.pi / 4, abs=1e-14)
+    theta_dot, phi_dot = np.abs(evo._bloch_rate).T
+    assert evo.max_phase_rate == max(np.abs(evo._rates).max(), np.abs(evo._evals).max(),
+                                     (phi_dot + 0.5 * theta_dot).max())
     # 2 pi (1 - <cos theta>) over the ramp from 0 to pi/2; the return is at fixed phi
     assert qp.solid_angle(evo) == pytest.approx(TWO_PI - 4.0, abs=1e-14)
 

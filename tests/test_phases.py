@@ -414,7 +414,7 @@ def test_cycles_on_fractional_lattice_when_maximally_entangled():
 
 # -- streamed kernel against dense full-grid stacks ------------------------------
 
-_DT = 2.0 ** -13       # exact binary step, so block edges land on the grid exactly
+_DT = 2.0 ** -9        # exact binary step, so chunk edges land on the grid exactly
 
 
 def _unit_residual(m):
@@ -471,14 +471,15 @@ def _held_stacks(d, times):
             np.zeros((times.size, d, d), dtype=complex))
 
 
-def _one_block(monkeypatch):
-    monkeypatch.setattr(phases, "BLOCK_BYTES", 2 ** 40)
+def _one_chunk(monkeypatch):
+    monkeypatch.setattr(phases, "CHUNK_ROWS", 2 ** 40)
 
 
 def test_streamed_pair_trace_matches_dense_stacks(monkeypatch):
-    rows = phases._block_rows(3)
-    steps = 2 * rows + 2                        # rows + 1 samples: not a block multiple
-    cut = rows * _DT                            # segment cut on the first block edge
+    monkeypatch.setattr(phases, "CHUNK_ROWS", 256)
+    rows = phases.CHUNK_ROWS
+    steps = 2 * rows + 2                        # rows + 1 samples: not a chunk multiple
+    cut = rows * _DT                            # segment cut on the first chunk edge
     t_max = steps * _DT
     a = qp.LocalEvolution(2, [
         qp.BlochLoop(theta_end=1.1, phi_rate=2.0, duration=cut),
@@ -490,7 +491,7 @@ def test_streamed_pair_trace_matches_dense_stacks(monkeypatch):
     pair = qp.PairEvolution(a, b, qp.TimeGrid(t_max, steps))
     state = qp.random_state(2, 3, np.random.default_rng(5))
     assert steps + 1 > 2 * rows and (steps + 1) % rows
-    assert rows in phases._boundary_grid_indices((a, b), pair.grid)
+    assert rows in a.row_starts(pair.grid.times())[0]
 
     streamed = qp.run_trace(state, pair)
     times = pair.grid.times()
@@ -507,7 +508,7 @@ def test_streamed_pair_trace_matches_dense_stacks(monkeypatch):
     unit, det = _dense_residuals([u_a, u_b])
     assert (dense.unitarity_residual, dense.determinant_residual) == (unit, det)
 
-    _one_block(monkeypatch)                     # the same kernel on one full-grid stack
+    _one_chunk(monkeypatch)                     # the same kernel with one chunk per run
     whole = qp.run_trace(state, pair)
     for name in ("overlap", "total_phase", "dynamical_phase", "geometric_phase"):
         np.testing.assert_allclose(getattr(streamed, name), getattr(whole, name),
@@ -516,7 +517,8 @@ def test_streamed_pair_trace_matches_dense_stacks(monkeypatch):
 
 def test_streamed_single_trace_matches_dense_stacks(monkeypatch):
     d = 4
-    rows = phases._block_rows(d)
+    monkeypatch.setattr(phases, "CHUNK_ROWS", 256)
+    rows = phases.CHUNK_ROWS
     steps = 3 * rows + 10
     cut = 2 * rows * _DT
     t_max = steps * _DT
@@ -528,7 +530,7 @@ def test_streamed_single_trace_matches_dense_stacks(monkeypatch):
     q_hat[0] = 1.0
     rho = qp.density_from_purity(d, 0.4, q_hat)
     assert (steps + 1) % rows
-    assert phases._boundary_grid_indices((evo,), grid) == [2 * rows]
+    assert evo.row_starts(grid.times())[0].tolist() == [0, 2 * rows]
 
     streamed = qp.single_qudit_trace(rho, evo, grid)
     times = grid.times()
@@ -541,7 +543,7 @@ def test_streamed_single_trace_matches_dense_stacks(monkeypatch):
     assert streamed.unitarity_residual == pytest.approx(unit, abs=1e-15)
     assert streamed.determinant_residual == pytest.approx(det, abs=1e-15)
 
-    _one_block(monkeypatch)
+    _one_chunk(monkeypatch)
     whole = qp.single_qudit_trace(rho, evo, grid)
     for name in ("overlap", "total_phase", "dynamical_phase", "geometric_phase"):
         np.testing.assert_allclose(getattr(streamed, name), getattr(whole, name),
@@ -549,18 +551,21 @@ def test_streamed_single_trace_matches_dense_stacks(monkeypatch):
 
 
 def _record_sample_calls(monkeypatch):
-    """Record (path, sampler, side, times) for every ``sample`` and ``phasors`` call."""
+    """Record (path, sampler, side or row, times) for every ``sample`` and
+    ``row_phasors`` call."""
     calls = []
-    for name in ("sample", "phasors"):
-        original = getattr(qp.LocalEvolution, name)
+    sample, row_phasors = qp.LocalEvolution.sample, qp.LocalEvolution.row_phasors
 
-        def sampler(self, times, side="right", name=name, original=original):
-            out = original(self, times, side)
-            calls.append((self, name, side,
-                          np.atleast_1d(np.asarray(times, dtype=float)).copy()))
-            return out
+    def record_sample(self, times, side="right"):
+        calls.append((self, "sample", side, np.atleast_1d(np.asarray(times, dtype=float))))
+        return sample(self, times, side)
 
-        monkeypatch.setattr(qp.LocalEvolution, name, sampler)
+    def record_row_phasors(self, k, t):
+        calls.append((self, "row_phasors", k, np.array(t, dtype=float)))
+        return row_phasors(self, k, t)
+
+    monkeypatch.setattr(qp.LocalEvolution, "sample", record_sample)
+    monkeypatch.setattr(qp.LocalEvolution, "row_phasors", record_row_phasors)
     return calls
 
 
@@ -592,30 +597,38 @@ def _record_sample_calls(monkeypatch):
      "grid": {"t_max": 2, "steps": 5000}},
 ], ids=["pair", "single", "generator", "bloch"])
 def test_run_scenario_samples_each_row_once(monkeypatch, raw):
-    # every path, Bloch paths too, is sampled as frame phasors and never as stacks
+    # every path, Bloch paths too, is sampled as row phasors and never as stacks
     calls = _record_sample_calls(monkeypatch)
     out = qp.scenarios.run_scenario(qp.scenarios.ScenarioConfig.from_dict(raw))
     built = out.built
-    evos = [built.evo_a] + ([built.evo_b] if built.evo_b is not None else [])
-    limit = phases._block_rows(max(evo.d for evo in evos))
-    right = [c for c in calls if c[2] == "right"]
-    assert len(right) > len(evos)                      # more than one block per path
-    assert max(c[3].size for c in right) <= limit
-    for evo in evos:
-        assert {c[1] for c in calls if c[0] is evo} == {"phasors"}
-        sampled = np.concatenate([c[3] for c in right if c[0] is evo])
-        np.testing.assert_array_equal(sampled, built.grid.times())
-    assert {c[2] for c in calls} <= {"right", "left"}
+    assert {c[1] for c in calls} == {"row_phasors"}
+    assert max(c[3].size for c in calls) <= phases.CHUNK_ROWS
+    times = built.grid.times()
+    evos = list({id(c[0]): c[0] for c in calls}.values())       # B is held for a single qudit
+    assert len(evos) == 2 and built.evo_a in evos
+    owners = [evo._segment_index(times) for evo in evos]
+    cuts = np.flatnonzero(np.any([np.diff(o) != 0 for o in owners], axis=0)) + 1
+    assert cuts.size
+    edges = [0, *cuts.tolist(), times.size]
+    for evo, owner in zip(evos, owners):
+        # each sample once in its owning row, and at each cut one end sample
+        # in the row of the run before it
+        index = [np.arange(lo, min(hi + 1, times.size)) for lo, hi in zip(edges, edges[1:])]
+        rows = [np.full(ix.size, owner[ix[0]]) for ix in index]
+        sampled = [c for c in calls if c[0] is evo]
+        np.testing.assert_array_equal(np.concatenate([c[3] for c in sampled]),
+                                      times[np.concatenate(index)])
+        sampled_rows = [np.full(c[3].size, c[2]) for c in sampled]
+        np.testing.assert_array_equal(np.concatenate(sampled_rows), np.concatenate(rows))
     if raw["name"] == "generator":
         assert not built.evo_a.is_diagonal and not built.evo_a.frames.rectangular.any()
     if raw["name"] == "bloch":
         assert built.evo_a.frames.rectangular.any()
-    assert all(c[3].size == 1 for c in calls if c[2] == "left")
 
 
 # -- frame-phasor route against the dense (U, dU/dt) route -------------------------
 
-_PHASOR_DT = 2.0 ** -8     # exact binary step, so cuts land on block edges exactly
+_PHASOR_DT = 2.0 ** -8     # exact binary step, so cuts land on chunk edges exactly
 
 
 def _dense_frequency(rho, u, u_dot):
@@ -623,14 +636,28 @@ def _dense_frequency(rho, u, u_dot):
     return (-1j * np.einsum("ij,tkj,tki->t", rho, u.conj(), u_dot)).real
 
 
+def _stitched_simpson(freq, left, cuts, dx):
+    """Cumulative Simpson of ``freq`` in pieces between cuts; each piece ends
+    on the left limit ``left[c]`` at its cut c and is integrated on its own."""
+    out = np.zeros(freq.size)
+    offset = 0.0
+    edges = [0, *cuts, freq.size - 1]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        y = freq[lo:hi + 1].copy()
+        y[-1] = left.get(hi, y[-1])
+        out[lo:hi + 1] = offset + phases._cumulative_smooth(y, dx)
+        offset = out[hi]
+    return out
+
+
 def _dense_route(evos, state, grid):
     """(trace_from_samples on full-grid stacks, the same stacks stitched).
 
     The stitched reference takes the dense overlap and integrates the dense
-    frequency of ``sample`` stacks piecewise, with ``sample(..., side="left")``
-    giving the left limits at the segment cuts, as the kernel stitches its
-    own. A single qudit's reference is its purified pair with qudit B held at
-    the identity (frequency 0).
+    frequency of ``sample`` stacks piecewise: the cuts are the samples where
+    a path's owning row (``sample``'s) changes, and ``sample(..., side="left")``
+    gives the left limits there. A single qudit's reference is its purified
+    pair with qudit B held at the identity (frequency 0).
     """
     times = grid.times()
     if len(evos) == 1:
@@ -640,11 +667,12 @@ def _dense_route(evos, state, grid):
     ref = qp.trace_from_samples(state, times, *stacks[0], *stacks[1])
     rhos = qp.reduced_densities(state)
     freq = sum(_dense_frequency(rho, *uu) for rho, uu in zip(rhos, stacks))
-    cuts = phases._boundary_grid_indices(evos, grid)
+    moved = [np.diff(evo._segment_index(times)) != 0 for evo in evos]
+    cuts = (np.flatnonzero(np.any(moved, axis=0)) + 1).tolist()
     left = sum(_dense_frequency(rho, *evo.sample(times[cuts], side="left"))
                for rho, evo in zip(rhos, evos)) if cuts else []
-    dyn = phases._cumulative_piecewise(freq, dict(zip(cuts, left)), cuts, grid.dt)
-    route = phases._finalize_trace(times, ref.overlap, dyn, math.pi / 4.0,
+    dyn = _stitched_simpson(freq, dict(zip(cuts, left)), cuts, grid.dt)
+    route = phases._finalize_trace(times, ref.overlap, dyn,
                                    (ref.unitarity_residual, ref.determinant_residual))
     return ref, route
 
@@ -678,10 +706,16 @@ def _assert_matches_dense(trace, evos, state, grid):
 
 
 def _draw_edges(data, steps, rows, min_cuts=0):
-    """Segment edges on the grid; some cuts sit on block edges."""
+    """Segment edges on the grid. Some cuts sit on chunk edges, some are
+    followed by a segment of 1 or 2 samples, and the path may run past the
+    grid with a cut on its last sample."""
     cuts = data.draw(st.lists(st.sampled_from([rows, 2 * rows, 3 * rows])
                               | st.integers(1, steps - 1), min_size=min_cuts, max_size=3))
-    return [0] + sorted({c for c in cuts if 0 < c < steps}) + [steps]
+    cuts += [c + data.draw(st.integers(1, 2)) for c in cuts[:data.draw(st.integers(0, 2))]]
+    edges = [0] + sorted({c for c in cuts if 0 < c < steps}) + [steps]
+    if data.draw(st.booleans()):
+        edges.append(steps + data.draw(st.integers(1, 4)))
+    return edges
 
 
 def _draw_segment(data, kind, d, duration):
@@ -711,7 +745,7 @@ def _draw_segments(data, d, kinds, edges):
 
 def _draw_path(data, d, steps, rows, dense):
     """Random path on the grid: Cartan ramps and holds, plus generator (or, for
-    d = 2, Bloch) segments when ``dense``; some cuts sit on block edges."""
+    d = 2, Bloch) segments when ``dense``; some cuts sit on chunk edges."""
     edges = _draw_edges(data, steps, rows)
     kinds = ["linear", "hold"]
     if dense:
@@ -745,12 +779,11 @@ def _random_density(d, rng):
 def test_phasor_route_matches_dense_stacks(data):
     d_a = data.draw(st.integers(2, 8))
     d_b = data.draw(st.integers(d_a, 8))
-    steps = 2 * data.draw(st.integers(300, 520))      # three to five blocks
+    steps = 2 * data.draw(st.integers(300, 520))      # three to five chunks
     grid = qp.TimeGrid(steps * _PHASOR_DT, steps)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
-    # BLOCK_BYTES = 1 gives the smallest block, 256 rows, for every d
-    with mock.patch.object(phases, "BLOCK_BYTES", 1):
-        rows = phases._block_rows(8)
+    with mock.patch.object(phases, "CHUNK_ROWS", 256):
+        rows = phases.CHUNK_ROWS
         dense_a, dense_b = data.draw(st.sampled_from([(False, False), (True, False),
                                                       (False, True)]))
         a = _draw_path(data, d_a, steps, rows, dense_a)
@@ -778,11 +811,11 @@ def test_preset_phasor_route_matches_dense_route(name):
 def test_frame_route_matches_dense_stacks(data):
     d_a = data.draw(st.integers(2, 7))
     d_b = data.draw(st.integers(d_a + 1, 8))
-    steps = 2 * data.draw(st.integers(300, 520))      # three to five blocks
+    steps = 2 * data.draw(st.integers(300, 520))      # three to five chunks
     grid = qp.TimeGrid(steps * _PHASOR_DT, steps)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
-    with mock.patch.object(phases, "BLOCK_BYTES", 1):
-        rows = phases._block_rows(8)
+    with mock.patch.object(phases, "CHUNK_ROWS", 256):
+        rows = phases.CHUNK_ROWS
         # a frame path on one or both sides; its partner may be all-diagonal
         # or, for d = 2, have a Bloch segment (the dense mixed contraction)
         kinds = ["frame", "diagonal"] + (["bloch"] if d_a == 2 else [])
@@ -809,7 +842,7 @@ def _draw_bloch_path(data, steps, rows):
     """Random d = 2 path with a Bloch row first, in the middle or last, among
     Cartan ramps, holds, generators and more Bloch rows; the neighbours of the
     placed Bloch row may be generators (a Bloch row after one has W0 != 1, a
-    generator row after one runs in the frame V_k E). Some cuts sit on block
+    generator row after one runs in the frame V_k E). Some cuts sit on chunk
     edges."""
     edges = _draw_edges(data, steps, rows, min_cuts=2)
     n = len(edges) - 1
@@ -828,11 +861,11 @@ def _draw_bloch_path(data, steps, rows):
 def test_bloch_frame_route_matches_dense_stacks(data):
     # Bloch rows as 8-term rectangular frames against the stitched sample stacks
     d_b = data.draw(st.integers(2, 8))
-    steps = 2 * data.draw(st.integers(300, 520))      # three to five blocks
+    steps = 2 * data.draw(st.integers(300, 520))      # three to five chunks
     grid = qp.TimeGrid(steps * _PHASOR_DT, steps)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
-    with mock.patch.object(phases, "BLOCK_BYTES", 1):
-        rows = phases._block_rows(8)
+    with mock.patch.object(phases, "CHUNK_ROWS", 256):
+        rows = phases.CHUNK_ROWS
         a = _draw_bloch_path(data, steps, rows)
         assert a.frames.rectangular.any()
         if d_b == 2 and data.draw(st.booleans()):

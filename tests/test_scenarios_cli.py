@@ -434,6 +434,28 @@ def test_verify_embedded_qubit_qutrit_bridges_overlap_zeros(rates_a, rates_b, q)
     assert max(report.max_total_dev, report.max_geometric_dev) < 1e-11
 
 
+def test_verify_cut_on_the_last_sample_keeps_the_left_rate(tmp_path, capsys):
+    # path A runs past the grid; its boundary at t_max lands on the last
+    # sample, whose last Simpson interval must take the first segment's rate
+    raw = {
+        "name": "end-cut", "dims": [3, 3],
+        "initial_state": {"preset": "two_qutrit_schmidt", "q": 0.5},
+        "evolution": {
+            "a": [{"kind": "cartan_linear", "rates": [1, 1, -2], "duration": "pi"},
+                  {"kind": "cartan_linear", "rates": [-3, 1, 2], "duration": "pi"}],
+            "b": [{"kind": "cartan_hold", "duration": "pi"}],
+        },
+        "grid": {"t_max": "pi", "steps": 4000},
+    }
+    config = qp.ScenarioConfig.from_dict(raw)
+    report = qp.verify_scenario(config)
+    assert report.max_dynamical_dev <= 1e-12, report.lines()
+    path = tmp_path / "end_cut.yaml"
+    path.write_text(config.to_yaml())
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+
+
 def test_verify_two_qubit_preset_scenario():
     raw = {
         "name": "two-qubit-partial",
