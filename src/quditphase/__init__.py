@@ -29,9 +29,9 @@ from .paths import (CartanLinear, CartanHold, BlochLoop, GeneratorConst,
 from .phases import (GridTooCoarseError, PhaseTrace, CyclicEvent, CycleScan,
                      FractionalLattice, cumulative_simpson, unwrap_phases,
                      trace_from_samples, run_trace, single_qudit_trace,
-                     detect_cycles, fractional_lattice, master_phase_formula,
-                     circular_distance)
+                     detect_cycles, fractional_lattice, circular_distance)
 from . import closed_form
+from .closed_form import master_phase_formula
 from .scenarios import (ConfigError, NoOracleError, ScenarioConfig,
                         BuiltScenario, TraceRecord, RunOutput, VerifyReport,
                         figure_preset, available_presets, run_scenario,

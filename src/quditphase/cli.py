@@ -72,7 +72,10 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    lat = fractional_lattice(args.d_a, args.d_b)
+    try:
+        lat = fractional_lattice(args.d_a, args.d_b)
+    except ValueError as exc:
+        raise ConfigError(f"lattice: {exc}") from exc
     rational = ", ".join(_pi_fraction(v) for v in lat.values)
     radians = ", ".join(f"{v:.12g}" for v in lat.values)
     print(f"fractional total phases for dimensions ({lat.d_a}, {lat.d_b}):")

@@ -1,11 +1,12 @@
-"""Analytic phase expressions for diagonal and Bloch-loop evolutions.
+"""Analytic phase expressions: the oracles of ``verify`` and the master formula.
 
-Each operation evaluates a phasor sum ``sum_n w_n e^{i chi_n}`` and the
-matching linear connection term. Arctan-style shorthands are evaluated through
-the two-argument arg of the underlying complex trace so that pi jumps at sign
-changes of the real part are captured; the unwrapped branch is recovered by
-sweeping the phases from zero to their final values, and the winding count is
-reported alongside the principal value.
+The series forms return the (total, dynamical) phase of a phasor sum
+``sum_n w_n e^{i chi_n}``, or of the qubit-qutrit dual formula, along sampled
+per-level phases; ``verify`` only picks one and passes it the levels. They
+unwrap as the engine does, bridging vanishing samples with the dynamical
+slope. The scalar forms evaluate the same series on the ramp ``s chi``, s in
+[0, 1], so the pi jumps of arctan-style shorthands at sign changes of the
+real part are kept, and report the principal value with its winding count.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "qubit_qutrit_effective",
     "qubit_qutrit_dual",
     "qubit_qutrit_dual_series",
+    "master_phase_formula",
 ]
 
 
@@ -53,43 +55,37 @@ class ClosedFormResult:
         return self.phi_total_bar + 2.0 * math.pi * self.winding
 
 
-def _phasor_series(weights: np.ndarray, chi: np.ndarray) -> np.ndarray:
-    return np.exp(1j * chi) @ weights
+def diagonal_total_phase_series(weights, chi) -> tuple[np.ndarray, np.ndarray]:
+    """(total, dynamical) phase of sum_n w_n e^{i chi_n(t)} along a sampled path.
 
-
-def diagonal_total_phase_series(weights, chi_series, dynamical=None) -> np.ndarray:
-    """Unwrapped arg of sum_n w_n e^{i chi_n(t)} along a sampled path.
-
-    ``chi_series`` has shape (n_times, d); the first sample anchors the
-    branch (phases start at the principal argument there). Samples where the
-    phasor vanishes are bridged with the slope of ``dynamical``, as the phase
-    engine bridges them (zero slope if not supplied).
+    ``chi`` has shape (n_times, d); the dynamical phase is ``chi @ w``. The
+    first sample anchors the branch of the unwrapped arg (phases start at the
+    principal argument there); samples where the phasor vanishes are bridged
+    with the dynamical slope, as the phase engine bridges them.
     """
     weights = np.asarray(weights, dtype=float)
-    chi_series = np.asarray(chi_series, dtype=float)
-    z = _phasor_series(weights, chi_series)
-    phases, _ = unwrap_phases(z, dynamical=dynamical)
-    return phases
+    chi = np.asarray(chi, dtype=float)
+    dynamical = chi @ weights
+    total, _ = unwrap_phases(np.exp(1j * chi) @ weights, dynamical=dynamical)
+    return total, dynamical
 
 
-def _dual_phasor(a, b1, b2):
-    """cos(a - b2 - b1/2) e^{-i b1/2} / 2 + cos(a - b1 - b2/2) e^{-i b2/2} / 2."""
-    return (np.cos(a - b2 - b1 / 2.0) * np.exp(-1j * b1 / 2.0) / 2.0
-            + np.cos(a - b1 - b2 / 2.0) * np.exp(-1j * b2 / 2.0) / 2.0)
-
-
-def qubit_qutrit_dual_series(chi_a, chi_b, dynamical=None) -> np.ndarray:
-    """Unwrapped total phase of the full-support qubit-qutrit state along a path.
+def qubit_qutrit_dual_series(chi_a, chi_b) -> tuple[np.ndarray, np.ndarray]:
+    """(total, dynamical) phase of the full-support qubit-qutrit state along a path.
 
     ``chi_a`` (n_times, 2) and ``chi_b`` (n_times, 3) are the sampled
-    per-level phases; the first sample anchors the branch and zeros are
-    bridged with ``dynamical``, as in ``diagonal_total_phase_series``.
+    per-level phases. The total is the arg of
+    cos(a - b2 - b1/2) e^{-i b1/2} / 2 + cos(a - b1 - b2/2) e^{-i b2/2} / 2
+    with a = chi_A0, bk = chi_Bk, and the dynamical phase is ``chi_B0 / 4``;
+    the branch and zeros are handled as in ``diagonal_total_phase_series``.
     """
-    chi_a = np.asarray(chi_a, dtype=float)
-    chi_b = np.asarray(chi_b, dtype=float)
-    phases, _ = unwrap_phases(_dual_phasor(chi_a[:, 0], chi_b[:, 1], chi_b[:, 2]),
-                              dynamical=dynamical)
-    return phases
+    a = np.asarray(chi_a, dtype=float)[:, 0]
+    b0, b1, b2 = np.asarray(chi_b, dtype=float).T
+    dynamical = b0 / 4.0
+    z = (np.cos(a - b2 - b1 / 2.0) * np.exp(-1j * b1 / 2.0) / 2.0
+         + np.cos(a - b1 - b2 / 2.0) * np.exp(-1j * b2 / 2.0) / 2.0)
+    total, _ = unwrap_phases(z, dynamical=dynamical)
+    return total, dynamical
 
 
 def _ramp(span: float) -> np.ndarray:
@@ -97,28 +93,35 @@ def _ramp(span: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, max(256, int(32 * span) + 32))
 
 
-def _ramp_total(z: np.ndarray) -> tuple[float, float, int]:
-    """(unwrapped total, principal value, winding) of a sampled ramp."""
-    phases, _ = unwrap_phases(z)
-    total = phases[-1] - phases[0]
-    principal = math.remainder(total, 2.0 * math.pi)
-    winding = int(round((total - principal) / (2.0 * math.pi)))
-    return total, principal, winding
+def _principal_winding(total: np.ndarray) -> tuple[float, int]:
+    """(principal value, winding) at the end of a total-phase ramp from zero phases."""
+    end = float(total[-1])
+    principal = math.remainder(end, 2.0 * math.pi)
+    return principal, int(round((end - principal) / (2.0 * math.pi)))
 
 
-def _unwrapped_total(weights: np.ndarray, chi: np.ndarray) -> tuple[float, int]:
-    """Principal total phase and winding along the zero-to-chi ramp."""
+def _diagonal_result(weights: np.ndarray, chi: np.ndarray,
+                     connection: float) -> ClosedFormResult:
+    """Phasor sum on the ramp s chi; phi_g is the unwrapped total minus ``connection``."""
     s = _ramp(float(np.abs(chi).max(initial=0.0)))
-    _, principal, winding = _ramp_total(_phasor_series(weights, s[:, None] * chi[None, :]))
-    return principal, winding
-
-
-def _diagonal_result(weights: np.ndarray, chi: np.ndarray, strength: float,
-                     x: np.ndarray) -> ClosedFormResult:
-    principal, winding = _unwrapped_total(weights, chi)
-    connection = strength * float(x @ chi)
+    total, _ = diagonal_total_phase_series(weights, s[:, None] * chi)
+    principal, winding = _principal_winding(total)
     phi_g = principal + 2.0 * math.pi * winding - connection
     return ClosedFormResult(phi_total_bar=principal, phi_g=phi_g, winding=winding)
+
+
+def _profile_result(d: int, profile: DiagonalProfile, chi,
+                    strength: float) -> ClosedFormResult:
+    """Weights 1/d + strength x_n on the levels chi; the connection is strength x . chi."""
+    chi = np.asarray(chi, dtype=float)
+    if profile.d != d or chi.shape != (d,):
+        raise ValueError("profile and phases must both have length d")
+    if abs(chi.sum()) > 1e-9 * max(1.0, np.abs(chi).max()):
+        raise ValueError("per-level phases must sum to zero")
+    weights = 1.0 / d + strength * profile.x
+    if weights.min() < -1e-12:
+        raise ValueError("weights outside [0, 1]; invalid (q or C, profile) pair")
+    return _diagonal_result(weights, chi, strength * float(profile.x @ chi))
 
 
 def single_qudit_diagonal(d: int, q: float, profile: DiagonalProfile,
@@ -129,16 +132,7 @@ def single_qudit_diagonal(d: int, q: float, profile: DiagonalProfile,
     phi_g subtracts the connection q sqrt((d-1)/d) sum_n x_n chi_n from the
     unwrapped total.
     """
-    chi = np.asarray(chi, dtype=float)
-    if profile.d != d or chi.shape != (d,):
-        raise ValueError("profile and phases must both have length d")
-    if abs(chi.sum()) > 1e-9 * max(1.0, np.abs(chi).max()):
-        raise ValueError("per-level phases must sum to zero")
-    strength = q * math.sqrt((d - 1) / d)
-    weights = 1.0 / d + strength * profile.x
-    if weights.min() < -1e-12:
-        raise ValueError("weights outside [0, 1]; invalid (q, profile) pair")
-    return _diagonal_result(weights, chi, strength, profile.x)
+    return _profile_result(d, profile, chi, q * math.sqrt((d - 1) / d))
 
 
 def single_qubit_partial(q: float, chi: float, omega: float) -> ClosedFormResult:
@@ -147,11 +141,8 @@ def single_qubit_partial(q: float, chi: float, omega: float) -> ClosedFormResult
     total = arg(cos chi + i q sin chi), geometric = the arctan shorthand
     arctan(q tan chi) - q (chi + omega/2) evaluated on the unwrapped branch.
     """
-    chis = np.array([chi, -chi])
     weights = np.array([(1.0 + q) / 2.0, (1.0 - q) / 2.0])
-    principal, winding = _unwrapped_total(weights, chis)
-    phi_g = principal + 2.0 * math.pi * winding - q * (chi + omega / 2.0)
-    return ClosedFormResult(phi_total_bar=principal, phi_g=phi_g, winding=winding)
+    return _diagonal_result(weights, np.array([chi, -chi]), q * (chi + omega / 2.0))
 
 
 def single_qutrit_diagonal(q: float, theta: float, chi0: float,
@@ -207,20 +198,10 @@ def two_qudit_diagonal(d: int, concurrence: float, profile: DiagonalProfile,
     Weights are 1/d + sqrt((C_m^2 - C^2)/2) x_n and chi_total holds the sums
     chi_{A n} + chi_{B n}; only those sums enter.
     """
-    chi = np.asarray(chi_total, dtype=float)
-    if profile.d != d or chi.shape != (d,):
-        raise ValueError("profile and phases must both have length d")
-    if abs(chi.sum()) > 1e-9 * max(1.0, np.abs(chi).max()):
-        raise ValueError("total per-level phases must sum to zero")
-    c_max2 = 2.0 * (d - 1) / d
-    gap = c_max2 - concurrence ** 2
+    gap = 2.0 * (d - 1) / d - concurrence ** 2
     if gap < -1e-12:
         raise ValueError("concurrence exceeds the maximal value for this dimension")
-    strength = math.sqrt(max(gap, 0.0) / 2.0)
-    weights = 1.0 / d + strength * profile.x
-    if weights.min() < -1e-12:
-        raise ValueError("weights outside [0, 1]; invalid (C, profile) pair")
-    return _diagonal_result(weights, chi, strength, profile.x)
+    return _profile_result(d, profile, chi_total, math.sqrt(max(gap, 0.0) / 2.0))
 
 
 def two_qutrit_example(q: float, theta: float, chi_t0: float,
@@ -261,8 +242,37 @@ def qubit_qutrit_dual(chi_a: float, chi_b0: float, chi_b1: float,
     if abs(total_b) > 1e-9 * max(1.0, abs(chi_b0), abs(chi_b1), abs(chi_b2)):
         raise ValueError(f"qutrit phases must sum to zero, got {total_b:g}")
 
-    s = _ramp(max(abs(chi_a), abs(chi_b0), abs(chi_b1), abs(chi_b2)))
-    total, principal, winding = _ramp_total(_dual_phasor(s * chi_a, s * chi_b1,
-                                                         s * chi_b2))
-    phi_g = total - chi_b0 / 4.0
+    s = _ramp(max(abs(chi_a), abs(chi_b0), abs(chi_b1), abs(chi_b2)))[:, None]
+    total, dynamical = qubit_qutrit_dual_series(s * [chi_a, -chi_a],
+                                                s * [chi_b0, chi_b1, chi_b2])
+    principal, winding = _principal_winding(total)
+    phi_g = float(total[-1] - dynamical[-1])
     return ClosedFormResult(phi_total_bar=principal, phi_g=phi_g, winding=winding)
+
+
+def master_phase_formula(report, q_hat_a, q_hat_b, loop_integral_a, loop_integral_b,
+                         n_a: int, n_b: int) -> float:
+    """Geometric phase of a cyclic evolution from invariants and loop integrals.
+
+    ``loop_integral_j`` is the accumulated connection vector, integral of
+    u_j dt over the cycle, in R^{d_j^2 - 1}. The weights multiply the
+    projections onto the purity directions:
+
+    phi_g = 2 pi (n_A/d_A + n_B/d_B)
+            - sqrt((C_m^2 - C^2)/2) q_hat_A . dx_A
+            - sqrt((C_m^2 - C^2)/2 + (d_B - d_A)/(d_A d_B)) q_hat_B . dx_B
+    """
+    d_a, d_b = report.d_a, report.d_b
+    q_hat_a = np.asarray(q_hat_a, dtype=float)
+    q_hat_b = np.asarray(q_hat_b, dtype=float)
+    dx_a = np.asarray(loop_integral_a, dtype=float)
+    dx_b = np.asarray(loop_integral_b, dtype=float)
+    if q_hat_a.shape != dx_a.shape or q_hat_a.shape != (d_a * d_a - 1,):
+        raise ValueError("qudit A vectors must have length d_A^2 - 1")
+    if q_hat_b.shape != dx_b.shape or q_hat_b.shape != (d_b * d_b - 1,):
+        raise ValueError("qudit B vectors must have length d_B^2 - 1")
+    gap = max(report.c_max ** 2 - report.concurrence ** 2, 0.0)
+    w_a = math.sqrt(gap / 2.0)
+    w_b = math.sqrt(gap / 2.0 + (d_b - d_a) / (d_a * d_b))
+    frac = 2.0 * math.pi * (n_a / d_a + n_b / d_b)
+    return frac - w_a * float(q_hat_a @ dx_a) - w_b * float(q_hat_b @ dx_b)

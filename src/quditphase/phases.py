@@ -44,7 +44,6 @@ __all__ = [
     "single_qudit_trace",
     "detect_cycles",
     "fractional_lattice",
-    "master_phase_formula",
     "circular_distance",
 ]
 
@@ -527,31 +526,3 @@ def circular_distance(a, b) -> np.ndarray:
     """Distance between phases modulo 2 pi."""
     return np.abs(np.remainder(np.asarray(a) - np.asarray(b) + math.pi,
                                2.0 * math.pi) - math.pi)
-
-
-def master_phase_formula(report, q_hat_a, q_hat_b, loop_integral_a, loop_integral_b,
-                         n_a: int, n_b: int) -> float:
-    """Geometric phase of a cyclic evolution from invariants and loop integrals.
-
-    ``loop_integral_j`` is the accumulated connection vector, integral of
-    u_j dt over the cycle, in R^{d_j^2 - 1}. The weights multiply the
-    projections onto the purity directions:
-
-    phi_g = 2 pi (n_A/d_A + n_B/d_B)
-            - sqrt((C_m^2 - C^2)/2) q_hat_A . dx_A
-            - sqrt((C_m^2 - C^2)/2 + (d_B - d_A)/(d_A d_B)) q_hat_B . dx_B
-    """
-    d_a, d_b = report.d_a, report.d_b
-    q_hat_a = np.asarray(q_hat_a, dtype=float)
-    q_hat_b = np.asarray(q_hat_b, dtype=float)
-    dx_a = np.asarray(loop_integral_a, dtype=float)
-    dx_b = np.asarray(loop_integral_b, dtype=float)
-    if q_hat_a.shape != dx_a.shape or q_hat_a.shape != (d_a * d_a - 1,):
-        raise ValueError("qudit A vectors must have length d_A^2 - 1")
-    if q_hat_b.shape != dx_b.shape or q_hat_b.shape != (d_b * d_b - 1,):
-        raise ValueError("qudit B vectors must have length d_B^2 - 1")
-    gap = max(report.c_max ** 2 - report.concurrence ** 2, 0.0)
-    w_a = math.sqrt(gap / 2.0)
-    w_b = math.sqrt(gap / 2.0 + (d_b - d_a) / (d_a * d_b))
-    frac = 2.0 * math.pi * (n_a / d_a + n_b / d_b)
-    return frac - w_a * float(q_hat_a @ dx_a) - w_b * float(q_hat_b @ dx_b)

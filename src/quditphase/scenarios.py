@@ -86,20 +86,17 @@ def _is_int(value) -> bool:
 
 
 def _number(value, where: str) -> float:
-    if isinstance(value, bool):
-        raise ConfigError(f"{where}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            result = _arithmetic(ast.parse(value.strip(), mode="eval").body)
-        except (SyntaxError, ValueError, ArithmeticError, RecursionError,
-                MemoryError) as exc:  # the parser reports deep nesting as MemoryError
-            raise ConfigError(f"{where}: cannot parse number {value!r}") from exc
-        if not math.isfinite(result):
-            raise ConfigError(f"{where}: {value!r} is not a finite number")
-        return result
-    raise ConfigError(f"{where}: expected a number, got {type(value).__name__}")
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"{where}: expected a number, got {type(value).__name__}")
+    try:
+        result = (_arithmetic(ast.parse(value.strip(), mode="eval").body)
+                  if isinstance(value, str) else float(value))
+    except (SyntaxError, ValueError, ArithmeticError, RecursionError,
+            MemoryError) as exc:  # the parser reports deep nesting as MemoryError
+        raise ConfigError(f"{where}: cannot read {value!r} as a number") from exc
+    if not math.isfinite(result):
+        raise ConfigError(f"{where}: {value!r} is not a finite number")
+    return result
 
 
 def _vector(values, where: str) -> np.ndarray:
@@ -422,8 +419,7 @@ def apply_split(built: BuiltScenario, mode: str) -> BuiltScenario:
         raise ConfigError("--split applies to two-qudit scenarios")
     if built.alpha0.d_a != built.alpha0.d_b:
         raise ConfigError("--split requires equal qudit dimensions")
-    off = built.alpha0.alpha - np.diag(np.diagonal(built.alpha0.alpha))
-    if np.abs(off).max() > 1e-12:
+    if np.abs(built.alpha0.alpha * (1 - np.eye(built.alpha0.d_a))).max() > 1e-12:
         raise ConfigError("--split requires a diagonal initial coefficient "
                           "matrix; this state couples unequal levels and the "
                           "trace depends on the actual A/B assignment")
@@ -661,13 +657,14 @@ class VerifyReport:
         return out
 
 
-def _is_diagonal_matrix(m: np.ndarray, tol: float = 1e-12) -> bool:
-    off = m - np.diag(np.diagonal(m))
-    return bool(np.abs(off).max() <= tol)
-
-
 def _oracle_series(built: BuiltScenario) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
-    """(label, total, dynamical, geometric) closed-form series on the grid."""
+    """(label, total, dynamical, geometric) closed-form series on the grid.
+
+    A Schmidt-diagonal alpha (equal dimensions, or the embedded qubit-qutrit
+    state with a real diagonal) is the phasor sum over its Schmidt pairs:
+    weights |alpha_ii|^2 on the levels chi_A,i + chi_B,i, i < d_A. The
+    full-support qubit-qutrit state has the dual formula.
+    """
     times = built.grid.times()
     alpha = built.alpha0.alpha
     d_a, d_b = built.alpha0.d_a, built.alpha0.d_b
@@ -676,43 +673,27 @@ def _oracle_series(built: BuiltScenario) -> tuple[str, np.ndarray, np.ndarray, n
                             "all-diagonal evolutions only")
     chi_a = built.evo_a.cartan_levels(times)
     chi_b = built.evo_b.cartan_levels(times)
-    if d_a == d_b and _is_diagonal_matrix(alpha):
-        weights = np.abs(np.diagonal(alpha)) ** 2
-        chi_t = chi_a + chi_b
-        dyn = chi_t @ weights
-        total = cf.diagonal_total_phase_series(weights, chi_t, dynamical=dyn)
+    if (d_a, d_b) == (2, 3) and np.abs(alpha - qubit_qutrit_full().alpha).max() <= 1e-9:
+        total, dyn = cf.qubit_qutrit_dual_series(chi_a, chi_b)
+        return "qubit_qutrit_dual", total, dyn, total - dyn
+    schmidt = np.abs(alpha * (1 - np.eye(d_a, d_b))).max() <= 1e-12
+    if schmidt and d_a == d_b:
         # a single qudit's purification sqrt(rho) is diagonal with rho
         label = "two_qudit_diagonal" if built.kind == "pair" else "single_qudit_diagonal"
-        return label, total, dyn, total - dyn
-    if (d_a, d_b) == (2, 3):
-        full = qubit_qutrit_full().alpha
-        if np.abs(alpha - full).max() <= 1e-9:
-            dyn = chi_b[:, 0] / 4.0
-            total = cf.qubit_qutrit_dual_series(chi_a, chi_b, dynamical=dyn)
-            return "qubit_qutrit_dual", total, dyn, total - dyn
-        embedded = (abs(alpha[0, 0].imag) < 1e-12 and abs(alpha[1, 1].imag) < 1e-12
-                    and np.abs(alpha * (1 - np.eye(2, 3))).max() < 1e-12)
-        if embedded:
-            w0 = abs(alpha[0, 0]) ** 2
-            w1 = abs(alpha[1, 1]) ** 2
-            q = w0 - w1
-            eff = chi_a[:, 0] + (chi_b[:, 0] - chi_b[:, 1]) / 2.0
-            offset = (chi_b[:, 0] + chi_b[:, 1]) / 2.0
-            dyn = q * eff + offset
-            # the full phasor e^{i offset} ((1+q)/2 e^{i eff} + (1-q)/2 e^{-i eff}),
-            # so zeros of the effective qubit are bridged as the engine bridges them
-            total = cf.diagonal_total_phase_series(
-                [(1.0 + q) / 2.0, (1.0 - q) / 2.0],
-                np.column_stack([eff + offset, -eff + offset]), dynamical=dyn)
-            return "qubit_qutrit_effective", total, dyn, total - dyn
-    raise NoOracleError("no closed form covers this scenario")
+    elif schmidt and (d_a, d_b) == (2, 3) and np.abs(np.diagonal(alpha).imag).max() < 1e-12:
+        label = "qubit_qutrit_effective"
+    else:
+        raise NoOracleError("no closed form covers this scenario")
+    total, dyn = cf.diagonal_total_phase_series(np.abs(np.diagonal(alpha)) ** 2,
+                                                chi_a + chi_b[:, :d_a])
+    return label, total, dyn, total - dyn
 
 
 def verify_scenario(config: ScenarioConfig, tolerance: float | None = None,
                     split: str | None = None, steps: int | None = None) -> VerifyReport:
     out = run_scenario(config, split=split, steps=steps)
     built = out.built
-    tol = tolerance if tolerance is not None else built.oracle_tol
+    tol = _number(tolerance, "tolerance") if tolerance is not None else built.oracle_tol
     label, total, dyn, geo = _oracle_series(built)
     trace = out.trace
     dev_tot = float(np.abs(trace.total_phase - total).max())

@@ -276,9 +276,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     (None, ["verify", "--steps", "0"]),
     (None, ["run", "--steps", "-2"]),
     (None, ["verify", "--steps", "-2"]),
+    (('t_max: "2*pi"', "t_max: .inf"), ["run"]),
+    (('t_max: "2*pi"', "t_max: .nan"), ["run"]),
+    (('t_max: "2*pi"', "t_max: 1" + "0" * 400), ["run"]),
+    (('cartan_hold, duration: "2*pi"', "cartan_hold, duration: .nan"), ["run"]),
+    (("rates: [1.0, 1.0, -2.0]", "rates: [.inf, -.inf, 0.0]"), ["run"]),
+    (None, ["run", "--tolerance", "nan"]),
+    (None, ["verify", "--tolerance", "nan"]),
+    (None, ["verify", "--tolerance", "inf"]),
 ], ids=["dims-string", "dims-fraction", "dims-float", "tolerance-string",
         "tolerance-list", "t_max-negative", "t_max-zero", "run-steps-0",
-        "verify-steps-0", "run-steps-negative", "verify-steps-negative"])
+        "verify-steps-0", "run-steps-negative", "verify-steps-negative",
+        "t_max-inf", "t_max-nan", "t_max-401-digits", "duration-nan", "rates-inf",
+        "run-tolerance-nan", "verify-tolerance-nan", "verify-tolerance-inf"])
 def test_cli_hostile_input_exits_config_error(tmp_path, capsys, edit, argv):
     text = GOOD_YAML if edit is None else GOOD_YAML.replace(*edit)
     path = tmp_path / "hostile.yaml"
@@ -316,6 +326,9 @@ def test_cli_lattice_output(capsys):
     assert main(["lattice", "2", "3"]) == 0
     out = capsys.readouterr().out
     assert "0, pi/3, 2pi/3, pi, 4pi/3, 5pi/3" in out
+    assert main(["lattice", "1", "3"]) == 2
+    assert main(["lattice", "0", "0"]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cli_verify_generator_path_reports_no_oracle(tmp_path, capsys):
@@ -432,6 +445,44 @@ def test_verify_embedded_qubit_qutrit_bridges_overlap_zeros(rates_a, rates_b, q)
     assert report.oracle == "qubit_qutrit_effective"
     assert report.ok, report.lines()
     assert max(report.max_total_dev, report.max_geometric_dev) < 1e-11
+
+
+_ORACLE_LABELS = {
+    **{name: "two_qudit_diagonal" for name in (
+        "fig1a", "fig1b", "fig1c", "fig1d", "fig2a", "fig2b", "fig2c", "fig2d",
+        "fig3", "fig6d", "frac22", "frac33", "frac44")},
+    **{name: "qubit_qutrit_dual" for name in ("fig4a", "fig4b", "fig4c", "fig4d")},
+    **{name: None for name in ("fig6a", "fig6b", "fig6c", "frac34")},
+}
+
+
+@pytest.mark.parametrize("name", qp.available_presets())
+def test_verify_oracle_coverage_of_presets(name):
+    config = qp.figure_preset(name)
+    if _ORACLE_LABELS[name] is None:
+        with pytest.raises(qp.NoOracleError):
+            qp.verify_scenario(config)
+    else:
+        report = qp.verify_scenario(config)
+        assert report.oracle == _ORACLE_LABELS[name]
+        assert report.ok, report.lines()
+
+
+@pytest.mark.parametrize("dims, amplitudes", [
+    ([3, 4], [[0.6, 0, 0, 0], [0, 0.8, 0, 0], [0, 0, 0, 0]]),
+    ([2, 3], [[0.6, 0, 0], [0, [0, 0.8], 0]]),
+], ids=["schmidt-3x4", "embedded-complex"])
+def test_verify_leaves_other_diagonal_states_uncovered(dims, amplitudes):
+    # Schmidt pair sums cover equal dimensions and the real embedded qubit-qutrit
+    ramp = {d: [1.0] * (d - 1) + [1.0 - d] for d in dims}
+    config = qp.ScenarioConfig.from_dict({
+        "name": "uncovered", "dims": dims, "initial_state": {"amplitudes": amplitudes},
+        "evolution": {side: [{"kind": "cartan_linear", "rates": ramp[d], "duration": 1.0}]
+                      for side, d in zip("ab", dims)},
+        "grid": {"t_max": 1.0, "steps": 200},
+    })
+    with pytest.raises(qp.NoOracleError):
+        qp.verify_scenario(config)
 
 
 def test_verify_cut_on_the_last_sample_keeps_the_left_rate(tmp_path, capsys):
