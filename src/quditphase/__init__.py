@@ -28,8 +28,8 @@ from .paths import (CartanLinear, CartanHold, BlochLoop, GeneratorConst,
                     lattice_condition_check)
 from .phases import (GridTooCoarseError, PhaseTrace, CyclicEvent, CycleScan,
                      FractionalLattice, cumulative_simpson, unwrap_phases,
-                     trace_from_samples, run_trace, single_qudit_trace,
-                     detect_cycles, fractional_lattice, circular_distance)
+                     run_trace, single_qudit_trace, detect_cycles,
+                     fractional_lattice, circular_distance)
 from . import closed_form
 from .closed_form import master_phase_formula
 from .scenarios import (ConfigError, NoOracleError, ScenarioConfig,

@@ -9,16 +9,13 @@ A path is an ordered list of segments acting on piecewise coordinates:
 * ``GeneratorConst`` multiplies a constant-generator factor exp(i G tau) onto
   the coset sector (a diagonal G is folded into the Cartan coordinates).
 
-The synthesized unitary is the factorized product
+The path's unitary is the factorized product
 ``U(t) = V(theta, phi) W(t) diag(e^{i chi_n(t)})`` where V is the explicit
 SU(2) coset matrix and W the ordered product of generator factors.
 
 Construction lowers every segment once to a row of tables: its start
-coordinates, right Cartan rates, (theta, phi) rates, generator eigenpairs and
-constant left generator. Every query reads those rows, so
-``dU/dt = i (L U + U diag(rates))`` holds on every segment with L the closed
-form Bloch generator on a ``BlochLoop`` and ``V G V^dag`` on a
-``GeneratorConst``.
+coordinates, right Cartan rates, (theta, phi) rates and generator eigenpairs.
+Every query reads those rows.
 
 Every row is also one fixed-frame sum of exponentials,
 ``U(t) = L_k diag(exp(i (c_k + w_k tau))) R_k`` with tau = t - start_k: a
@@ -253,22 +250,6 @@ def _bloch_matrix(theta, phi) -> np.ndarray:
     return out
 
 
-def _bloch_generator(theta, phi, theta_dot, phi_dot) -> np.ndarray:
-    """Hermitian A with dV/dt = i A V for the coset factor V(theta, phi).
-
-    A = theta_dot/2 n.sigma + phi_dot (sin(theta)/2 m.sigma - sin^2(theta/2) sigma_z)
-    with n = (cos phi, sin phi, 0) and m = (-sin phi, cos phi, 0).
-    """
-    s2 = phi_dot * np.sin(theta / 2.0) ** 2
-    half = 0.5 * phi_dot * np.sin(theta)
-    out = np.empty(np.shape(theta) + (2, 2), dtype=complex)
-    out[..., 0, 0] = -s2
-    out[..., 1, 1] = s2
-    out[..., 0, 1] = np.exp(-1j * phi) * (0.5 * theta_dot - 1j * half)
-    out[..., 1, 0] = np.exp(1j * phi) * (0.5 * theta_dot + 1j * half)
-    return out
-
-
 class LocalEvolution:
     """Ordered segment list defining one qudit's local SU(d) path."""
 
@@ -297,10 +278,10 @@ class LocalEvolution:
 
         Row k holds the coordinates at the segment start (``chi0``, the
         (theta, phi) pair ``bloch0`` and the generator product ``w0``), the
-        right Cartan rates, the (theta, phi) rates, the generator eigenpairs
-        and the constant left generator of a generator segment, and every row
-        gets its frames (``frames``, see ``FrameTables``). Nothing after
-        construction asks which kind a segment is.
+        right Cartan rates, the (theta, phi) rates and the generator
+        eigenpairs, and every row gets its frames (``frames``, see
+        ``FrameTables``). Nothing after construction asks which kind a
+        segment is.
         """
         n, d = len(self.segments), self.d
         self.has_bloch = any(isinstance(s, BlochLoop) for s in self.segments)
@@ -314,7 +295,6 @@ class LocalEvolution:
         bloch0 = np.zeros((n + 1, 2))
         evals = np.zeros((n + 1, d))
         evecs = np.zeros((n + 1, d, d), dtype=complex)
-        left = np.zeros((n + 1, d, d), dtype=complex)
         w0 = np.empty((n + 1, d, d), dtype=complex)
         w0[0] = np.eye(d)
         gen_rows, bloch_rows = [], []
@@ -345,10 +325,6 @@ class LocalEvolution:
             elif isinstance(seg, GeneratorConst):
                 gen_rows.append(k)
                 evals[k], evecs[k] = np.linalg.eigh(seg.generator)
-                left[k] = seg.generator
-                if self.has_bloch:
-                    v = _bloch_matrix(*bloch0[k])
-                    left[k] = v @ seg.generator @ v.conj().T
                 w0[k + 1] = ((evecs[k] * np.exp(1j * evals[k] * seg.duration))
                              @ evecs[k].conj().T @ w0[k])
             else:
@@ -367,8 +343,6 @@ class LocalEvolution:
         self._evals = evals
         self._evecs = evecs
         self._gen_rows = gen_rows
-        self._left = left
-        self._moves_left = left.any(axis=(1, 2)) | bloch_rate.any(axis=1)
         self._w0 = w0
         self.frames = _frame_tables(chi0, rates, evals, evecs, w0, gen_rows,
                                     (bloch0, bloch_rate, durations, bloch_rows)
@@ -377,18 +351,15 @@ class LocalEvolution:
 
     # -- coordinate queries -------------------------------------------------
 
-    def _segment_index(self, t: np.ndarray, side: str = "right") -> np.ndarray:
-        """Owning table row per sample; ``side`` resolves exact-boundary ties.
+    def _segment_index(self, t: np.ndarray) -> np.ndarray:
+        """Owning table row per sample: a boundary belongs to the segment it starts.
 
         Times within a small absolute tolerance of a segment boundary count
         as exactly on it, so linspace grids that differ from the accumulated
         boundary by rounding still resolve deterministically. An empty path
         maps every sample to its trailing hold row.
         """
-        if side == "right":
-            idx = np.searchsorted(self._ends, t + _BOUNDARY_TOL, side="right")
-        else:
-            idx = np.searchsorted(self._ends, t - _BOUNDARY_TOL, side="left")
+        idx = np.searchsorted(self._ends, t + _BOUNDARY_TOL, side="right")
         return np.minimum(idx, max(len(self.segments) - 1, 0))
 
     def row_starts(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -450,31 +421,7 @@ class LocalEvolution:
             w[m] = (evecs * phase[:, None, :]) @ (evecs.conj().T @ self._w0[k])
         return w
 
-    # -- synthesis ------------------------------------------------------------
-
-    def sample(self, times, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
-        """Synthesize (U, dU/dt) stacks on the given times.
-
-        U is special unitary by construction and always sampled from the
-        segment that starts at t. dU/dt = i (L U + U diag(rates)) with the
-        row's right Cartan rates and left generator L; at interior segment
-        boundaries ``side`` picks which row owns the (one-sided) derivative.
-        """
-        t = self._times(times)
-        right = self._segment_index(t)
-        chi = self._advance(self._chi0, self._rates, t, right)
-        U = self._coset(t, right) * np.exp(1j * chi)[:, None, :]
-        idx = right if side == "right" else self._segment_index(t, side=side)
-        Ud = U * (1j * self._rates[idx])[:, None, :]
-        moving = self._moves_left[idx]
-        if moving.any():
-            t, idx = t[moving], idx[moving]
-            left = self._left[idx]
-            if self.has_bloch:
-                theta, phi = self._advance(self._bloch0, self._bloch_rate, t, idx).T
-                left += _bloch_generator(theta, phi, *self._bloch_rate[idx].T)
-            Ud[moving] += (1j * left) @ U[moving]
-        return U, Ud
+    # -- frame sampling -----------------------------------------------------
 
     def row_frame(self, k: int) -> tuple:
         """(left, right, phase0, rate) of row k at its live width (see ``FrameTables``)."""
@@ -494,11 +441,6 @@ class LocalEvolution:
         if not rate.any():
             return np.broadcast_to(np.exp(1j * phase0), (t.size, phase0.size))
         return np.exp(1j * (phase0 + (t - self._starts[k])[:, None] * rate))
-
-    def synthesize(self, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """Single-time (U, dU/dt)."""
-        U, Ud = self.sample([t])
-        return U[0], Ud[0]
 
     @property
     def max_phase_rate(self) -> float:

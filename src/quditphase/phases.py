@@ -15,14 +15,12 @@ constant, or on a Bloch row an exact quadratic form in z) are fixed, so only
 the phasors are evaluated, O(n K_A K_B) in all, and each run's quadrature
 ends on the left limit at the next cut. A single qudit runs as its purified
 pair, alpha = sqrt(rho) with qudit B held at the identity:
-Tr[alpha^dag U alpha] = Tr[rho U]. ``trace_from_samples`` contracts sampled
-(U, dU/dt) stacks instead; it is the dense reference.
+Tr[alpha^dag U alpha] = Tr[rho U].
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +37,6 @@ __all__ = [
     "FractionalLattice",
     "cumulative_simpson",
     "unwrap_phases",
-    "trace_from_samples",
     "run_trace",
     "single_qudit_trace",
     "detect_cycles",
@@ -62,45 +59,28 @@ class GridTooCoarseError(RuntimeError):
     """Per-step phase increment exceeded the unwrap guard."""
 
 
-def cumulative_simpson(y: np.ndarray, dx: float, warn: bool = True) -> np.ndarray:
-    """Cumulative composite Simpson integral on a uniform grid.
+def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Cumulative composite Simpson integral on a uniform grid, of either parity.
 
-    Even-indexed points use exact Simpson pairs; odd-indexed points integrate
-    the local interpolating parabola over its first half. With an odd number
-    of intervals the final one falls back to the trapezoid rule (warned).
+    Simpson pairs end on the last point and are exact at every other point;
+    the points between integrate the local interpolating parabola over its
+    first half. With an odd number of intervals the first interval takes the
+    forward parabola through the first three points, so the rule stays fourth
+    order. Two points have only their chord, the trapezoid.
     """
     y = np.asarray(y, dtype=float)
     n = y.size
     out = np.zeros(n)
-    if n < 2:
+    if n == 2:
+        out[1] = 0.5 * dx * (y[0] + y[1])
+    if n < 3:
         return out
-    m = (n - 1) // 2 * 2
-    if m >= 2:
-        pair = (y[0:m - 1:2] + 4.0 * y[1:m:2] + y[2:m + 1:2]) * (dx / 3.0)
-        out[2:m + 1:2] = np.cumsum(pair)
-        out[1:m:2] = out[0:m - 1:2] + (5.0 * y[0:m - 1:2] + 8.0 * y[1:m:2]
-                                       - y[2:m + 1:2]) * (dx / 12.0)
-    if m != n - 1:
-        if warn:
-            warnings.warn("odd interval count; trapezoid fallback on the last "
-                          "step", stacklevel=2)
-        out[n - 1] = out[n - 2] + 0.5 * dx * (y[n - 2] + y[n - 1])
-    return out
-
-
-def _cumulative_smooth(y: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative Simpson for a smooth chunk of either parity.
-
-    Odd interval counts integrate the first interval with the forward
-    parabola so the fourth-order accuracy is kept.
-    """
-    n = y.size
-    if n < 3 or (n - 1) % 2 == 0:
-        return cumulative_simpson(y, dx, warn=False)
-    out = np.empty(n)
-    out[0] = 0.0
-    first = dx * (5.0 * y[0] + 8.0 * y[1] - y[2]) / 12.0
-    out[1:] = first + cumulative_simpson(y[1:], dx, warn=False)
+    s = (n - 1) % 2                       # 1 on an odd interval count: pairs start at 1
+    lo, mid, hi = y[s:-1:2], y[s + 1::2], y[s + 2::2]
+    out[s + 2::2] = np.cumsum((lo + 4.0 * mid + hi) * (dx / 3.0))
+    out[s + 1::2] = out[s:-1:2] + (5.0 * lo + 8.0 * mid - hi) * (dx / 12.0)
+    if s:
+        out[1:] += dx * (5.0 * y[0] + 8.0 * y[1] - y[2]) / 12.0
     return out
 
 
@@ -119,14 +99,17 @@ def unwrap_phases(z: np.ndarray,
                   dynamical: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Continuously unwrapped argument of a sampled complex path.
 
-    Nearest-branch continuation sample to sample. The argument legitimately
-    swings fast wherever the path runs close to the origin (transits), so the
-    aliasing guard only fires for steps exceeding ``GUARD`` whose chord stays
-    away from the origin both relative to its own length (``TRANSIT_RATIO``)
-    and relative to the overall magnitude scale of the path (``NEAR_ORIGIN``).
-    Samples with magnitude below ``INDETERMINATE_TOL`` have no defined
-    argument; their phase is bridged by the local slope of ``dynamical``
-    (zero slope if not supplied) and flagged in the returned mask.
+    Nearest-branch continuation sample to sample: between two determinate
+    samples the increment is the argument of z[k] conj(z[k-1]). The argument
+    legitimately swings fast wherever the path runs close to the origin
+    (transits), so the aliasing guard only fires for steps exceeding
+    ``GUARD`` whose chord stays away from the origin both relative to its own
+    length (``TRANSIT_RATIO``) and relative to the overall magnitude scale of
+    the path (``NEAR_ORIGIN``). Samples with magnitude below
+    ``INDETERMINATE_TOL`` have no defined argument; the phase steps onto them
+    by the local slope of ``dynamical`` (zero slope if not supplied), and they
+    are flagged in the returned mask. The first determinate sample after such
+    a bridged run re-anchors on the branch nearest the bridged phase.
     """
     z = np.asarray(z, dtype=complex)
     n = z.size
@@ -134,40 +117,27 @@ def unwrap_phases(z: np.ndarray,
     scale = NEAR_ORIGIN * (mag.max() if n else 1.0)
     determinate = mag > INDETERMINATE_TOL
     args = np.angle(z)
+    steps = np.angle(z[1:] * np.conj(z[:-1]))
+    for k in np.flatnonzero(np.abs(steps) >= GUARD).tolist():
+        if not (determinate[k] and determinate[k + 1]) or min(mag[k], mag[k + 1]) <= scale:
+            continue
+        if _chord_origin_distance(z[k], z[k + 1]) > TRANSIT_RATIO * abs(z[k + 1] - z[k]):
+            raise GridTooCoarseError(
+                f"phase increment {steps[k]:.3f} rad between samples {k} and "
+                f"{k + 1} exceeds the guard {GUARD:.3f}; refine the grid")
+    # a step with a bridged end follows the dynamical slope; the first
+    # determinate sample after a bridged run is an anchor
+    bridged = np.flatnonzero(~(determinate[1:] & determinate[:-1]))
+    steps[bridged] = 0.0 if dynamical is None else dynamical[bridged + 1] - dynamical[bridged]
+    anchors = (bridged[determinate[bridged + 1]] + 1).tolist()
     phases = np.empty(n)
     phases[0] = args[0] if determinate[0] else 0.0
-
-    def check(k0: int, k1: int, delta: float) -> None:
-        if min(mag[k0], mag[k1]) <= scale:
-            return
-        dist = _chord_origin_distance(z[k0], z[k1])
-        if dist > TRANSIT_RATIO * abs(z[k1] - z[k0]):
-            raise GridTooCoarseError(
-                f"phase increment {delta:.3f} rad between samples {k0} and "
-                f"{k1} exceeds the guard {GUARD:.3f}; refine the grid")
-
-    if determinate.all():
-        delta = np.angle(z[1:] * np.conj(z[:-1]))
-        for k in np.flatnonzero(np.abs(delta) >= GUARD):
-            check(k, k + 1, delta[k])
-        phases[1:] = phases[0] + np.cumsum(delta)
-        return phases, ~determinate
-
-    for k in range(1, n):
-        if determinate[k] and determinate[k - 1]:
-            delta = math.remainder(args[k] - args[k - 1], 2.0 * math.pi)
-            if abs(delta) >= GUARD:
-                check(k - 1, k, delta)
-            phases[k] = phases[k - 1] + delta
-        elif determinate[k]:
-            # re-anchor after an indeterminate run, nearest branch
-            phases[k] = phases[k - 1] + math.remainder(args[k] - phases[k - 1],
-                                                       2.0 * math.pi)
-        else:
-            slope = 0.0
-            if dynamical is not None:
-                slope = dynamical[k] - dynamical[k - 1]
-            phases[k] = phases[k - 1] + slope
+    for lo, hi in zip([0, *anchors], [*anchors, n]):
+        if lo:
+            phases[lo] = phases[lo - 1] + math.remainder(args[lo] - phases[lo - 1],
+                                                         2.0 * math.pi)
+        np.cumsum(steps[lo:hi - 1], out=phases[lo + 1:hi])
+        phases[lo + 1:hi] += phases[lo]
     return phases, ~determinate
 
 
@@ -178,10 +148,10 @@ class PhaseTrace:
     ``geometric_phase = total_phase - dynamical_phase`` at every sample;
     all phases start at zero and the total phase is continuously unwrapped.
     ``indeterminate`` flags samples where the overlap vanished and the total
-    phase was bridged. ``unitarity_residual`` and ``determinant_residual`` are
-    the largest entries of |U^dag U - 1| and |det U - 1| over every sampled
-    operator of ``trace_from_samples``. The kernel samples each path in its
-    frames, U = L diag(z) R, and reports them for the parts it relies on. The
+    phase was bridged. ``unitarity_residual`` and ``determinant_residual``
+    bound how far the sampled operators are from special unitary, the largest
+    |U^dag U - 1| and |det U - 1|. The kernel samples each path in its frames,
+    U = L diag(z) R, and reports them for the parts it relies on. The
     unitarity residual is the largest ``FrameTables.unitarity`` over the rows
     the grid visits together with |conj(z) z - 1| over the samples: on a row
     with unitary frames that is |F^dag F - 1| over both frames; on a Bloch row
@@ -218,61 +188,6 @@ def _finalize_trace(t, overlap, dyn, residuals) -> PhaseTrace:
                       dynamical_phase=dyn, geometric_phase=total - dyn,
                       indeterminate=indet, unitarity_residual=residuals[0],
                       determinant_residual=residuals[1])
-
-
-def _operator_residuals(stacks) -> tuple[float, float]:
-    """Largest |U^dag U - 1| entry and |det U - 1| over n x d x d stacks of U."""
-    unit = det = 0.0
-    for u in stacks:
-        eye = np.eye(u.shape[-1])
-        unit = max(unit, float(np.abs(u.conj().transpose(0, 2, 1) @ u - eye).max()))
-        det = max(det, float(np.abs(np.linalg.det(u) - 1.0).max()))
-    return unit, det
-
-
-def _frequency(rho, u, u_dot) -> np.ndarray:
-    """Dynamical frequency -i Tr[rho U^dag dU/dt] of sampled operators.
-
-    Tr[rho U^dag dU/dt] = sum_ki dU_ki (conj(U) rho^T)_ki, with the constant
-    factor applied to the flattened stack in one matrix product.
-    """
-    n, d, _ = u.shape
-    w = (u.conj().reshape(n * d, d) @ rho.T).reshape(n, d, d)
-    freq = -1j * np.einsum("tki,tki->t", u_dot, w)
-    if np.abs(freq.imag).max() > 1e-8:
-        raise ValueError("dynamical frequency has a nonreal part; the operator "
-                         "samples are not unitary")
-    return freq.real
-
-
-def _pair_overlap(alpha, u_a, u_b) -> np.ndarray:
-    """Overlap Tr[alpha^dag U_A alpha U_B^T] per sample of operator stacks."""
-    n, d_a, d_b = u_a.shape[0], *alpha.shape
-    # U_A alpha as one product over the flattened stack
-    alphas = (u_a.reshape(n * d_a, d_a) @ alpha).reshape(n, d_a, d_b)
-    return np.einsum("ij,tij->t", alpha.conj(), alphas @ u_b.transpose(0, 2, 1))
-
-
-def trace_from_samples(alpha0: CoefficientMatrix, t: np.ndarray,
-                       u_a: np.ndarray, u_a_dot: np.ndarray,
-                       u_b: np.ndarray, u_b_dot: np.ndarray) -> PhaseTrace:
-    """Phase trace of alpha(t) = U_A alpha(0) U_B^T from sampled operators.
-
-    The operators need not be special unitary: a global phase e^{i phi(t)}
-    on either factor shifts total and dynamical phase alike and cancels in
-    the geometric phase. The quadrature assumes a smooth path; run_trace
-    stitches the integral at segment boundaries of piecewise paths.
-    """
-    t = np.asarray(t, dtype=float)
-    n = t.size
-    if u_a.shape != (n, alpha0.d_a, alpha0.d_a) or u_b.shape != (n, alpha0.d_b, alpha0.d_b):
-        raise ValueError("operator stacks do not match the state dimensions")
-    rho_a, rho_b = reduced_densities(alpha0)
-    overlap = _pair_overlap(alpha0.alpha, u_a, u_b)
-    freq = _frequency(rho_a, u_a, u_a_dot) + _frequency(rho_b, u_b, u_b_dot)
-    dt = float(t[1] - t[0]) if n > 1 else 1.0
-    return _finalize_trace(t, overlap, cumulative_simpson(freq, dt),
-                           _operator_residuals([u_a, u_b]))
 
 
 def _check_rate_guard(rate: float, grid: TimeGrid) -> None:
@@ -365,7 +280,7 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
                 (unit_a, det_a), (unit_b, det_b) = (_row_residuals(evo_a, ka, z_a),
                                                     _row_residuals(evo_b, kb, z_b))
                 unit, det = max(unit, unit_a, unit_b), max(det, det_a, det_b)
-        dyn[lo:end] = offset + _cumulative_smooth(freq, grid.dt)
+        dyn[lo:end] = offset + cumulative_simpson(freq, grid.dt)
         offset = dyn[end - 1]
     return times, overlap, dyn, (unit, det)
 

@@ -113,6 +113,13 @@ def _complex_entry(v, where: str) -> complex:
     return complex(_number(v, where), 0.0)
 
 
+def _complex_matrix(rows, where: str) -> np.ndarray:
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise ConfigError(f"{where}: expected a matrix, a list of rows")
+    return np.array([[_complex_entry(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
+                     for i, row in enumerate(rows)])
+
+
 # ---------------------------------------------------------------------------
 # Config model
 # ---------------------------------------------------------------------------
@@ -244,11 +251,7 @@ def _build_segment(spec: dict, d: int, where: str):
             return BlochLoop(theta_end=end, phi_rate=phi_rate, duration=dur,
                              theta_start=start)
         if kind == "generator_const":
-            gen = spec.get("generator")
-            if not isinstance(gen, list):
-                raise ConfigError(f"{where}.generator: expected a matrix")
-            mat = np.array([[_complex_entry(v, f"{where}.generator[{i}][{j}]")
-                             for j, v in enumerate(row)] for i, row in enumerate(gen)])
+            mat = _complex_matrix(spec.get("generator"), f"{where}.generator")
             return GeneratorConst(mat, _number(spec.get("duration"), f"{where}.duration"))
     except ConfigError:
         raise
@@ -267,6 +270,10 @@ def _build_evolution(specs, d: int, t_max: float, where: str) -> LocalEvolution:
         evo = LocalEvolution(d, segments)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    start = np.abs(evo.coset_factor([0.0])[0] - np.eye(d)).max()
+    if start > 1e-8:
+        raise ConfigError(f"{where}: the path must start at the identity, but its coset "
+                          f"factor at t = 0 deviates from it by {start:.3g}")
     if evo.duration < t_max - 1e-9:
         # pad with a hold so every path covers the grid window
         segments.append(CartanHold(t_max - evo.duration))
@@ -278,14 +285,14 @@ def _build_pair_state(state: dict, dims: tuple, where: str) -> CoefficientMatrix
     d_a, d_b = dims
     try:
         if "amplitudes" in state:
-            rows = state["amplitudes"]
-            mat = np.array([[_complex_entry(v, f"{where}.amplitudes[{i}][{j}]")
-                             for j, v in enumerate(row)] for i, row in enumerate(rows)])
+            mat = _complex_matrix(state["amplitudes"], f"{where}.amplitudes")
             if mat.shape != (d_a, d_b):
                 raise ConfigError(f"{where}.amplitudes: expected a {d_a}x{d_b} matrix")
             return CoefficientMatrix.from_array(mat)
         if "preset" in state:
             name = state["preset"]
+            if not isinstance(name, str):
+                raise ConfigError(f"{where}.preset: expected a state preset name")
             q = _number(state.get("q", 0.0), f"{where}.q")
             theta = _number(state.get("theta", 0.0), f"{where}.theta")
             table = {
@@ -307,6 +314,8 @@ def _build_pair_state(state: dict, dims: tuple, where: str) -> CoefficientMatrix
             return alpha
         if "schmidt" in state:
             params = state["schmidt"] or {}
+            if not isinstance(params, dict):
+                raise ConfigError(f"{where}.schmidt: expected a mapping")
             q = _number(params.get("q", 0.0), f"{where}.schmidt.q")
             theta = _number(params.get("theta", 0.0), f"{where}.schmidt.theta")
             if (d_a, d_b) == (2, 2):
@@ -326,7 +335,7 @@ def _build_pair_state(state: dict, dims: tuple, where: str) -> CoefficientMatrix
 
 def _build_single_state(state: dict, d: int, where: str) -> QuditDensity:
     params = state.get("purity")
-    if params is None:
+    if not isinstance(params, dict):
         raise ConfigError(f"{where}: single-qudit scenarios use a 'purity' mapping")
     q = _number(params.get("q", 0.0), f"{where}.purity.q")
     basis = make_generators(d)

@@ -33,7 +33,6 @@ __all__ = [
     "project_special_unitary",
     "project_special_unitary_path",
     "random_special_unitary",
-    "is_special_unitary",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -101,11 +100,6 @@ class GeneratorBasis:
         """All generators stacked (d^2-1, d, d), Cartan block first."""
         return self._stack
 
-    @property
-    def cartan_diagonals(self) -> np.ndarray:
-        """(d-1, d) real matrix whose rows are the diagonals of the H's."""
-        return self._cartan_diag
-
     def levels_from_h(self, h: np.ndarray) -> np.ndarray:
         """Per-level phases chi_n = <n| h.H |n> for Cartan coordinates h."""
         h = np.asarray(h, dtype=float)
@@ -165,13 +159,6 @@ class CartanAngles:
         return self.levels.shape[-1]
 
     @classmethod
-    def from_h(cls, basis: GeneratorBasis, h) -> "CartanAngles":
-        h = np.asarray(h, dtype=float)
-        levels = basis.levels_from_h(h)
-        levels = levels - levels.mean()
-        return cls(h=h, levels=levels)
-
-    @classmethod
     def from_levels(cls, basis: GeneratorBasis, levels, tol: float = 1e-9) -> "CartanAngles":
         levels = np.asarray(levels, dtype=float)
         if levels.shape[-1] != basis.d:
@@ -197,16 +184,6 @@ def cartan_exponential(basis: GeneratorBasis, angles) -> np.ndarray:
         levels = basis.levels_from_h(np.asarray(angles, dtype=float))
         levels = levels - levels.mean()
     return np.diag(np.exp(1j * levels))
-
-
-def is_special_unitary(U: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    U = np.asarray(U)
-    d = U.shape[0]
-    if U.shape != (d, d):
-        return False
-    if np.abs(U.conj().T @ U - np.eye(d)).max() > tol:
-        return False
-    return abs(np.linalg.det(U) - 1.0) <= tol * d
 
 
 def velocity_vector(basis: GeneratorBasis, U: np.ndarray, U_dot: np.ndarray,

@@ -7,13 +7,15 @@ import pytest
 
 import quditphase as qp
 
+import dense_reference as dense
+
 TWO_PI = 2.0 * math.pi
 
 
 def test_synthesize_cartan_linear_qutrit():
     evo = qp.LocalEvolution(3, [qp.CartanLinear(np.array([1.0, 1.0, -2.0]), TWO_PI)])
     for t in (0.0, 0.7, 2.5):
-        u, u_dot = evo.synthesize(t)
+        u, u_dot = dense.synthesize(evo, t)
         np.testing.assert_allclose(
             u, np.diag(np.exp(1j * np.array([t, t, -2 * t]))), atol=1e-13)
         np.testing.assert_allclose(
@@ -26,7 +28,7 @@ def test_synthesize_bloch_segment_is_explicit_coset_matrix():
     evo = qp.LocalEvolution(2, [qp.BlochLoop(theta_end=theta, phi_rate=1.0,
                                              duration=TWO_PI, theta_start=theta)])
     for t in (0.0, 1.0, 4.0):
-        u, _ = evo.synthesize(t)
+        u, _ = dense.synthesize(evo, t)
         c, s = math.cos(theta / 2), math.sin(theta / 2)
         expected = np.array([[c, 1j * s * np.exp(-1j * t)],
                              [1j * s * np.exp(1j * t), c]])
@@ -35,17 +37,18 @@ def test_synthesize_bloch_segment_is_explicit_coset_matrix():
 
 def test_zero_duration_path_is_identity():
     evo = qp.LocalEvolution(3, [])
-    u, u_dot = evo.synthesize(0.0)
+    u, u_dot = dense.synthesize(evo, 0.0)
     np.testing.assert_allclose(u, np.eye(3), atol=1e-15)
     np.testing.assert_allclose(u_dot, 0.0, atol=1e-15)
 
 
 def test_sample_rejects_out_of_range():
     evo = qp.LocalEvolution(2, [qp.CartanHold(1.0)])
-    with pytest.raises(ValueError):
-        evo.sample([1.5])
-    with pytest.raises(ValueError):
-        evo.sample([-0.5])
+    for query in (lambda t: dense.sample(evo, t), evo.cartan_levels, evo.coset_factor):
+        with pytest.raises(ValueError):
+            query([1.5])
+        with pytest.raises(ValueError):
+            query([-0.5])
 
 
 def test_cartan_trajectory_qubit_h_convention():
@@ -117,7 +120,7 @@ def test_generator_segment_matches_eigenexponential():
     evo = qp.LocalEvolution(3, [qp.GeneratorConst(g, 3.0)])
     evals, vecs = np.linalg.eigh(g)
     for t in (0.3, 1.9):
-        u, u_dot = evo.synthesize(t)
+        u, u_dot = dense.synthesize(evo, t)
         expected = (vecs * np.exp(1j * evals * t)) @ vecs.conj().T
         np.testing.assert_allclose(u, expected, atol=1e-12)
         np.testing.assert_allclose(u_dot, 1j * g @ expected, atol=1e-12)
@@ -133,7 +136,7 @@ def test_unitarity_along_composite_path():
         qp.CartanHold(0.5),
     ])
     t = np.sort(rng.uniform(0, evo.duration, size=200))
-    u, _ = evo.sample(t)
+    u, _ = dense.sample(evo, t)
     res = np.abs(u.conj().transpose(0, 2, 1) @ u - np.eye(2)).max()
     det = np.abs(np.linalg.det(u) - 1.0).max()
     assert res < 1e-10
@@ -159,7 +162,7 @@ DERIVATIVE_PATHS = {
 
 
 def _one_sided_derivative(evo, t, h, sign):
-    u = [evo.sample([t + sign * k * h])[0][0] for k in range(3)]
+    u = [dense.sample(evo, [t + sign * k * h])[0][0] for k in range(3)]
     return sign * (-3 * u[0] + 4 * u[1] - u[2]) / (2 * h)
 
 
@@ -170,9 +173,9 @@ def test_derivative_consistency_second_order(name):
     ts = np.array(ts)
     errs = []
     for h in (1e-3, 5e-4):
-        u_hi, _ = evo.sample(ts + h)
-        u_lo, _ = evo.sample(ts - h)
-        _, u_dot = evo.sample(ts)
+        u_hi, _ = dense.sample(evo, ts + h)
+        u_lo, _ = dense.sample(evo, ts - h)
+        _, u_dot = dense.sample(evo, ts)
         errs.append(np.abs((u_hi - u_lo) / (2 * h) - u_dot).max())
     order = math.log2(errs[0] / errs[1])
     assert order >= 1.9
@@ -180,7 +183,7 @@ def test_derivative_consistency_second_order(name):
     for b in cuts:
         derivs = {}
         for side, sign in (("left", -1), ("right", 1)):
-            _, u_dot = evo.sample([b], side=side)
+            _, u_dot = dense.sample(evo, [b], side=side)
             derivs[side] = u_dot[0]
             fd = _one_sided_derivative(evo, b, 1e-4, sign)
             assert np.abs(fd - u_dot[0]).max() < 1e-6, (b, side)
@@ -189,8 +192,8 @@ def test_derivative_consistency_second_order(name):
 
 def _assert_row_sampler_matches_sample(evo, t):
     """Row by row, U = L diag(z) R and dU/dt = L diag(i w z) R from the row
-    sampler match ``sample`` on the row's own samples and, at the cut that
-    ends the row, ``sample(..., side="left")``."""
+    sampler match the dense reference on the row's own samples and, at the
+    cut that ends the row, its left limit (``side="left"``)."""
     first, rows = evo.row_starts(t)
     ends = [*first[1:].tolist(), t.size]
     owner = np.repeat(rows, np.diff([*first.tolist(), t.size]))
@@ -200,9 +203,9 @@ def _assert_row_sampler_matches_sample(evo, t):
         z = evo.row_phasors(k, t[lo:hi + 1])
         u = (left * z[:, None, :]) @ right
         u_dot = (left * (1j * rate * z)[:, None, :]) @ right
-        ref_u, ref_dot = evo.sample(t[lo:hi])
+        ref_u, ref_dot = dense.sample(evo, t[lo:hi])
         if hi < t.size:
-            cut_u, cut_dot = evo.sample(t[hi:hi + 1], "left")
+            cut_u, cut_dot = dense.sample(evo, t[hi:hi + 1], "left")
             ref_u, ref_dot = np.concatenate([ref_u, cut_u]), np.concatenate([ref_dot, cut_dot])
         np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-13)
         np.testing.assert_allclose(u_dot, ref_dot, rtol=0, atol=1e-12)
@@ -279,7 +282,7 @@ def test_phase_rate_and_solid_angle_on_every_segment_kind():
 def test_pure_cartan_velocity_has_no_coset_part():
     b = qp.make_generators(3)
     evo = qp.LocalEvolution(3, [qp.CartanLinear(np.array([1.0, -0.4, -0.6]), 2.0)])
-    u_mat, u_dot = evo.synthesize(1.3)
+    u_mat, u_dot = dense.synthesize(evo, 1.3)
     u = qp.velocity_vector(b, u_mat, u_dot)
     np.testing.assert_allclose(u[2:], 0.0, atol=1e-13)
     dec = qp.decompose_velocity(b, u, qp.cartan_trajectory(evo, [1.3]).h[0],
@@ -384,7 +387,7 @@ def test_cartan_trajectory_accepts_center_coset_factors():
     np.testing.assert_allclose(traj.levels, np.repeat(shifts[:, None], 3, axis=1),
                                rtol=0, atol=1e-15)
     assert (traj.h == 0.0).all()
-    u = np.stack([evo.synthesize(t)[0] for t in times])
+    u = np.stack([dense.synthesize(evo, t)[0] for t in times])
     np.testing.assert_allclose(u, np.exp(1j * traj.levels)[:, None, :] * np.eye(3),
                                rtol=0, atol=1e-12)
     assert [qp.lattice_condition_check(lv) for lv in traj.levels] == [0, 1, 2, 0]

@@ -12,6 +12,8 @@ import quditphase as qp
 from quditphase import phases
 from quditphase.phases import cumulative_simpson
 
+import dense_reference as dense
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -179,6 +181,60 @@ def test_unwrap_through_overlap_zero():
     assert [e.n_a for e in positive] == [1, 0]
 
 
+def _unwrap_per_sample(z, dynamical=None):
+    """Reference unwrap, one sample at a time: nearest-branch steps between
+    determinate samples under the aliasing guard, the dynamical slope (zero
+    without one) onto a bridged sample, and a nearest-branch re-anchor on the
+    first determinate sample after a bridged run."""
+    mag = np.abs(z)
+    scale = phases.NEAR_ORIGIN * mag.max()
+    determinate = mag > phases.INDETERMINATE_TOL
+    args = np.angle(z)
+    out = np.empty(z.size)
+    out[0] = args[0] if determinate[0] else 0.0
+    for k in range(1, z.size):
+        if determinate[k] and determinate[k - 1]:
+            delta = math.remainder(args[k] - args[k - 1], TWO_PI)
+            if abs(delta) >= phases.GUARD and min(mag[k - 1], mag[k]) > scale:
+                dist = phases._chord_origin_distance(z[k - 1], z[k])
+                if dist > phases.TRANSIT_RATIO * abs(z[k] - z[k - 1]):
+                    raise qp.GridTooCoarseError(f"step {delta:.3f} at sample {k}")
+            out[k] = out[k - 1] + delta
+        elif determinate[k]:
+            out[k] = out[k - 1] + math.remainder(args[k] - out[k - 1], TWO_PI)
+        else:
+            out[k] = out[k - 1] + (0.0 if dynamical is None
+                                   else dynamical[k] - dynamical[k - 1])
+    return out, ~determinate
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_unwrap_matches_per_sample_loop(data):
+    # bridged runs at the start, in the middle and at the end, with and without
+    # a dynamical phase; coarse steps make some draws trip the guard
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    n = data.draw(st.integers(2, 200))
+    step = data.draw(st.sampled_from([0.3, 1.0, 3.0]))
+    z = rng.uniform(0.05, 1.0, n) * np.exp(1j * np.cumsum(rng.uniform(-step, step, n)))
+    for where in data.draw(st.lists(st.sampled_from(["start", "middle", "end"]),
+                                    unique=True)):
+        length = data.draw(st.integers(1, max(1, n // 4)))
+        lo = {"start": 0, "middle": (n - length) // 2, "end": n - length}[where]
+        small = data.draw(st.sampled_from([0.0, 1e-13]))
+        z[lo:lo + length] = small * np.exp(1j * rng.uniform(-math.pi, math.pi, length))
+    dynamical = np.cumsum(rng.normal(size=n)) if data.draw(st.booleans()) else None
+    try:
+        expected = _unwrap_per_sample(z, dynamical)
+    except qp.GridTooCoarseError:
+        with pytest.raises(qp.GridTooCoarseError):
+            qp.unwrap_phases(z, dynamical)
+        return
+    got = qp.unwrap_phases(z, dynamical)
+    np.testing.assert_array_equal(got[1], expected[1])
+    np.testing.assert_allclose(got[0], expected[0], rtol=0, atol=1e-12)
+
+
 def test_trace_invariants_hold_samplewise():
     state = qp.two_qutrit_schmidt(0.3, 0.05)
     pair = _diag_pair(3, [0.9, -0.2, -0.7], [0.1, 0.4, -0.5], 2.0, 600)
@@ -266,20 +322,26 @@ def test_cumulative_simpson_pairwise_cubic_exactness_and_odd_fallback():
     # the usual O(h^4) parabola remainder
     np.testing.assert_allclose(got[::2], exact[::2], atol=1e-13)
     np.testing.assert_allclose(got[1::2], exact[1::2], atol=h ** 4)
-    with pytest.warns(UserWarning):
-        out = cumulative_simpson(np.ones(4), 0.5)
-    np.testing.assert_allclose(out, [0.0, 0.5, 1.0, 1.5], atol=1e-14)
+    # an odd interval count takes the forward parabola on the first interval,
+    # exact on quadratics at every point (its order: the next test)
+    t = np.linspace(0.0, 1.4, 8)
+    got = cumulative_simpson(3.0 * t ** 2 - t + 2.0, t[1] - t[0])
+    np.testing.assert_allclose(got, t ** 3 - t ** 2 / 2.0 + 2.0 * t, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(cumulative_simpson(np.ones(4), 0.5), [0.0, 0.5, 1.0, 1.5],
+                               atol=1e-14)
 
 
 def test_simpson_convergence_order():
+    # fourth order at either parity of the interval count
     a = 1.3
     exact = 0.5 * 3.0 - math.sin(a * 3.0) / (2 * a)
-    errs = []
-    for n in (200, 400):
-        t = np.linspace(0.0, 3.0, n + 1)
-        y = np.sin(a * t / 2.0) ** 2
-        errs.append(abs(cumulative_simpson(y, t[1] - t[0])[-1] - exact))
-    assert math.log2(errs[0] / errs[1]) >= 3.5
+    for counts in ((200, 400), (201, 401)):
+        errs = []
+        for n in counts:
+            t = np.linspace(0.0, 3.0, n + 1)
+            y = np.sin(a * t / 2.0) ** 2
+            errs.append(abs(cumulative_simpson(y, t[1] - t[0])[-1] - exact))
+        assert math.log2(errs[0] / errs[1]) >= 3.5, counts
 
 
 def test_engine_dynamical_phase_fourth_order():
@@ -297,26 +359,6 @@ def test_engine_dynamical_phase_fourth_order():
         tr = qp.single_qudit_trace(rho, evo, qp.TimeGrid(3.0, n))
         errs.append(abs(tr.dynamical_phase[-1] - exact))
     assert math.log2(errs[0] / errs[1]) >= 3.5
-
-
-def test_global_phase_immunity():
-    # multiplying U_A by e^{i phi(t)} shifts total and dynamical alike
-    state = qp.two_qubit_schmidt(0.5)
-    pair = _diag_pair(2, [0.8, -0.8], [0.3, -0.3], 1.0, 800)
-    times = pair.grid.times()
-    u_a, u_a_dot = pair.a.sample(times)
-    u_b, u_b_dot = pair.b.sample(times)
-    base = qp.trace_from_samples(state, times, u_a, u_a_dot, u_b, u_b_dot)
-    phi = 0.9 * times ** 2
-    phi_dot = 1.8 * times
-    scale = np.exp(1j * phi)[:, None, None]
-    u_a2 = scale * u_a
-    u_a2_dot = scale * (u_a_dot + 1j * phi_dot[:, None, None] * u_a)
-    shifted = qp.trace_from_samples(state, times, u_a2, u_a2_dot, u_b, u_b_dot)
-    np.testing.assert_allclose(shifted.geometric_phase, base.geometric_phase,
-                               atol=1e-9)
-    np.testing.assert_allclose(shifted.overlap_mag, base.overlap_mag, atol=1e-12)
-    assert np.abs(shifted.total_phase - base.total_phase - phi).max() < 1e-9
 
 
 def test_diagonal_swap_symmetry():
@@ -417,16 +459,6 @@ def test_cycles_on_fractional_lattice_when_maximally_entangled():
 _DT = 2.0 ** -9        # exact binary step, so chunk edges land on the grid exactly
 
 
-def _unit_residual(m):
-    return float(np.abs(m.conj().transpose(0, 2, 1) @ m - np.eye(m.shape[-1])).max())
-
-
-def _dense_residuals(stacks):
-    unit = max(_unit_residual(u) for u in stacks)
-    det = max(float(np.abs(np.linalg.det(u) - 1.0).max()) for u in stacks)
-    return unit, det
-
-
 def _frame_residuals(evo, times):
     """Residuals of U = L diag(z) R by the frame definition, from the path's
     tables and its dense samples.
@@ -434,7 +466,7 @@ def _frame_residuals(evo, times):
     A row with unitary frames gives the largest |F^dag F - 1| over its d
     frame terms and |det L det R prod(z) - 1|. A Bloch row gives
     |F^dag F - 1| of F = W0 diag(exp(i chi0)), the deviation of its term sum
-    from ``sample``'s U at both ends of the row, and
+    from the dense reference's U at both ends of the row, and
     |det(W0) e^{i sum chi0} z_+ z_- - 1| with z_+- = e^{+-i theta/2}, the
     first two terms. Every sample adds |conj(z) z - 1|.
     """
@@ -444,15 +476,17 @@ def _frame_residuals(evo, times):
     visited = np.unique(rows)
     unitary = visited[~f.rectangular[visited]]
     terms = [f.left[unitary][:, :, :d], f.right[unitary][:, :d]]
-    unit = [np.abs(z.conj() * z - 1.0).max()] + [_unit_residual(m) for m in terms if m.size]
+    unit = [np.abs(z.conj() * z - 1.0).max()] + [dense.operator_residuals([m])[0]
+                                                  for m in terms if m.size]
     det_frames = np.linalg.det(f.left[:, :, :d]) * np.linalg.det(f.right[:, :d])
     for k in visited[f.rectangular[visited]]:
         factor = evo._w0[k] * np.exp(1j * evo._chi0[k])
         ends = np.array([evo._starts[k], evo._ends[k]])
         sums = (f.left[k] * np.exp(1j * (f.phase0[k] + f.rate[k] * (ends - ends[0])[:, None]))
                 [:, None, :]) @ f.right[k]
-        dense = np.stack([evo.sample(ends[:1])[0][0], evo.sample(ends[1:], "left")[0][0]])
-        unit += [_unit_residual(factor[None]), np.abs(sums - dense).max()]
+        ref = np.stack([dense.sample(evo, ends[:1])[0][0],
+                        dense.sample(evo, ends[1:], "left")[0][0]])
+        unit += [dense.operator_residuals([factor[None]])[0], np.abs(sums - ref).max()]
         det_frames[k] = np.linalg.det(evo._w0[k]) * np.exp(1j * evo._chi0[k].sum())
     det = np.abs(det_frames[rows] * z[:, :d].prod(axis=1) - 1.0).max()
     return float(max(unit)), float(det)
@@ -463,12 +497,6 @@ def _mixed_generator(d, seed):
     z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     g = (z + z.conj().T) / 2.0
     return g - np.trace(g).real / d * np.eye(d)
-
-
-def _held_stacks(d, times):
-    """(U, dU/dt) stacks of a qudit held at the identity."""
-    return (np.broadcast_to(np.eye(d, dtype=complex), (times.size, d, d)),
-            np.zeros((times.size, d, d), dtype=complex))
 
 
 def _one_chunk(monkeypatch):
@@ -495,18 +523,18 @@ def test_streamed_pair_trace_matches_dense_stacks(monkeypatch):
 
     streamed = qp.run_trace(state, pair)
     times = pair.grid.times()
-    u_a, u_a_dot = a.sample(times)
-    u_b, u_b_dot = b.sample(times)
-    dense = qp.trace_from_samples(state, times, u_a, u_a_dot, u_b, u_b_dot)
+    u_a, u_a_dot = dense.sample(a, times)
+    u_b, u_b_dot = dense.sample(b, times)
+    ref = dense.trace_from_samples(state, times, u_a, u_a_dot, u_b, u_b_dot)
     for name in ("overlap", "overlap_mag", "total_phase"):
-        np.testing.assert_allclose(getattr(streamed, name), getattr(dense, name),
+        np.testing.assert_allclose(getattr(streamed, name), getattr(ref, name),
                                    rtol=0, atol=1e-12, err_msg=name)
     # both paths are sampled in their frames, A (with a Bloch segment) in 8 terms
     (unit_a, det_a), (unit_b, det_b) = _frame_residuals(a, times), _frame_residuals(b, times)
     assert streamed.unitarity_residual == pytest.approx(max(unit_a, unit_b), abs=1e-15)
     assert streamed.determinant_residual == pytest.approx(max(det_a, det_b), abs=1e-15)
-    unit, det = _dense_residuals([u_a, u_b])
-    assert (dense.unitarity_residual, dense.determinant_residual) == (unit, det)
+    unit, det = dense.operator_residuals([u_a, u_b])
+    assert (ref.unitarity_residual, ref.determinant_residual) == (unit, det)
 
     _one_chunk(monkeypatch)                     # the same kernel with one chunk per run
     whole = qp.run_trace(state, pair)
@@ -534,10 +562,11 @@ def test_streamed_single_trace_matches_dense_stacks(monkeypatch):
 
     streamed = qp.single_qudit_trace(rho, evo, grid)
     times = grid.times()
-    u, u_dot = evo.sample(times)
-    dense = qp.trace_from_samples(qp.purify(rho), times, u, u_dot, *_held_stacks(d, times))
+    u, u_dot = dense.sample(evo, times)
+    held = dense.sample(qp.identity_evolution(d, t_max), times)
+    ref = dense.trace_from_samples(qp.purify(rho), times, u, u_dot, *held)
     for name in ("overlap", "overlap_mag", "total_phase"):
-        np.testing.assert_allclose(getattr(streamed, name), getattr(dense, name),
+        np.testing.assert_allclose(getattr(streamed, name), getattr(ref, name),
                                    rtol=0, atol=1e-12, err_msg=name)
     unit, det = _frame_residuals(evo, times)     # a generator path: frame definition
     assert streamed.unitarity_residual == pytest.approx(unit, abs=1e-15)
@@ -551,20 +580,14 @@ def test_streamed_single_trace_matches_dense_stacks(monkeypatch):
 
 
 def _record_sample_calls(monkeypatch):
-    """Record (path, sampler, side or row, times) for every ``sample`` and
-    ``row_phasors`` call."""
+    """Record (path, row, times) for every ``row_phasors`` call."""
     calls = []
-    sample, row_phasors = qp.LocalEvolution.sample, qp.LocalEvolution.row_phasors
-
-    def record_sample(self, times, side="right"):
-        calls.append((self, "sample", side, np.atleast_1d(np.asarray(times, dtype=float))))
-        return sample(self, times, side)
+    row_phasors = qp.LocalEvolution.row_phasors
 
     def record_row_phasors(self, k, t):
-        calls.append((self, "row_phasors", k, np.array(t, dtype=float)))
+        calls.append((self, k, np.array(t, dtype=float)))
         return row_phasors(self, k, t)
 
-    monkeypatch.setattr(qp.LocalEvolution, "sample", record_sample)
     monkeypatch.setattr(qp.LocalEvolution, "row_phasors", record_row_phasors)
     return calls
 
@@ -597,12 +620,11 @@ def _record_sample_calls(monkeypatch):
      "grid": {"t_max": 2, "steps": 5000}},
 ], ids=["pair", "single", "generator", "bloch"])
 def test_run_scenario_samples_each_row_once(monkeypatch, raw):
-    # every path, Bloch paths too, is sampled as row phasors and never as stacks
+    # every path, Bloch paths too, is sampled as row phasors, each row once
     calls = _record_sample_calls(monkeypatch)
     out = qp.scenarios.run_scenario(qp.scenarios.ScenarioConfig.from_dict(raw))
     built = out.built
-    assert {c[1] for c in calls} == {"row_phasors"}
-    assert max(c[3].size for c in calls) <= phases.CHUNK_ROWS
+    assert max(c[2].size for c in calls) <= phases.CHUNK_ROWS
     times = built.grid.times()
     evos = list({id(c[0]): c[0] for c in calls}.values())       # B is held for a single qudit
     assert len(evos) == 2 and built.evo_a in evos
@@ -616,9 +638,9 @@ def test_run_scenario_samples_each_row_once(monkeypatch, raw):
         index = [np.arange(lo, min(hi + 1, times.size)) for lo, hi in zip(edges, edges[1:])]
         rows = [np.full(ix.size, owner[ix[0]]) for ix in index]
         sampled = [c for c in calls if c[0] is evo]
-        np.testing.assert_array_equal(np.concatenate([c[3] for c in sampled]),
+        np.testing.assert_array_equal(np.concatenate([c[2] for c in sampled]),
                                       times[np.concatenate(index)])
-        sampled_rows = [np.full(c[3].size, c[2]) for c in sampled]
+        sampled_rows = [np.full(c[2].size, c[1]) for c in sampled]
         np.testing.assert_array_equal(np.concatenate(sampled_rows), np.concatenate(rows))
     if raw["name"] == "generator":
         assert not built.evo_a.is_diagonal and not built.evo_a.frames.rectangular.any()
@@ -631,11 +653,6 @@ def test_run_scenario_samples_each_row_once(monkeypatch, raw):
 _PHASOR_DT = 2.0 ** -8     # exact binary step, so cuts land on chunk edges exactly
 
 
-def _dense_frequency(rho, u, u_dot):
-    """-i Tr[rho U^dag dU/dt] per sample of operator stacks."""
-    return (-1j * np.einsum("ij,tkj,tki->t", rho, u.conj(), u_dot)).real
-
-
 def _stitched_simpson(freq, left, cuts, dx):
     """Cumulative Simpson of ``freq`` in pieces between cuts; each piece ends
     on the left limit ``left[c]`` at its cut c and is integrated on its own."""
@@ -645,31 +662,31 @@ def _stitched_simpson(freq, left, cuts, dx):
     for lo, hi in zip(edges[:-1], edges[1:]):
         y = freq[lo:hi + 1].copy()
         y[-1] = left.get(hi, y[-1])
-        out[lo:hi + 1] = offset + phases._cumulative_smooth(y, dx)
+        out[lo:hi + 1] = offset + cumulative_simpson(y, dx)
         offset = out[hi]
     return out
 
 
 def _dense_route(evos, state, grid):
-    """(trace_from_samples on full-grid stacks, the same stacks stitched).
+    """(dense trace on full-grid stacks, the same stacks stitched).
 
     The stitched reference takes the dense overlap and integrates the dense
-    frequency of ``sample`` stacks piecewise: the cuts are the samples where
-    a path's owning row (``sample``'s) changes, and ``sample(..., side="left")``
-    gives the left limits there. A single qudit's reference is its purified
-    pair with qudit B held at the identity (frequency 0).
+    frequency of the sampled stacks piecewise: the cuts are the samples where
+    a path's owning row changes, and ``side="left"`` gives the left limits
+    there. A single qudit's reference is its purified pair with qudit B held
+    at the identity (frequency 0).
     """
     times = grid.times()
     if len(evos) == 1:
         state = qp.purify(state)
-    stacks = [evo.sample(times) for evo in evos]
-    stacks += [_held_stacks(state.d_b, times)] * (2 - len(evos))
-    ref = qp.trace_from_samples(state, times, *stacks[0], *stacks[1])
+        evos = (*evos, qp.identity_evolution(state.d_b, grid.t_max))
+    stacks = [dense.sample(evo, times) for evo in evos]
+    ref = dense.trace_from_samples(state, times, *stacks[0], *stacks[1])
     rhos = qp.reduced_densities(state)
-    freq = sum(_dense_frequency(rho, *uu) for rho, uu in zip(rhos, stacks))
+    freq = sum(dense.frequency(rho, *uu) for rho, uu in zip(rhos, stacks))
     moved = [np.diff(evo._segment_index(times)) != 0 for evo in evos]
     cuts = (np.flatnonzero(np.any(moved, axis=0)) + 1).tolist()
-    left = sum(_dense_frequency(rho, *evo.sample(times[cuts], side="left"))
+    left = sum(dense.frequency(rho, *dense.sample(evo, times[cuts], side="left"))
                for rho, evo in zip(rhos, evos)) if cuts else []
     dyn = _stitched_simpson(freq, dict(zip(cuts, left)), cuts, grid.dt)
     route = phases._finalize_trace(times, ref.overlap, dyn,
@@ -681,7 +698,7 @@ def _expected_residuals(evos, times):
     """Dense-stack residuals of all-diagonal paths (whose frames are exact
     identities), frame-definition residuals of every other path, Bloch paths
     included, maximized over the paths."""
-    res = [_dense_residuals([evo.sample(times)[0]]) if evo.is_diagonal
+    res = [dense.operator_residuals([dense.sample(evo, times)[0]]) if evo.is_diagonal
            else _frame_residuals(evo, times) for evo in evos]
     return max(r[0] for r in res), max(r[1] for r in res)
 
@@ -882,6 +899,35 @@ def test_bloch_frame_route_matches_dense_stacks(data):
                               rho, grid)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_global_phase_immunity(data):
+    # multiplying either factor by e^{i phi(t)} shifts total and dynamical alike;
+    # phi is a cubic, on which the cumulative Simpson rule is exact
+    d_a = data.draw(st.integers(2, 4))
+    d_b = data.draw(st.integers(d_a, 4))
+    steps = 2 * data.draw(st.integers(150, 260))
+    grid = qp.TimeGrid(steps * _PHASOR_DT, steps)
+    a = _draw_path(data, d_a, steps, 128, True)
+    b = _draw_path(data, d_b, steps, 128, True)
+    state = qp.random_state(d_a, d_b, np.random.default_rng(data.draw(st.integers(0, 2 ** 16))))
+    times = grid.times()
+    stacks = [dense.sample(a, times), dense.sample(b, times)]
+    base = dense.trace_from_samples(state, times, *stacks[0], *stacks[1])
+    c1, c2, c3 = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3))
+    s = times / grid.t_max
+    phi = s * (c1 + s * (c2 + s * c3))
+    phi_dot = (c1 + s * (2.0 * c2 + 3.0 * s * c3)) / grid.t_max
+    side = data.draw(st.integers(0, 1))
+    u, u_dot = stacks[side]
+    scale = np.exp(1j * phi)[:, None, None]
+    stacks[side] = (scale * u, scale * (u_dot + 1j * phi_dot[:, None, None] * u))
+    shifted = dense.trace_from_samples(state, times, *stacks[0], *stacks[1])
+    np.testing.assert_allclose(shifted.geometric_phase, base.geometric_phase, atol=1e-9)
+    np.testing.assert_allclose(shifted.overlap_mag, base.overlap_mag, atol=1e-12)
+    assert np.abs(shifted.total_phase - base.total_phase - phi).max() < 1e-9
+
+
 def test_generator_pair_dynamical_phase_is_sum_of_generator_means():
     # on a generator segment U = exp(i G tau) U0, so -i Tr[rho U^dag dU/dt] is
     # the constant <G> = Tr[rho U0^dag G U0]; on a ramp it is rates @ diag(rho)
@@ -900,7 +946,7 @@ def test_generator_pair_dynamical_phase_is_sum_of_generator_means():
     for evo, rho in zip((a, b), qp.reduced_densities(state)):
         start = 0.0
         for seg in evo.segments:
-            u0 = evo.sample([start])[0][0]
+            u0 = dense.sample(evo, [start])[0][0]
             if isinstance(seg, qp.GeneratorConst):
                 mean = np.trace(rho @ u0.conj().T @ seg.generator @ u0).real
             elif isinstance(seg, qp.CartanLinear):

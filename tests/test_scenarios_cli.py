@@ -284,17 +284,47 @@ def test_cli_exit_codes(tmp_path, capsys):
     (None, ["run", "--tolerance", "nan"]),
     (None, ["verify", "--tolerance", "nan"]),
     (None, ["verify", "--tolerance", "inf"]),
+    (("  preset: two_qutrit_schmidt", "  amplitudes: 5"), ["run"]),
+    (("  preset: two_qutrit_schmidt", "  amplitudes: [1, 0]"), ["run"]),
+    (("  preset: two_qutrit_schmidt", "  preset: [1]"), ["run"]),
+    (("initial_state: {purity: {q: 0.5}}", 'initial_state: {purity: "abc"}'), ["run"]),
+    (("  preset: two_qutrit_schmidt", "  schmidt: [1, 2]"), ["run"]),
 ], ids=["dims-string", "dims-fraction", "dims-float", "tolerance-string",
         "tolerance-list", "t_max-negative", "t_max-zero", "run-steps-0",
         "verify-steps-0", "run-steps-negative", "verify-steps-negative",
         "t_max-inf", "t_max-nan", "t_max-401-digits", "duration-nan", "rates-inf",
-        "run-tolerance-nan", "verify-tolerance-nan", "verify-tolerance-inf"])
+        "run-tolerance-nan", "verify-tolerance-nan", "verify-tolerance-inf",
+        "amplitudes-scalar", "amplitudes-vector", "preset-list", "purity-string",
+        "schmidt-list"])
 def test_cli_hostile_input_exits_config_error(tmp_path, capsys, edit, argv):
-    text = GOOD_YAML if edit is None else GOOD_YAML.replace(*edit)
+    # an edit applies to the pair config, or to the single-qudit one holding its target
+    text = GOOD_YAML if edit is None else next(
+        base for base in (GOOD_YAML, SINGLE_YAML) if edit[0] in base).replace(*edit)
     path = tmp_path / "hostile.yaml"
     path.write_text(text)
     assert main([argv[0], str(path), *argv[1:]]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+START_YAML = {
+    "pair": "dims: [2, 2]\ninitial_state: {preset: two_qubit_schmidt, q: 0.3}\n"
+            "evolution: {a: [LOOP], b: []}\n",
+    "single": "dims: 2\ninitial_state: {purity: {q: 0.5}}\nevolution: {path: [LOOP]}\n",
+}
+LOOP = '{kind: bloch_loop, theta_start: THETA, theta_end: 1.5, phi_rate: 1.0, duration: "2*pi"}'
+
+
+@pytest.mark.parametrize("kind", ["pair", "single"])
+def test_cli_path_must_start_at_identity(tmp_path, capsys, kind):
+    # V(theta, phi) = 1 at theta = 4 pi, so only that start runs
+    path = tmp_path / "start.yaml"
+    for theta, argv, code in (("1.0", ["run"], 2), ("1.0", ["verify"], 2),
+                              ('"4*pi"', ["run", "--output", str(tmp_path / "s.csv")], 0)):
+        path.write_text('name: start\ngrid: {t_max: "2*pi", steps: 2000}\n'
+                        + START_YAML[kind].replace("LOOP", LOOP).replace("THETA", theta))
+        assert main([argv[0], str(path), *argv[1:]]) == code
+        if code == 2:
+            assert "must start at the identity" in capsys.readouterr().err
 
 
 def test_cli_run_output_serializes_once(tmp_path, monkeypatch):

@@ -9,6 +9,8 @@ import hypothesis.strategies as st
 
 import quditphase as qp
 
+import dense_reference as dense
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -127,7 +129,7 @@ def test_velocity_bloch_path_at_phi_zero():
     theta_dot = 1.8 / 2.0
     evo = qp.LocalEvolution(2, [qp.BlochLoop(theta_end=1.8, phi_rate=0.0,
                                              duration=2.0)])
-    u_mat, u_dot = evo.synthesize(1.0)
+    u_mat, u_dot = dense.synthesize(evo, 1.0)
     u = qp.velocity_vector(b, u_mat, u_dot)
     np.testing.assert_allclose(u, [0.0, theta_dot / math.sqrt(2), 0.0],
                                atol=1e-12)
@@ -204,7 +206,7 @@ def test_decompose_bloch_loop_cartan_component():
     evo = qp.LocalEvolution(2, [
         qp.BlochLoop(theta_end=theta, phi_rate=0.0, duration=1.0),
         qp.BlochLoop(theta_end=theta, phi_rate=omega_rate, duration=4.0)])
-    v_mat, v_dot = evo.synthesize(2.5)
+    v_mat, v_dot = dense.synthesize(evo, 2.5)
     v = qp.velocity_vector(b, v_mat, v_dot)
     expected = math.sqrt(2) * omega_rate * math.sin(theta / 2) ** 2
     assert v[0] == pytest.approx(expected, abs=1e-12)
