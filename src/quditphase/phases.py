@@ -13,7 +13,9 @@ maximal stretch of samples on which each path stays on one row. Over a run
 the matrix C of the overlap z_A C z_B and each path's frequency (an exact row
 constant, or on a Bloch row an exact quadratic form in z) are fixed, so only
 the phasors are evaluated, O(n K_A K_B) in all, and each run's quadrature
-ends on the left limit at the next cut. A single qudit runs as its purified
+ends on the left limit at the next cut. Each path's phasors of a chunk of m
+samples come as one K x m array (``LocalEvolution.row_phasors``), from
+O(sqrt(m) K) exponentials on chunks of ``paths.TABLE_PHASORS`` or more. A single qudit runs as its purified
 pair, alpha = sqrt(rho) with qudit B held at the identity:
 Tr[alpha^dag U alpha] = Tr[rho U].
 """
@@ -160,7 +162,10 @@ class PhaseTrace:
     ends of the row. The determinant residual is |det L det R prod(z) - 1| per
     sample on a unitary row and |det(W0) e^{i sum chi0} z_+ z_- - 1| on a
     Bloch row, z_+- the e^{+-i theta/2} terms. On an all-diagonal path
-    L = R = 1 exactly, so both equal the residuals of U = diag(z).
+    L = R = 1 exactly, so both equal the residuals of U = diag(z). The
+    per-sample parts are of the phasors the kernel used: on a long chunk the
+    table product of ``paths._table_phasors``, within about 3e-16 of
+    exp(i (c + w tau)).
     """
 
     t: np.ndarray
@@ -207,28 +212,28 @@ def _row_constants(frames, rho: np.ndarray) -> np.ndarray:
 
 
 def _row_frequency(evo: LocalEvolution, k: int, rho: np.ndarray, constants: np.ndarray,
-                   z: np.ndarray) -> np.ndarray:
-    """-i Tr[rho U^dag dU/dt] at row k's phasors z.
+                   z: np.ndarray) -> np.ndarray | float:
+    """-i Tr[rho U^dag dU/dt] at row k's phasors z (K x m), per sample.
 
     With U = L diag(z) R and dz/dt = i w z it is Re conj(z) M (w z),
     M = (L^dag L) * (R rho R^dag)^T. A row with unitary frames has
-    L^dag L = 1, so there it is the row constant (``_row_constants``):
-    rates @ diag(rho) on a Cartan row, <G> on a generator row. A Bloch row
-    takes the form per sample.
+    L^dag L = 1, so there it is the row constant (``_row_constants``),
+    returned as one number: rates @ diag(rho) on a Cartan row, <G> on a
+    generator row. A Bloch row takes the form per sample.
     """
     if not evo.frames.rectangular[k]:
-        return np.full(z.shape[0], constants[k])
+        return constants[k]
     left, right, _, rate = evo.row_frame(k)
     form = (left.conj().T @ left) * (right @ rho @ right.conj().T).T * rate
-    return np.einsum("tr,tr->t", z.conj() @ form, z).real
+    return (z.conj() * (form @ z)).sum(axis=0).real
 
 
 def _row_residuals(evo: LocalEvolution, k: int, z: np.ndarray) -> tuple[float, float]:
     """Residuals of row k's phasors z from their parts (see ``PhaseTrace``);
     det U / ``determinant`` is the product of the first d phasors."""
     frames = evo.frames
-    unit = max(float(frames.unitarity[k]), float(np.abs(z.conj() * z - 1.0).max()))
-    det = float(np.abs(frames.determinant[k] * z[:, :evo.d].prod(axis=1) - 1.0).max())
+    unit = max(float(frames.unitarity[k]), float(np.abs((z.conj() * z).real - 1.0).max()))
+    det = float(np.abs(frames.determinant[k] * z[:evo.d].prod(axis=0) - 1.0).max())
     return unit, det
 
 
@@ -275,8 +280,8 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
                                    + _row_frequency(evo_b, kb, rho_b, const_b, z_b))
             owned = min(e, hi) - s
             if owned:
-                z_a, z_b = z_a[:owned], z_b[:owned]
-                overlap[s:s + owned] = np.einsum("tj,tj->t", z_a @ c, z_b)
+                z_a, z_b = z_a[:, :owned], z_b[:, :owned]
+                overlap[s:s + owned] = (c.T @ z_a * z_b).sum(axis=0)
                 (unit_a, det_a), (unit_b, det_b) = (_row_residuals(evo_a, ka, z_a),
                                                     _row_residuals(evo_b, kb, z_b))
                 unit, det = max(unit, unit_a, unit_b), max(det, det_a, det_b)

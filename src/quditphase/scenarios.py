@@ -27,8 +27,8 @@ from .paths import (BlochLoop, CartanHold, CartanLinear, GeneratorConst,
                     LocalEvolution, PairEvolution, TimeGrid, identity_evolution,
                     off_grid_boundary)
 # single_qudit_trace is unused here but stays importable: perfbench/spans.py wraps it
-from .phases import (CycleScan, CyclicEvent, PhaseTrace, detect_cycles, run_trace,
-                     single_qudit_trace)  # noqa: F401
+from .phases import (CHUNK_ROWS, CycleScan, CyclicEvent, PhaseTrace, detect_cycles,
+                     run_trace, single_qudit_trace)  # noqa: F401
 from .states import (CoefficientMatrix, QuditDensity, density_from_purity,
                      entanglement_report, max_entangled, purify, qubit_qutrit_embedded,
                      qubit_qutrit_full, qudit_schmidt_diagonal, two_qubit_schmidt,
@@ -375,6 +375,32 @@ def _adjust_steps(steps: int, t_max: float, boundaries: np.ndarray,
                       "segment; adjust the segment durations")
 
 
+# Peak memory of ``quditphase run`` with CSV output, measured as peak-RSS slopes
+# (2-vCPU x86 Linux host, numpy 2.4): bytes per grid sample (steps 2e5 -> 1e6),
+# per table-row entry, a row's d^2 (d 64 and 128, 40 -> 200 rows), and per
+# phasor of a chunk, CHUNK_ROWS x d (d 64 -> 512).
+_BYTES_PER_SAMPLE = 600
+_BYTES_PER_ROW_ENTRY = 150
+_BYTES_PER_CHUNK_PHASOR = 80
+
+
+def _check_size(steps: int, dims: tuple, rows: tuple) -> None:
+    """Refuse, before anything is allocated, a grid and dimensions whose arrays
+    cannot fit in physical memory: ``rows`` segments per path of dimension
+    ``dims`` (a path's tables have one row more, its trailing hold)."""
+    try:
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):      # no sysconf: no policy
+        return
+    need = _BYTES_PER_SAMPLE * (steps + 1) + sum(
+        _BYTES_PER_ROW_ENTRY * (r + 1) * d * d + _BYTES_PER_CHUNK_PHASOR * CHUNK_ROWS * d
+        for d, r in zip(dims, rows))
+    if need > physical:
+        raise ConfigError(f"grid.steps {steps} with dims {list(dims)} needs about "
+                          f"{need / 2 ** 30:.3g} GiB, more than the {physical / 2 ** 30:.3g} "
+                          "GiB of physical memory")
+
+
 def _build(config: ScenarioConfig, steps_override: int | None = None) -> BuiltScenario:
     tol = config.tolerances
     cyclic_eps = _number(tol.get("cyclic_eps", 1e-9), "tolerances.cyclic_eps")
@@ -389,19 +415,24 @@ def _build(config: ScenarioConfig, steps_override: int | None = None) -> BuiltSc
     if unknown:
         raise ConfigError(f"evolution: unknown keys {sorted(unknown)}; "
                           f"expected {sorted(allowed)}")
+    if len(config.dims) == 1:      # a single qudit runs as its pair, B held in one segment
+        dims, specs = config.dims * 2, (config.evolution.get("path", config.evolution.get("a")),
+                                         None)
+    else:
+        dims, specs = config.dims, (config.evolution.get("a"), config.evolution.get("b"))
+    _check_size(steps, dims, tuple(len(s) if isinstance(s, list) else 1 for s in specs))
     if len(config.dims) == 1:
         kind, d = "single", config.dims[0]
         rho0 = _build_single_state(config.initial_state, d, "initial_state")
         alpha0 = purify(rho0)
-        specs = config.evolution.get("path", config.evolution.get("a"))
-        evo_a = _build_evolution(specs, d, config.t_max, "evolution.path")
+        evo_a = _build_evolution(specs[0], d, config.t_max, "evolution.path")
         evo_b = identity_evolution(d, config.t_max)
     else:
         kind, rho0 = "pair", None
         d_a, d_b = config.dims
         alpha0 = _build_pair_state(config.initial_state, (d_a, d_b), "initial_state")
-        evo_a = _build_evolution(config.evolution.get("a"), d_a, config.t_max, "evolution.a")
-        evo_b = _build_evolution(config.evolution.get("b"), d_b, config.t_max, "evolution.b")
+        evo_a = _build_evolution(specs[0], d_a, config.t_max, "evolution.a")
+        evo_b = _build_evolution(specs[1], d_b, config.t_max, "evolution.b")
     bounds = np.concatenate([evo_a.boundaries(), evo_b.boundaries()])
     steps = _adjust_steps(steps, config.t_max, bounds, config.name)
     grid = TimeGrid(t_max=config.t_max, steps=steps)

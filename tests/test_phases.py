@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import quditphase as qp
-from quditphase import phases
+from quditphase import paths, phases
 from quditphase.phases import cumulative_simpson
 
 import dense_reference as dense
@@ -897,6 +897,76 @@ def test_bloch_frame_route_matches_dense_stacks(data):
         single = _draw_bloch_path(data, steps, rows)
         _assert_matches_dense(qp.single_qudit_trace(rho, single, grid), (single,),
                               rho, grid)
+
+
+def test_tabled_mixed_pair_matches_dense_route():
+    # at the default CHUNK_ROWS, runs of 4096 samples or more: both paths take
+    # the table product (K = 8 on the Bloch row, 2 and 3 elsewhere)
+    dt = 2.0 ** -11
+    edges = [6000, 12000, 16384]
+    a = qp.LocalEvolution(2, [
+        qp.BlochLoop(theta_end=1.3, phi_rate=2.5, duration=edges[0] * dt),
+        qp.GeneratorConst(3.0 * _mixed_generator(2, 4), (edges[1] - edges[0]) * dt),
+        qp.CartanLinear(np.array([4.0, -4.0]), (edges[2] - edges[1]) * dt)])
+    b = qp.LocalEvolution(3, [
+        qp.GeneratorConst(2.0 * _mixed_generator(3, 5), edges[0] * dt),
+        qp.CartanLinear(np.array([1.5, 2.0, -3.5]), (edges[1] - edges[0]) * dt),
+        qp.GeneratorConst(_mixed_generator(3, 6), (edges[2] - edges[1]) * dt)])
+    grid = qp.TimeGrid(edges[2] * dt, edges[2])
+    state = qp.random_state(2, 3, np.random.default_rng(8))
+    with mock.patch.object(paths, "_table_phasors", wraps=paths._table_phasors) as table:
+        trace = qp.run_trace(state, qp.PairEvolution(a, b, grid))
+    widths = sorted({call.args[3].size for call in table.call_args_list})
+    assert widths == [2, 3, 8]
+    _assert_matches_dense(trace, (a, b), state, grid)
+
+
+def _haar_generator(spectrum, rng):
+    """V diag(spectrum) V^dag in a Haar-random SU(d) frame V."""
+    v = qp.random_special_unitary(len(spectrum), rng)
+    return (v * np.asarray(spectrum, dtype=float)) @ v.conj().T
+
+
+# traceless spectra, integer for d = 3 and 3/4 times integer for d = 4: exp(i G t)
+# is a center element at t = 2 pi, and at every 2 pi/3 for all but (1, 0, -1)
+_SPECTRA_3 = [(1, 0, -1), (2, -1, -1), (1, 1, -2)]
+_SPECTRA_4 = [(0.75 * 3, -0.75, -0.75, -0.75), (0.75, 0.75, 0.75, -0.75 * 3)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 16), st.sampled_from(_SPECTRA_3), st.sampled_from(_SPECTRA_3))
+def test_cycles_of_maximally_entangled_qutrits_lie_on_the_lattice(seed, spec_a, spec_b):
+    # the paper's claim: under local SU(3) paths, every cyclic event of
+    # max_entangled(3, 3) has total phase 2 pi m/3
+    rng = np.random.default_rng(seed)
+    a = qp.LocalEvolution(3, [qp.GeneratorConst(_haar_generator(spec_a, rng), TWO_PI)])
+    b = qp.LocalEvolution(3, [qp.GeneratorConst(_haar_generator(spec_b, rng), TWO_PI)])
+    pair = qp.PairEvolution(a, b, qp.TimeGrid(TWO_PI, 6000))
+    scan = qp.detect_cycles(qp.run_trace(qp.max_entangled(3, 3), pair), pair)
+    lattice = qp.fractional_lattice(3, 3)
+    assert [ev.t_cycle for ev in scan.events][-1] == pytest.approx(TWO_PI)
+    for ev in scan.events:
+        assert lattice.nearest(ev.phase)[1] < 1e-9
+        if ev.n_a is not None and ev.n_b is not None:
+            assert qp.circular_distance(ev.phase, TWO_PI * (ev.n_a + ev.n_b) / 3) < 1e-9
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 16), st.sampled_from(_SPECTRA_3[1:]), st.sampled_from(_SPECTRA_4))
+def test_labelled_cycles_of_qutrit_ququart_pairs_lie_on_the_lattice(seed, spec_a, spec_b):
+    # unequal dimensions: each event where both paths are center elements,
+    # labelled (n_a, n_b), has total phase 2 pi (n_a/3 + n_b/4); both paths are
+    # central at every 2 pi/3, with nonzero labels between the ends
+    rng = np.random.default_rng(seed)
+    a = qp.LocalEvolution(3, [qp.GeneratorConst(_haar_generator(spec_a, rng), TWO_PI)])
+    b = qp.LocalEvolution(4, [qp.GeneratorConst(_haar_generator(spec_b, rng), TWO_PI)])
+    pair = qp.PairEvolution(a, b, qp.TimeGrid(TWO_PI, 6000))
+    scan = qp.detect_cycles(qp.run_trace(qp.random_state(3, 4, rng), pair), pair)
+    labelled = [ev for ev in scan.events if ev.n_a is not None and ev.n_b is not None]
+    assert [ev.t_cycle for ev in labelled] == pytest.approx(TWO_PI * np.arange(4) / 3)
+    assert any(ev.n_a and ev.n_b for ev in labelled)
+    for ev in labelled:
+        assert qp.circular_distance(ev.phase, TWO_PI * (ev.n_a / 3 + ev.n_b / 4)) < 1e-9
 
 
 @settings(max_examples=25, deadline=None)

@@ -657,3 +657,43 @@ def test_amplitude_initial_state():
     }
     out = qp.run_scenario(qp.ScenarioConfig.from_dict(raw))
     assert out.record.diagnostics["concurrence"] == pytest.approx(2 * 0.6 * 0.8)
+
+
+HUGE_DIMS_YAML = """
+name: huge
+dims: [2, 100000]
+initial_state: {preset: max_entangled}
+evolution:
+  a:
+    - {kind: cartan_linear, rates: [1.0, -1.0], duration: 1.0}
+  b:
+    - {kind: cartan_hold, duration: 1.0}
+grid: {t_max: 1.0, steps: 100}
+"""
+
+
+@pytest.mark.parametrize("text, argv", [
+    (GOOD_YAML, ["run", "--steps", str(10 ** 13)]),
+    (GOOD_YAML, ["verify", "--steps", str(10 ** 13)]),
+    (SINGLE_YAML, ["run", "--steps", str(10 ** 13)]),
+    (HUGE_DIMS_YAML, ["run"]),
+], ids=["run-steps", "verify-steps", "single-steps", "dims"])
+def test_cli_refuses_sizes_past_physical_memory(tmp_path, capsys, monkeypatch, text, argv):
+    # each needs at least 1 TiB; the size policy refuses it before a path or a
+    # state is built, so nothing is allocated
+    def unbuilt(*args):
+        raise AssertionError("built past the size policy")
+
+    monkeypatch.setattr(qp.scenarios, "_build_evolution", unbuilt)
+    monkeypatch.setattr(qp.scenarios, "_build_pair_state", unbuilt)
+    monkeypatch.setattr(qp.scenarios, "_build_single_state", unbuilt)
+    path = tmp_path / "huge.yaml"
+    path.write_text(text)
+    assert main([argv[0], str(path), *argv[1:]]) == 2
+    assert "physical memory" in capsys.readouterr().err
+
+
+def test_size_policy_admits_the_benchmark_sizes():
+    # long_grid's largest grid and widest paths, and the largest preset grid
+    qp.scenarios._check_size(400000, (8, 8), (3, 3))
+    qp.scenarios._check_size(40000, (2, 3), (1, 1))
