@@ -14,8 +14,10 @@ The path's unitary is the factorized product
 SU(2) coset matrix and W the ordered product of generator factors.
 
 Construction lowers every segment once to a row of tables: its start
-coordinates, right Cartan rates, (theta, phi) rates and generator eigenpairs.
-Every query reads those rows.
+coordinates, right Cartan rates and (theta, phi) rates, and its frames, built
+from the generator eigenpairs and products. Every query reads those rows; U(t)
+has one evaluator, the frame rows, which both the trace kernel and
+``coset_factor`` (V W = U diag(e^{-i chi})) read.
 
 Every row is also one fixed-frame sum of exponentials,
 ``U(t) = L_k diag(exp(i (c_k + w_k tau))) R_k`` with tau = t - start_k: a
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sud import GeneratorBasis, make_generators
+from .sud import make_generators
 
 __all__ = [
     "CartanLinear",
@@ -58,12 +60,27 @@ __all__ = [
 ]
 
 _BOUNDARY_TOL = 1e-9
+# Largest entry of |W - e^{2 pi i m/d} 1| at which a coset factor W counts as
+# closed to the center (cycle labels and Cartan trajectories).
+CLOSURE_TOL = 1e-8
+# Largest theta and phi (mod 2 pi) mismatch of a closed Bloch loop (``solid_angle``).
+_LOOP_CLOSURE_TOL = 1e-9
 # Calls of at least this many phasors (samples x frame terms) build them from
 # tables (``_table_phasors``). Below it one exponential per phasor is cheaper
 # than the tables' fixed numpy-call cost: measured with one BLAS thread on a
 # 2-vCPU x86 host, the two tie at about 2048 phasors and the tables win by
 # 15-20% at 3072, for K = 2, 3 and 8 terms.
 TABLE_PHASORS = 3072
+
+
+def _check_segment(duration, **values) -> None:
+    """Refuse NaN and infinite inputs (None is absent), which would pass every
+    later comparison, and a negative duration."""
+    for name, value in dict(values, duration=duration).items():
+        if value is not None and not np.isfinite(value).all():
+            raise ValueError(f"{name} must be finite")
+    if duration < 0:
+        raise ValueError("duration must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -77,14 +94,13 @@ class CartanLinear:
         rates = np.asarray(self.rates, dtype=float)
         if rates.ndim != 1 or rates.size < 2:
             raise ValueError("rates must be a vector of per-level phase rates")
+        _check_segment(self.duration, rates=rates)
         s = rates.sum()
         if abs(s) > 1e-9 * max(1.0, np.abs(rates).max()):
             raise ValueError(f"per-level rates must sum to zero, got {s:g}")
         rates = rates - rates.mean()
         rates.setflags(write=False)
         object.__setattr__(self, "rates", rates)
-        if self.duration < 0:
-            raise ValueError("duration must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -99,8 +115,7 @@ class CartanHold:
     angles: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("duration must be nonnegative")
+        _check_segment(self.duration, angles=self.angles)
         if self.angles is not None:
             object.__setattr__(self, "angles", np.asarray(self.angles, dtype=float))
 
@@ -120,8 +135,8 @@ class BlochLoop:
     theta_start: float | None = None
 
     def __post_init__(self):
-        if self.duration < 0:
-            raise ValueError("duration must be nonnegative")
+        _check_segment(self.duration, theta_end=self.theta_end, phi_rate=self.phi_rate,
+                       theta_start=self.theta_start)
 
 
 @dataclass(frozen=True)
@@ -135,6 +150,7 @@ class GeneratorConst:
         g = np.asarray(self.generator, dtype=complex)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("generator must be a square matrix")
+        _check_segment(self.duration, generator=g)
         scale = max(1.0, np.abs(g).max())
         if np.abs(g - g.conj().T).max() > 1e-12 * scale:
             raise ValueError("generator must be Hermitian")
@@ -143,8 +159,6 @@ class GeneratorConst:
         g = g.copy()
         g.setflags(write=False)
         object.__setattr__(self, "generator", g)
-        if self.duration < 0:
-            raise ValueError("duration must be nonnegative")
 
     def is_diagonal(self) -> bool:
         off = self.generator - np.diag(np.diagonal(self.generator))
@@ -328,17 +342,15 @@ class LocalEvolution:
     def _build_tables(self):
         """Lower every segment to one table row; row n is a trailing hold.
 
-        Row k holds the coordinates at the segment start (``chi0``, the
-        (theta, phi) pair ``bloch0`` and the generator product ``w0``), the
-        right Cartan rates, the (theta, phi) rates and the generator
-        eigenpairs, and every row gets its frames (``frames``, see
-        ``FrameTables``). Nothing after construction asks which kind a
-        segment is.
+        Row k holds the coordinates at the segment start (``chi0`` and the
+        (theta, phi) pair ``bloch0``), the right Cartan rates and the
+        (theta, phi) rates, and every row gets its frames (``frames``, see
+        ``FrameTables``), built from the generator eigenpairs and products.
+        Nothing after construction asks which kind a segment is.
         """
         n, d = len(self.segments), self.d
         self.has_bloch = any(isinstance(s, BlochLoop) for s in self.segments)
-        self.has_generator = any(isinstance(s, GeneratorConst) for s in self.segments)
-        self.is_diagonal = not (self.has_bloch or self.has_generator)
+        self.is_diagonal = all(isinstance(s, (CartanLinear, CartanHold)) for s in self.segments)
         durations = np.zeros(n + 1)
         ends = np.zeros(n)
         rates = np.zeros((n + 1, d))
@@ -392,10 +404,6 @@ class LocalEvolution:
         self._chi0 = chi0
         self._bloch_rate = bloch_rate
         self._bloch0 = bloch0
-        self._evals = evals
-        self._evecs = evecs
-        self._gen_rows = gen_rows
-        self._w0 = w0
         self.frames = _frame_tables(chi0, rates, evals, evecs, w0, gen_rows,
                                     (bloch0, bloch_rate, durations, bloch_rows)
                                     if self.has_bloch else None)
@@ -425,14 +433,12 @@ class LocalEvolution:
         owns = np.append(first[1:], t.size) > first
         return first[owns], np.flatnonzero(owns)
 
-    def _check_range(self, t: np.ndarray) -> np.ndarray:
+    def _times(self, times) -> np.ndarray:
+        t = np.atleast_1d(np.asarray(times, dtype=float))
         if t.size and (t.min() < -_BOUNDARY_TOL or t.max() > self.duration + _BOUNDARY_TOL):
             raise ValueError(
                 f"time outside [0, {self.duration:g}]: range [{t.min():g}, {t.max():g}]")
         return np.clip(t, 0.0, self.duration)
-
-    def _times(self, times) -> np.ndarray:
-        return self._check_range(np.atleast_1d(np.asarray(times, dtype=float)))
 
     def _advance(self, start: np.ndarray, rate: np.ndarray, t: np.ndarray,
                  idx: np.ndarray) -> np.ndarray:
@@ -449,29 +455,14 @@ class LocalEvolution:
         return self._rates[self._segment_index(self._times(times))]
 
     def coset_factor(self, times) -> np.ndarray:
-        """Authored coset factor V(theta, phi) W(t), stacked over the samples."""
+        """Coset factor V(theta, phi) W(t) = U(t) diag(exp(-i chi(t))), stacked
+        over the samples, with U = L diag(z) R read from each sample's frame row."""
         t = self._times(times)
-        return self._coset(t, self._segment_index(t))
-
-    def _coset(self, t: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        w = self._base_coset(t, idx)
-        if self.has_bloch:
-            theta, phi = self._advance(self._bloch0, self._bloch_rate, t, idx).T
-            w = _bloch_matrix(theta, phi) @ w
-        return w
-
-    def _base_coset(self, t: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Generator-product factor W(t) without the Bloch piece."""
-        w = self._w0[idx]
-        for k in self._gen_rows:
-            m = idx == k
-            if not m.any():
-                continue
-            tau = t[m] - self._starts[k]
-            evecs = self._evecs[k]
-            phase = np.exp(1j * self._evals[k][None, :] * tau[:, None])
-            w[m] = (evecs * phase[:, None, :]) @ (evecs.conj().T @ self._w0[k])
-        return w
+        k = self._segment_index(t)
+        f = self.frames
+        z = np.exp(1j * self._advance(f.phase0, f.rate, t, k))
+        u = (f.left[k] * z[:, None, :]) @ f.right[k]
+        return u * np.exp(-1j * self._advance(self._chi0, self._rates, t, k))[:, None, :]
 
     # -- frame sampling -----------------------------------------------------
 
@@ -523,8 +514,8 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValueError("t_max must be positive")
+        if not 0 < self.t_max < math.inf:
+            raise ValueError("t_max must be positive and finite")
         if self.steps < 2 or self.steps % 2:
             raise ValueError("steps must be an even integer >= 2 (Simpson rule)")
 
@@ -589,31 +580,31 @@ def center_power(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m, np.abs(w - center).max(axis=(-2, -1))
 
 
-def cartan_trajectory(evo: LocalEvolution, times, basis: GeneratorBasis | None = None,
-                      closure_tol: float = 1e-8) -> CartanTrajectory:
+def cartan_trajectory(evo: LocalEvolution, times) -> CartanTrajectory:
     """Accumulated Cartan angles h(t) with h(0) = 0 and unwrapped levels.
 
-    For paths containing non-diagonal constant-generator segments the
-    factorization is only defined where that coset factor has closed to a
-    center element e^{2 pi i m/d} 1; the levels there are shifted by
-    2 pi m/d (h is not: the Cartan basis is traceless). Querying an open
-    coset factor raises.
+    The factorization U = V(theta, phi) W diag(e^{i chi}) is only defined where
+    the generator product W has closed to a center element e^{2 pi i m/d} 1
+    (on a path without generator segments W = 1 and m = 0); the levels there
+    are shifted by 2 pi m/d (h is not: the Cartan basis is traceless). The
+    Bloch factor V is the coset coordinate and may be anything. Querying an
+    open W raises.
     """
     t = np.atleast_1d(np.asarray(times, dtype=float))
-    m = np.zeros(t.size, dtype=int)
-    if evo.has_generator:
-        w = evo._base_coset(np.clip(t, 0.0, evo.duration), evo._segment_index(t))
-        m, dev = center_power(w)
-        bad = np.flatnonzero(dev > closure_tol)
-        if bad.size:
-            raise ValueError(
-                f"coset factor open at t = {t[bad[0]]:g} (deviation "
-                f"{dev[bad[0]]:.3g}); Cartan angles are undefined there")
-    if basis is None:
-        basis = make_generators(evo.d)
+    w = evo.coset_factor(t)
+    if evo.has_bloch:
+        tc = evo._times(t)
+        theta, phi = evo._advance(evo._bloch0, evo._bloch_rate, tc, evo._segment_index(tc)).T
+        w = _bloch_matrix(theta, phi).conj().transpose(0, 2, 1) @ w
+    m, dev = center_power(w)
+    bad = np.flatnonzero(dev > CLOSURE_TOL)
+    if bad.size:
+        raise ValueError(
+            f"coset factor open at t = {t[bad[0]]:g} (deviation "
+            f"{dev[bad[0]]:.3g}); Cartan angles are undefined there")
     levels = evo.cartan_levels(t)
     return CartanTrajectory(times=t, levels=levels + (2.0 * math.pi / evo.d) * m[:, None],
-                            h=basis.h_from_levels(levels))
+                            h=make_generators(evo.d).h_from_levels(levels))
 
 
 def _segment_area(theta_a: float, theta_b: float, phi_rate: float, duration: float) -> float:
@@ -626,7 +617,7 @@ def _segment_area(theta_a: float, theta_b: float, phi_rate: float, duration: flo
     return phi_rate * duration * (1.0 - avg_cos)
 
 
-def solid_angle(evo: LocalEvolution, closure_tol: float = 1e-9) -> float:
+def solid_angle(evo: LocalEvolution) -> float:
     """Oriented solid angle 2 * loop integral of sin^2(theta/2) d phi.
 
     The Bloch coordinate path must be closed: theta returns to its start and
@@ -641,11 +632,11 @@ def solid_angle(evo: LocalEvolution, closure_tol: float = 1e-9) -> float:
     theta, phi = evo._bloch0.T
     theta_start, theta_end = theta[0], theta[-1]
     dphi = phi[-1] - phi[0]
-    if abs(theta_end - theta_start) > closure_tol:
+    if abs(theta_end - theta_start) > _LOOP_CLOSURE_TOL:
         raise ValueError(
             f"open Bloch path: theta runs from {theta_start:g} to {theta_end:g}")
     phi_residue = math.remainder(dphi, 2.0 * math.pi)
-    if abs(math.sin(theta_start)) > closure_tol and abs(phi_residue) > closure_tol:
+    if abs(math.sin(theta_start)) > _LOOP_CLOSURE_TOL and abs(phi_residue) > _LOOP_CLOSURE_TOL:
         raise ValueError(
             f"open Bloch path: phi advances by {dphi:g}, not a multiple of 2 pi")
     omega = 0.0

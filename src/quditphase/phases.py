@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .states import CoefficientMatrix, QuditDensity, purify, reduced_densities
-from .paths import (LocalEvolution, PairEvolution, TimeGrid, center_power,
+from .paths import (CLOSURE_TOL, LocalEvolution, PairEvolution, TimeGrid, center_power,
                     identity_evolution, lattice_condition_check)
 
 __all__ = [
@@ -55,6 +55,9 @@ TRANSIT_RATIO = 0.25
 NEAR_ORIGIN = 0.05
 # Grid samples per chunk of a run: 1 MiB of phasors at width 8.
 CHUNK_ROWS = 2 ** 13
+# Largest per-level phasor spread at which a closed path's levels count as on
+# the fractional lattice (cycle labels).
+LATTICE_TOL = 1e-6
 
 
 class GridTooCoarseError(RuntimeError):
@@ -97,8 +100,7 @@ def _chord_origin_distance(z0: complex, z1: complex) -> float:
     return abs(z0 + tau * d)
 
 
-def unwrap_phases(z: np.ndarray,
-                  dynamical: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def unwrap_phases(z: np.ndarray, dynamical: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Continuously unwrapped argument of a sampled complex path.
 
     Nearest-branch continuation sample to sample: between two determinate
@@ -109,9 +111,9 @@ def unwrap_phases(z: np.ndarray,
     length (``TRANSIT_RATIO``) and relative to the overall magnitude scale of
     the path (``NEAR_ORIGIN``). Samples with magnitude below
     ``INDETERMINATE_TOL`` have no defined argument; the phase steps onto them
-    by the local slope of ``dynamical`` (zero slope if not supplied), and they
-    are flagged in the returned mask. The first determinate sample after such
-    a bridged run re-anchors on the branch nearest the bridged phase.
+    by the local slope of the ``dynamical`` series, and they are flagged in
+    the returned mask. The first determinate sample after such a bridged run
+    re-anchors on the branch nearest the bridged phase.
     """
     z = np.asarray(z, dtype=complex)
     n = z.size
@@ -130,7 +132,7 @@ def unwrap_phases(z: np.ndarray,
     # a step with a bridged end follows the dynamical slope; the first
     # determinate sample after a bridged run is an anchor
     bridged = np.flatnonzero(~(determinate[1:] & determinate[:-1]))
-    steps[bridged] = 0.0 if dynamical is None else dynamical[bridged + 1] - dynamical[bridged]
+    steps[bridged] = dynamical[bridged + 1] - dynamical[bridged]
     anchors = (bridged[determinate[bridged + 1]] + 1).tolist()
     phases = np.empty(n)
     phases[0] = args[0] if determinate[0] else 0.0
@@ -307,14 +309,13 @@ def single_qudit_trace(rho0: QuditDensity, evo: LocalEvolution, grid: TimeGrid) 
     """Run a single-qudit trace, overlap Tr[rho0 U(t)], over a uniform grid.
 
     The qudit runs as its purified pair: alpha = sqrt(rho0) with qudit B held
-    at the identity, so Tr[alpha^dag U alpha] = Tr[rho0 U].
+    at the identity, so Tr[alpha^dag U alpha] = Tr[rho0 U]. The pair's grid
+    checks apply: the path covers the grid and its segment boundaries fall on it.
     """
     if evo.d != rho0.d:
         raise ValueError("path dimension does not match the state")
-    if evo.duration < grid.t_max - 1e-9:
-        raise ValueError("path shorter than the grid window")
-    return _finalize_trace(*_streamed_trace(purify(rho0), evo,
-                                            identity_evolution(evo.d, evo.duration), grid))
+    return run_trace(purify(rho0), PairEvolution(evo, identity_evolution(evo.d, evo.duration),
+                                                 grid))
 
 
 @dataclass(frozen=True)
@@ -359,8 +360,7 @@ def _refine_peak(t: np.ndarray, mag: np.ndarray, total: np.ndarray,
     return tc, pc, mc
 
 
-def _lattice_labels(evo: LocalEvolution, times: list, lattice_tol: float,
-                    closure_tol: float = 1e-8) -> list:
+def _lattice_labels(evo: LocalEvolution, times: list) -> list:
     """Fractional index n per event time where the path is Cartan-closed.
 
     The coset factor and the Cartan levels are read once for all events. A
@@ -370,14 +370,14 @@ def _lattice_labels(evo: LocalEvolution, times: list, lattice_tol: float,
     """
     d = evo.d
     m, dev = center_power(evo.coset_factor(times))
-    closed = dev <= closure_tol
-    labels = [lattice_condition_check(lv, d, tol=lattice_tol) if ok else None
+    closed = dev <= CLOSURE_TOL
+    labels = [lattice_condition_check(lv, d, tol=LATTICE_TOL) if ok else None
               for ok, lv in zip(closed.tolist(), evo.cartan_levels(times))]
     return [None if n is None else (n + shift) % d for n, shift in zip(labels, m.tolist())]
 
 
 def detect_cycles(trace: PhaseTrace, pair: PairEvolution | None = None,
-                  eps: float = 1e-9, lattice_tol: float = 1e-6) -> CycleScan:
+                  eps: float = 1e-9) -> CycleScan:
     """Locate overlap-magnitude maxima exceeding 1 - eps.
 
     Peaks are refined by a three-point quadratic fit. When a pair evolution is
@@ -404,8 +404,8 @@ def detect_cycles(trace: PhaseTrace, pair: PairEvolution | None = None,
     labels_a = labels_b = [None] * len(peaks)
     if pair is not None and peaks:
         times = [tc for tc, _, _ in peaks]
-        labels_a = _lattice_labels(pair.a, times, lattice_tol)
-        labels_b = _lattice_labels(pair.b, times, lattice_tol)
+        labels_a = _lattice_labels(pair.a, times)
+        labels_b = _lattice_labels(pair.b, times)
     events = tuple(CyclicEvent(t_cycle=tc, phase=pc, overlap_mag=mc, n_a=n_a, n_b=n_b)
                    for (tc, pc, mc), n_a, n_b in zip(peaks, labels_a, labels_b))
     return CycleScan(events=events, continuum=continuum)

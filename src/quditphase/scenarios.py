@@ -754,11 +754,11 @@ def verify_scenario(config: ScenarioConfig, tolerance: float | None = None,
 _TWO_PI = 2.0 * math.pi
 
 
-def _qutrit_pair_config(name: str, q: float, rates, t_max: float, steps: int,
-                        state_preset: str = "two_qutrit_schmidt") -> ScenarioConfig:
+def _qutrit_pair_config(name: str, q: float, rates, t_max: float,
+                        steps: int) -> ScenarioConfig:
     return ScenarioConfig(
         name=name, dims=(3, 3),
-        initial_state={"preset": state_preset, "q": q, "theta": 0.0},
+        initial_state={"preset": "two_qutrit_schmidt", "q": q, "theta": 0.0},
         evolution={"a": [{"kind": "cartan_linear", "rates": list(rates),
                           "duration": t_max}],
                    "b": [{"kind": "cartan_hold", "duration": t_max}]},

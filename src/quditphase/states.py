@@ -57,8 +57,8 @@ class QuditDensity:
         return float(self.q ** 2 + (1.0 - self.q ** 2) / self.d)
 
 
-def density_from_purity(d: int, q: float, q_hat, basis: GeneratorBasis | None = None,
-                        eig_tol: float = 1e-12) -> QuditDensity:
+def density_from_purity(d: int, q: float, q_hat,
+                        basis: GeneratorBasis | None = None) -> QuditDensity:
     """Build rho = 1/d + q sqrt((d-1)/d) q_hat.T.
 
     Parameters
@@ -71,14 +71,12 @@ def density_from_purity(d: int, q: float, q_hat, basis: GeneratorBasis | None = 
         Unit vector in R^{d^2-1} (ignored up to normalization check if q = 0).
     basis : GeneratorBasis, optional
         Defaults to ``make_generators(d)``.
-    eig_tol : float
-        Eigenvalues are allowed down to -eig_tol to absorb rounding.
 
     Raises
     ------
     ValueError
         If the combination leaves the physical domain; the message names the
-        offending eigenvalue.
+        offending eigenvalue. Eigenvalues down to -1e-12 absorb rounding.
     """
     if basis is None:
         basis = make_generators(d)
@@ -90,6 +88,8 @@ def density_from_purity(d: int, q: float, q_hat, basis: GeneratorBasis | None = 
     q_hat = np.asarray(q_hat, dtype=float)
     if q_hat.shape != (basis.size,):
         raise ValueError(f"q_hat must have length {basis.size}")
+    if not np.isfinite(q_hat).all():
+        raise ValueError("q_hat must be finite")
     if q > 0.0:
         nrm = np.linalg.norm(q_hat)
         if abs(nrm - 1.0) > 1e-9:
@@ -97,7 +97,7 @@ def density_from_purity(d: int, q: float, q_hat, basis: GeneratorBasis | None = 
     rho = np.eye(d, dtype=complex) / d
     rho += q * math.sqrt((d - 1) / d) * np.einsum("a,aij->ij", q_hat, basis.generators)
     evals = np.linalg.eigvalsh(rho)
-    if evals.min() < -eig_tol:
+    if evals.min() < -1e-12:
         raise ValueError(f"state outside the physical domain: eigenvalue "
                          f"{evals.min():.6g} is negative")
     return QuditDensity(d=d, rho=rho, q=q, q_hat=q_hat)
@@ -197,15 +197,17 @@ class CoefficientMatrix:
     alpha: np.ndarray
 
     @classmethod
-    def from_array(cls, alpha, tol: float = 1e-9) -> "CoefficientMatrix":
+    def from_array(cls, alpha) -> "CoefficientMatrix":
         alpha = np.asarray(alpha, dtype=complex)
         if alpha.ndim != 2:
             raise ValueError("coefficient matrix must be two dimensional")
         d_a, d_b = alpha.shape
         if d_a > d_b:
             raise ValueError("convention requires d_A <= d_B; transpose the state")
+        if not np.isfinite(alpha).all():
+            raise ValueError("coefficient matrix must be finite")
         nrm = float(np.real(np.trace(alpha.conj().T @ alpha)))
-        if abs(nrm - 1.0) > tol:
+        if abs(nrm - 1.0) > 1e-9:
             raise ValueError(f"state not normalized: Tr[alpha^dag alpha] = {nrm:g}")
         alpha = alpha.copy()
         alpha.setflags(write=False)
@@ -336,15 +338,15 @@ def entanglement_report(state: CoefficientMatrix) -> EntanglementReport:
                               q_a=q_a, q_b=q_b, traces=traces, det_q_abs=det_q)
 
 
-def apply_local(state: CoefficientMatrix, u_a: np.ndarray, u_b: np.ndarray,
-                tol: float = 1e-9) -> CoefficientMatrix:
+def apply_local(state: CoefficientMatrix, u_a: np.ndarray,
+                u_b: np.ndarray) -> CoefficientMatrix:
     """Local unitary action alpha -> U_A alpha U_B^T."""
     u_a = np.asarray(u_a, dtype=complex)
     u_b = np.asarray(u_b, dtype=complex)
     if u_a.shape != (state.d_a, state.d_a) or u_b.shape != (state.d_b, state.d_b):
         raise ValueError("local operator dimensions do not match the state")
     for name, u in (("U_A", u_a), ("U_B", u_b)):
-        if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > tol:
+        if np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() > 1e-9:
             raise ValueError(f"{name} is not unitary within tolerance")
     return CoefficientMatrix.from_array(u_a @ state.alpha @ u_b.T)
 

@@ -159,12 +159,12 @@ class CartanAngles:
         return self.levels.shape[-1]
 
     @classmethod
-    def from_levels(cls, basis: GeneratorBasis, levels, tol: float = 1e-9) -> "CartanAngles":
+    def from_levels(cls, basis: GeneratorBasis, levels) -> "CartanAngles":
         levels = np.asarray(levels, dtype=float)
         if levels.shape[-1] != basis.d:
             raise ValueError(f"expected {basis.d} per-level phases, got {levels.shape[-1]}")
         s = levels.sum()
-        if abs(s) > tol * max(1.0, np.abs(levels).max()):
+        if abs(s) > 1e-9 * max(1.0, np.abs(levels).max()):
             raise ValueError(f"per-level phases must sum to zero, got sum {s:g}")
         levels = levels - levels.mean()
         return cls(h=basis.h_from_levels(levels), levels=levels)
@@ -260,8 +260,7 @@ class VelocityDecomposition:
 
 
 def decompose_velocity(basis: GeneratorBasis, u: np.ndarray, h,
-                       v_from_coset: np.ndarray,
-                       tol: float = 1e-8) -> VelocityDecomposition:
+                       v_from_coset: np.ndarray) -> VelocityDecomposition:
     """Decompose the velocity of a path U = V exp(i h.H).
 
     Parameters
@@ -295,12 +294,13 @@ def decompose_velocity(basis: GeneratorBasis, u: np.ndarray, h,
 
     norm_in = np.linalg.norm(v[k:])
     norm_out = np.linalg.norm(u[k:])
-    if abs(norm_in - norm_out) > tol * (1.0 + norm_in):
+    tol = 1e-8 * (1.0 + norm_in)
+    if abs(norm_in - norm_out) > tol:
         raise ValueError("off-diagonal norm not preserved; inputs are not "
                          "consistent samples of one factorized path")
     hh = h.h if isinstance(h, CartanAngles) else np.asarray(h, dtype=float)
     rotated = rotate_by_cartan(basis, hh, v * np.concatenate([np.zeros(k), np.ones(n - k)]))
-    if np.abs(rotated[k:] - u[k:]).max() > tol * (1.0 + norm_in):
+    if np.abs(rotated[k:] - u[k:]).max() > tol:
         raise ValueError("rotated coset velocity does not match the "
                          "off-diagonal block of u")
     return VelocityDecomposition(u=u, v_perp_rot=v_perp_rot, v_par=v_par, h_dot=h_dot)

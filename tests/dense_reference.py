@@ -1,10 +1,12 @@
 """Dense (U, dU/dt) reference route for the phase engine tests.
 
-The engine samples every path as frame phasors, U = L diag(z) R per table
-row. This module samples the same paths as full d x d operator stacks and
-contracts them densely, as an independent reference: U from the public
-``coset_factor`` and ``cartan_levels`` queries, dU/dt from the segments and
-the path's row tables.
+The engine evaluates a path's unitary one way, from its frame rows,
+U = L diag(z) R per table row. This module samples the same paths as full
+d x d operator stacks built from the authored segments, and contracts them
+densely, as an independent reference: the generator product W(t) from each
+``GeneratorConst``'s eigendecomposition and the ordered product of the
+generators before it, V(theta, phi) from the Bloch coordinates, chi from
+``cartan_levels``, and dU/dt from the segments. It reads none of the frames.
 """
 
 import numpy as np
@@ -29,6 +31,39 @@ def bloch_generator(theta, phi, theta_dot, phi_dot) -> np.ndarray:
     return out
 
 
+def generator_tables(evo) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eigenvalues, eigenvectors, W0) per table row, from the segments: the
+    eigenpairs of the row's generator (0 and 1 on every other row) and the
+    product W0 of the generator factors before the row."""
+    n, d = len(evo.segments), evo.d
+    evals = np.zeros((n + 1, d))
+    evecs = np.tile(np.eye(d, dtype=complex), (n + 1, 1, 1))
+    w0 = np.tile(np.eye(d, dtype=complex), (n + 1, 1, 1))
+    for k, seg in enumerate(evo.segments):
+        if isinstance(seg, qp.GeneratorConst):
+            evals[k], evecs[k] = np.linalg.eigh(seg.generator)
+            w0[k + 1] = ((evecs[k] * np.exp(1j * evals[k] * seg.duration))
+                         @ evecs[k].conj().T @ w0[k])
+        else:
+            w0[k + 1] = w0[k]
+    return evals, evecs, w0
+
+
+def coset(evo, times) -> np.ndarray:
+    """Coset factor V(theta, phi) W(t) from the segments, stacked over the
+    samples: W(t) = E diag(exp(i lambda tau)) E^dag W0 in each sample's row."""
+    t = evo._times(times)
+    idx = evo._segment_index(t)
+    evals, evecs, w0 = generator_tables(evo)
+    e = evecs[idx]
+    phase = np.exp(1j * evals[idx] * (t - evo._starts[idx])[:, None])
+    w = (e * phase[:, None, :]) @ e.conj().transpose(0, 2, 1) @ w0[idx]
+    if evo.has_bloch:
+        theta, phi = evo._advance(evo._bloch0, evo._bloch_rate, t, idx).T
+        w = paths._bloch_matrix(theta, phi) @ w
+    return w
+
+
 def left_generators(evo) -> np.ndarray:
     """Constant left generator of every table row: V G V^dag on a generator
     segment, with V = V(theta_k, phi_k) the row's coset factor (1 without a
@@ -46,7 +81,7 @@ def left_generators(evo) -> np.ndarray:
 def sample(evo, times, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
     """Synthesize (U, dU/dt) stacks on the given times.
 
-    U = coset_factor(t) diag(exp(i cartan_levels(t))) is special unitary by
+    U = coset(t) diag(exp(i cartan_levels(t))) is special unitary by
     construction and always sampled from the segment that starts at t.
     dU/dt = i (L U + U diag(rates)) with the row's right Cartan rates and left
     generator L, plus the closed-form Bloch generator on a ``BlochLoop`` row;
@@ -54,7 +89,7 @@ def sample(evo, times, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
     (one-sided) derivative.
     """
     t = evo._times(times)
-    U = evo.coset_factor(t) * np.exp(1j * evo.cartan_levels(t))[:, None, :]
+    U = coset(evo, t) * np.exp(1j * evo.cartan_levels(t))[:, None, :]
     idx = evo._segment_index(t)
     if side == "left":                  # a boundary belongs to the segment it ends
         idx = np.minimum(np.searchsorted(evo._ends, t - paths._BOUNDARY_TOL, side="left"),

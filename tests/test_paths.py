@@ -394,7 +394,8 @@ def test_phase_rate_and_solid_angle_on_every_segment_kind():
     # is the largest frame rate, the same float as the largest segment rate
     assert evo.max_phase_rate == pytest.approx(TWO_PI + math.pi / 4, abs=1e-14)
     theta_dot, phi_dot = np.abs(evo._bloch_rate).T
-    assert evo.max_phase_rate == max(np.abs(evo._rates).max(), np.abs(evo._evals).max(),
+    evals = dense.generator_tables(evo)[0]
+    assert evo.max_phase_rate == max(np.abs(evo._rates).max(), np.abs(evals).max(),
                                      (phi_dot + 0.5 * theta_dot).max())
     # 2 pi (1 - <cos theta>) over the ramp from 0 to pi/2; the return is at fixed phi
     assert qp.solid_angle(evo) == pytest.approx(TWO_PI - 4.0, abs=1e-14)
@@ -522,6 +523,31 @@ def test_bloch_start_continuity_enforced():
             qp.BlochLoop(theta_end=1.0, phi_rate=0.0, duration=1.0),
             qp.BlochLoop(theta_end=0.5, phi_rate=0.0, duration=1.0,
                          theta_start=0.3)])
+
+
+_NONFINITE_INPUTS = {
+    "CartanLinear.rates": lambda x: qp.CartanLinear(np.array([x, 0.0, -1.0]), 1.0),
+    "CartanLinear.duration": lambda x: qp.CartanLinear(np.array([1.0, -1.0]), x),
+    "CartanHold.duration": lambda x: qp.CartanHold(x),
+    "CartanHold.angles": lambda x: qp.CartanHold(1.0, angles=[x, 0.0]),
+    "BlochLoop.theta_end": lambda x: qp.BlochLoop(theta_end=x, phi_rate=1.0, duration=1.0),
+    "BlochLoop.phi_rate": lambda x: qp.BlochLoop(theta_end=1.0, phi_rate=x, duration=1.0),
+    "BlochLoop.duration": lambda x: qp.BlochLoop(theta_end=1.0, phi_rate=1.0, duration=x),
+    "BlochLoop.theta_start": lambda x: qp.BlochLoop(theta_end=1.0, phi_rate=1.0,
+                                                    duration=1.0, theta_start=x),
+    "GeneratorConst.generator": lambda x: qp.GeneratorConst(np.array([[0.0, x], [x, 0.0]]),
+                                                            1.0),
+    "GeneratorConst.duration": lambda x: qp.GeneratorConst(QUBIT_GEN, x),
+    "TimeGrid.t_max": lambda x: qp.TimeGrid(x, 10),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("build", list(_NONFINITE_INPUTS.values()), ids=list(_NONFINITE_INPUTS))
+def test_constructors_refuse_nonfinite_numbers(build, value):
+    # NaN compares false with everything, so each input needs a check that NaN fails
+    with pytest.raises(ValueError, match="finite"):
+        build(value)
 
 
 def test_time_grid_validation():

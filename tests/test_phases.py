@@ -181,10 +181,10 @@ def test_unwrap_through_overlap_zero():
     assert [e.n_a for e in positive] == [1, 0]
 
 
-def _unwrap_per_sample(z, dynamical=None):
+def _unwrap_per_sample(z, dynamical):
     """Reference unwrap, one sample at a time: nearest-branch steps between
-    determinate samples under the aliasing guard, the dynamical slope (zero
-    without one) onto a bridged sample, and a nearest-branch re-anchor on the
+    determinate samples under the aliasing guard, the dynamical slope onto a
+    bridged sample, and a nearest-branch re-anchor on the
     first determinate sample after a bridged run."""
     mag = np.abs(z)
     scale = phases.NEAR_ORIGIN * mag.max()
@@ -203,8 +203,7 @@ def _unwrap_per_sample(z, dynamical=None):
         elif determinate[k]:
             out[k] = out[k - 1] + math.remainder(args[k] - out[k - 1], TWO_PI)
         else:
-            out[k] = out[k - 1] + (0.0 if dynamical is None
-                                   else dynamical[k] - dynamical[k - 1])
+            out[k] = out[k - 1] + dynamical[k] - dynamical[k - 1]
     return out, ~determinate
 
 
@@ -212,7 +211,8 @@ def _unwrap_per_sample(z, dynamical=None):
 @given(st.data())
 def test_unwrap_matches_per_sample_loop(data):
     # bridged runs at the start, in the middle and at the end, with and without
-    # a dynamical phase; coarse steps make some draws trip the guard
+    # a dynamical phase (zeros bridge at zero slope); coarse steps make some
+    # draws trip the guard
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     n = data.draw(st.integers(2, 200))
     step = data.draw(st.sampled_from([0.3, 1.0, 3.0]))
@@ -223,7 +223,7 @@ def test_unwrap_matches_per_sample_loop(data):
         lo = {"start": 0, "middle": (n - length) // 2, "end": n - length}[where]
         small = data.draw(st.sampled_from([0.0, 1e-13]))
         z[lo:lo + length] = small * np.exp(1j * rng.uniform(-math.pi, math.pi, length))
-    dynamical = np.cumsum(rng.normal(size=n)) if data.draw(st.booleans()) else None
+    dynamical = np.cumsum(rng.normal(size=n)) if data.draw(st.booleans()) else np.zeros(n)
     try:
         expected = _unwrap_per_sample(z, dynamical)
     except qp.GridTooCoarseError:
@@ -389,6 +389,24 @@ def test_run_trace_dimension_mismatch():
         qp.run_trace(state, pair)
 
 
+def test_single_qudit_trace_makes_the_pair_grid_checks():
+    # a cut off the grid is refused, as run_trace refuses it, instead of being
+    # integrated at the wrong rate; on the grid the dynamical phase is exact
+    rho = qp.density_from_purity(3, 0.5, np.eye(8)[0])
+    first, second = np.array([1.0, 1.0, -2.0]), np.array([-3.0, 1.0, 2.0])
+    grid = qp.TimeGrid(3.0, 3000)
+    off = qp.LocalEvolution(3, [qp.CartanLinear(first, 1.0003),
+                                qp.CartanLinear(second, 1.9997)])
+    with pytest.raises(ValueError, match="does not fall on the grid"):
+        qp.single_qudit_trace(rho, off, grid)
+    with pytest.raises(ValueError, match="grid extends to"):
+        qp.single_qudit_trace(rho, off, qp.TimeGrid(3.5, 3500))
+    on = qp.LocalEvolution(3, [qp.CartanLinear(first, 1.0), qp.CartanLinear(second, 2.0)])
+    p = np.diagonal(rho.rho).real
+    expected = p @ first + 2.0 * p @ second
+    assert abs(qp.single_qudit_trace(rho, on, grid).dynamical_phase[-1] - expected) < 1e-13
+
+
 def test_trace_rejects_paths_not_starting_at_identity():
     q_hat = np.zeros(3)
     q_hat[0] = 1.0
@@ -471,6 +489,7 @@ def _frame_residuals(evo, times):
     first two terms. Every sample adds |conj(z) z - 1|.
     """
     f, d = evo.frames, evo.d
+    w0 = dense.generator_tables(evo)[2]
     rows = evo._segment_index(times)
     z = np.exp(1j * (f.phase0[rows] + f.rate[rows] * (times - evo._starts[rows])[:, None]))
     visited = np.unique(rows)
@@ -480,14 +499,14 @@ def _frame_residuals(evo, times):
                                                   for m in terms if m.size]
     det_frames = np.linalg.det(f.left[:, :, :d]) * np.linalg.det(f.right[:, :d])
     for k in visited[f.rectangular[visited]]:
-        factor = evo._w0[k] * np.exp(1j * evo._chi0[k])
+        factor = w0[k] * np.exp(1j * evo._chi0[k])
         ends = np.array([evo._starts[k], evo._ends[k]])
         sums = (f.left[k] * np.exp(1j * (f.phase0[k] + f.rate[k] * (ends - ends[0])[:, None]))
                 [:, None, :]) @ f.right[k]
         ref = np.stack([dense.sample(evo, ends[:1])[0][0],
                         dense.sample(evo, ends[1:], "left")[0][0]])
         unit += [dense.operator_residuals([factor[None]])[0], np.abs(sums - ref).max()]
-        det_frames[k] = np.linalg.det(evo._w0[k]) * np.exp(1j * evo._chi0[k].sum())
+        det_frames[k] = np.linalg.det(w0[k]) * np.exp(1j * evo._chi0[k].sum())
     det = np.abs(det_frames[rows] * z[:, :d].prod(axis=1) - 1.0).max()
     return float(max(unit)), float(det)
 
@@ -969,6 +988,24 @@ def test_labelled_cycles_of_qutrit_ququart_pairs_lie_on_the_lattice(seed, spec_a
         assert qp.circular_distance(ev.phase, TWO_PI * (ev.n_a / 3 + ev.n_b / 4)) < 1e-9
 
 
+def test_unequal_dimensions_admit_cyclic_phases_off_the_lattice():
+    # the counterpart of the equal-dimension property: for max_entangled(2, 3)
+    # the overlap (e^{1.3 i t} + e^{-i t})/2 returns to the unit circle at
+    # every 2 pi k/2.3, where qudit B's levels are not central, so the events
+    # are unlabelled and their phases miss the 2 pi m/6 lattice
+    t_max = TWO_PI * 5 / 2.3
+    pair = qp.PairEvolution(
+        qp.LocalEvolution(2, [qp.CartanLinear(np.array([1.0, -1.0]), t_max)]),
+        qp.LocalEvolution(3, [qp.CartanLinear(np.array([0.3, 0.0, -0.3]), t_max)]),
+        qp.TimeGrid(t_max, 20000))
+    scan = qp.detect_cycles(qp.run_trace(qp.max_entangled(2, 3), pair), pair)
+    later = [ev for ev in scan.events if ev.t_cycle > 0.0]
+    assert [ev.t_cycle for ev in later] == pytest.approx(TWO_PI * np.arange(1, 6) / 2.3)
+    assert all(ev.n_a is None and ev.n_b is None for ev in later)
+    lattice = qp.fractional_lattice(2, 3)
+    assert min(lattice.nearest(ev.phase)[1] for ev in later) > 0.04
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_global_phase_immunity(data):
@@ -1029,15 +1066,16 @@ def test_generator_pair_dynamical_phase_is_sum_of_generator_means():
 
 
 def _labels_per_event(scan, pair, lattice_tol=1e-6):
-    """Reference annotation: one coset_factor and cartan_levels call per event
-    and path. A coset factor e^{2 pi i m/d} 1 in the center is closed and adds
-    m to the index of the levels."""
+    """Reference annotation: one reference coset factor (built from the
+    segments) and cartan_levels call per event and path. A coset factor
+    e^{2 pi i m/d} 1 in the center is closed and adds m to the index of the
+    levels."""
     labels = []
     for ev in scan.events:
         per_path = []
         for evo in (pair.a, pair.b):
             n = None
-            w = evo.coset_factor([ev.t_cycle])[0]
+            w = dense.coset(evo, [ev.t_cycle])[0]
             for m in range(evo.d):
                 center = np.exp(2j * np.pi * m / evo.d) * np.eye(evo.d)
                 if np.abs(w - center).max() <= 1e-8:

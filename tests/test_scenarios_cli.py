@@ -697,3 +697,25 @@ def test_size_policy_admits_the_benchmark_sizes():
     # long_grid's largest grid and widest paths, and the largest preset grid
     qp.scenarios._check_size(400000, (8, 8), (3, 3))
     qp.scenarios._check_size(40000, (2, 3), (1, 1))
+
+
+def _schmidt_config(dims, schmidt) -> dict:
+    return {"name": "schmidt", "dims": dims, "initial_state": {"schmidt": schmidt},
+            "evolution": {"a": [], "b": []}, "grid": {"t_max": 1.0, "steps": 10}}
+
+
+@pytest.mark.parametrize("dims, schmidt, expected", [
+    ([2, 2], {"q": 0.3}, lambda: qp.two_qubit_schmidt(0.3)),
+    ([3, 3], {"q": 0.4, "theta": 0.1}, lambda: qp.two_qutrit_schmidt(0.4, 0.1)),
+    ([4, 4], {"q": 0.2}, lambda: qp.qudit_schmidt_diagonal(4, 0.2)),
+], ids=["2x2", "3x3", "4x4"])
+def test_schmidt_initial_state_builds_the_named_family(dims, schmidt, expected):
+    built = qp.ScenarioConfig.from_dict(_schmidt_config(dims, schmidt)).build()
+    np.testing.assert_array_equal(built.alpha0.alpha, expected().alpha)
+
+
+def test_schmidt_initial_state_refuses_unequal_dims(tmp_path, capsys):
+    path = tmp_path / "schmidt.yaml"
+    path.write_text(json.dumps(_schmidt_config([2, 3], {"q": 0.3})))
+    assert main(["run", str(path)]) == 2
+    assert "no generic Schmidt family for unequal dims 2x3" in capsys.readouterr().err

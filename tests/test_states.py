@@ -114,6 +114,17 @@ def test_coefficient_matrix_validation():
     assert np.trace(alpha.alpha.conj().T @ alpha.alpha).real == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_state_constructors_refuse_nonfinite_numbers(value):
+    with pytest.raises(ValueError, match="finite"):
+        qp.CoefficientMatrix.from_array(np.array([[value, 0.0], [0.0, 0.6]]))
+    for q in (0.0, 0.5):
+        with pytest.raises(ValueError, match="finite"):
+            qp.density_from_purity(3, q, np.array([value, 1.0] + [0.0] * 6))
+    with pytest.raises(ValueError, match="purity scalar"):
+        qp.density_from_purity(3, value, np.eye(8)[0])
+
+
 def test_schmidt_of_sorted_diagonal_is_trivial():
     q = 0.4
     state = qp.two_qubit_schmidt(q)
