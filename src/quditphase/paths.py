@@ -13,11 +13,11 @@ The path's unitary is the factorized product
 ``U(t) = V(theta, phi) W(t) diag(e^{i chi_n(t)})`` where V is the explicit
 SU(2) coset matrix and W the ordered product of generator factors.
 
-Construction lowers every segment once to a row of tables: its start
-coordinates, right Cartan rates and (theta, phi) rates, and its frames, built
-from the generator eigenpairs and products. Every query reads those rows; U(t)
-has one evaluator, the frame rows, which both the trace kernel and
-``coset_factor`` (V W = U diag(e^{-i chi})) read.
+Construction lowers the segments in one pass, one branch per kind that checks
+the segment, writes its row of tables (start coordinates, right Cartan rates,
+(theta, phi) rates and frames) and advances the coordinates. Every query reads
+those rows; U(t) has one evaluator, the frame rows, which both the trace kernel
+and ``coset_factor`` (V W = U diag(e^{-i chi})) read.
 
 Every row is also one fixed-frame sum of exponentials,
 ``U(t) = L_k diag(exp(i (c_k + w_k tau))) R_k`` with tau = t - start_k: a
@@ -181,6 +181,8 @@ class FrameTables:
     s theta/2 + (i - j) phi, left column e_i and right row coef F[j], coef 1/2
     on i = j and s/2 otherwise; its first two terms are e^{+-i theta/2}.
 
+    Rows are written per segment kind, in one pass (``LocalEvolution._build_tables``).
+
     ``unitarity`` is the row's largest |F^dag F - 1| entry over both frames of
     a unitary row, and on a Bloch row the largest of |F^dag F - 1| for its
     factor F and of the term sum's deviation from V(theta, phi) F at both ends
@@ -205,57 +207,6 @@ _BLOCH_S, _BLOCH_I, _BLOCH_J = np.array([(1, 0, 0), (-1, 0, 0), (1, 1, 1), (-1, 
                                          (1, 0, 1), (-1, 0, 1), (1, 1, 0), (-1, 1, 0)]).T
 _BLOCH_EXPONENT = np.array([_BLOCH_S / 2.0, _BLOCH_I - _BLOCH_J])
 _BLOCH_COEF = np.where(_BLOCH_I == _BLOCH_J, 0.5, 0.5 * _BLOCH_S)
-
-
-def _frame_tables(chi0, rates, evals, evecs, w0, gen_rows, bloch=None) -> FrameTables:
-    """Frames of every row. Cartan rows (V W0, 1) and generator rows
-    (V E, E^dag W0 diag(exp(i chi0))) are unitary, with V = 1 on a path
-    without a Bloch segment. A path with one passes ``bloch`` = (bloch0,
-    bloch_rate, durations, bloch_rows): V = V(theta_k, phi_k), the width is 8
-    and each Bloch row is the 8-term sum of V(theta, phi) F,
-    F = W0 diag(exp(i chi0))."""
-    rows, d = chi0.shape
-    width = d if bloch is None else _BLOCH_S.size
-    gen = np.zeros(rows, dtype=bool)
-    gen[gen_rows] = True
-    left = np.zeros((rows, d, width), dtype=complex)
-    right = np.zeros((rows, width, d), dtype=complex)
-    phase0 = np.zeros((rows, width))
-    rate = np.zeros((rows, width))
-    square = np.empty((2, rows, d, d), dtype=complex)       # the unitary d-term frames
-    square[0] = np.where(gen[:, None, None], evecs, w0)
-    if bloch is not None:
-        square[0] = _bloch_matrix(*bloch[0].T) @ square[0]
-    square[1] = np.eye(d)
-    for k in gen_rows:
-        square[1, k] = evecs[k].conj().T @ w0[k] * np.exp(1j * chi0[k])
-    left[:, :, :d], right[:, :d] = square
-    phase0[:, :d] = np.where(gen[:, None], 0.0, chi0)
-    rate[:, :d] = np.where(gen[:, None], evals, rates)
-    both = square.reshape(2 * rows, d, d)
-    unitarity = np.abs(both.conj().transpose(0, 2, 1) @ both - np.eye(d)).max(axis=(1, 2))
-    det = np.linalg.det(both)
-    unitarity = np.maximum(unitarity[:rows], unitarity[rows:])
-    determinant = det[:rows] * det[rows:]
-    rectangular = np.zeros(rows, dtype=bool)
-    if bloch is not None:
-        bloch0, bloch_rate, durations, bloch_rows = bloch
-        rectangular[bloch_rows] = True
-        for k in bloch_rows:
-            f = w0[k] * np.exp(1j * chi0[k])
-            left[k] = np.eye(2)[:, _BLOCH_I]
-            right[k] = _BLOCH_COEF[:, None] * f[_BLOCH_J]
-            phase0[k], rate[k] = np.array([bloch0[k], bloch_rate[k]]) @ _BLOCH_EXPONENT
-            ends = np.array([0.0, durations[k]])
-            terms = (left[k] * np.exp(1j * (phase0[k] + ends[:, None] * rate[k]))[:, None, :]
-                     @ right[k])
-            authored = _bloch_matrix(*bloch0[k:k + 2].T) @ f
-            unitarity[k] = max(np.abs(f.conj().T @ f - np.eye(2)).max(),
-                               np.abs(terms - authored).max())
-            determinant[k] = np.linalg.det(w0[k]) * np.exp(1j * chi0[k].sum())
-    return FrameTables(left=left, right=right, phase0=phase0, rate=rate,
-                       unitarity=unitarity, determinant=determinant,
-                       rectangular=rectangular)
 
 
 def _bloch_matrix(theta, phi) -> np.ndarray:
@@ -324,90 +275,109 @@ class LocalEvolution:
             raise ValueError("dimension must be an integer >= 2")
         self.d = int(d)
         segs = []
-        for seg in segments:
-            if isinstance(seg, GeneratorConst):
-                if seg.generator.shape[0] != self.d:
-                    raise ValueError("generator dimension does not match the path")
-                if seg.is_diagonal():
-                    seg = CartanLinear(np.diagonal(seg.generator).real, seg.duration)
-            if isinstance(seg, CartanLinear) and seg.rates.size != self.d:
-                raise ValueError(f"segment rates must have length {self.d}")
-            if isinstance(seg, BlochLoop) and self.d != 2:
-                raise ValueError("Bloch segments are only defined for d = 2")
+        for seg in segments:    # a generator of another dimension is left to its check
+            if (isinstance(seg, GeneratorConst) and seg.generator.shape[0] == self.d
+                    and seg.is_diagonal()):
+                seg = CartanLinear(np.diagonal(seg.generator).real, seg.duration)
             if seg.duration > 0:
                 segs.append(seg)
         self.segments = tuple(segs)
         self._build_tables()
 
     def _build_tables(self):
-        """Lower every segment to one table row; row n is a trailing hold.
+        """Lower every segment to one table row in one pass; row n is a trailing hold.
 
         Row k holds the coordinates at the segment start (``chi0`` and the
-        (theta, phi) pair ``bloch0``), the right Cartan rates and the
-        (theta, phi) rates, and every row gets its frames (``frames``, see
-        ``FrameTables``), built from the generator eigenpairs and products.
-        Nothing after construction asks which kind a segment is.
+        (theta, phi) pair ``bloch0``), the right Cartan rates, the (theta, phi)
+        rates and the row's frames (``frames``, see ``FrameTables``). One
+        branch per segment kind checks the segment against the path, writes
+        its row and advances chi, (theta, phi) and the generator product W0.
+        Then the square d-term frames take their coset factor V(theta_k, phi_k)
+        and their residuals, all rows at once; Bloch rows keep what their
+        branch wrote. Nothing after construction asks which kind a segment is.
         """
         n, d = len(self.segments), self.d
         self.has_bloch = any(isinstance(s, BlochLoop) for s in self.segments)
         self.is_diagonal = all(isinstance(s, (CartanLinear, CartanHold)) for s in self.segments)
-        durations = np.zeros(n + 1)
-        ends = np.zeros(n)
-        rates = np.zeros((n + 1, d))
-        chi0 = np.zeros((n + 1, d))
-        bloch_rate = np.zeros((n + 1, 2))
-        bloch0 = np.zeros((n + 1, 2))
-        evals = np.zeros((n + 1, d))
-        evecs = np.zeros((n + 1, d, d), dtype=complex)
-        w0 = np.empty((n + 1, d, d), dtype=complex)
-        w0[0] = np.eye(d)
-        gen_rows, bloch_rows = [], []
-        t = 0.0
+        width = _BLOCH_S.size if self.has_bloch else d
+        durations = self._durations = np.array([s.duration for s in self.segments] + [0.0])
+        ends = self._ends = np.cumsum(durations[:n])
+        self.duration = float(ends[-1]) if n else 0.0
+        self._starts = np.append(ends, self.duration) - durations
+        rates = self._rates = np.zeros((n + 1, d))
+        chi0 = self._chi0 = np.empty((n + 1, d))
+        bloch_rate = self._bloch_rate = np.zeros((n + 1, 2))
+        bloch0 = self._bloch0 = np.empty((n + 1, 2))
+        square = np.zeros((2, n + 1, d, d), dtype=complex)       # the unitary d-term frames
+        square[1] = np.eye(d)
+        left = np.zeros((n + 1, d, width), dtype=complex)
+        right = np.zeros((n + 1, width, d), dtype=complex)
+        phase0 = np.zeros((n + 1, width))
+        rate = np.zeros((n + 1, width))
+        unitarity = np.empty(n + 1)
+        determinant = np.empty(n + 1, dtype=complex)
+        rectangular = np.zeros(n + 1, dtype=bool)
+        chi, w, theta, phi = np.zeros(d), np.eye(d, dtype=complex), 0.0, 0.0
         for k, seg in enumerate(self.segments):
-            durations[k] = seg.duration
-            theta_end = bloch0[k, 0]
-            w0[k + 1] = w0[k]
-            if isinstance(seg, CartanLinear):
-                rates[k] = seg.rates
+            chi0[k], bloch0[k] = chi, (theta, phi)
+            if isinstance(seg, CartanLinear):           # frames (V W0, 1)
+                if seg.rates.size != d:
+                    raise ValueError(f"segment rates must have length {d}")
+                square[0, k], phase0[k, :d], rates[k], rate[k, :d] = w, chi, seg.rates, seg.rates
+                chi = chi + seg.rates * seg.duration
             elif isinstance(seg, CartanHold):
-                if seg.angles is not None:
-                    if seg.angles.shape != (d,) or np.abs(seg.angles - chi0[k]).max() > 1e-9:
-                        raise ValueError(
-                            f"hold segment {k} pins angles {seg.angles} but the "
-                            f"path arrives with {chi0[k]}")
-            elif isinstance(seg, BlochLoop):
+                if seg.angles is not None and (seg.angles.shape != (d,)
+                                               or np.abs(seg.angles - chi).max() > 1e-9):
+                    raise ValueError(f"hold segment {k} pins angles {seg.angles} but the "
+                                     f"path arrives with {chi}")
+                square[0, k], phase0[k, :d] = w, chi
+            elif isinstance(seg, GeneratorConst):       # frames (V E, E^dag W0 diag(e^{i chi}))
+                if seg.generator.shape[0] != d:
+                    raise ValueError("generator dimension does not match the path")
+                rate[k, :d], square[0, k] = np.linalg.eigh(seg.generator)
+                e = square[0, k]
+                square[1, k] = e.conj().T @ w * np.exp(1j * chi)
+                w = (e * np.exp(1j * rate[k, :d] * seg.duration)) @ e.conj().T @ w
+            elif isinstance(seg, BlochLoop):            # the 8-term sum of V(theta, phi) F
+                if d != 2:
+                    raise ValueError("Bloch segments are only defined for d = 2")
                 if seg.theta_start is not None:
                     if k == 0:
-                        bloch0[0, 0] = float(seg.theta_start)
-                    elif abs(seg.theta_start - bloch0[k, 0]) > 1e-9:
+                        theta = bloch0[0, 0] = float(seg.theta_start)
+                    elif abs(seg.theta_start - theta) > 1e-9:
                         raise ValueError(
                             f"Bloch segment {k} starts at theta = {seg.theta_start:g} "
-                            f"but the path arrives at {bloch0[k, 0]:g}")
-                bloch_rows.append(k)
+                            f"but the path arrives at {theta:g}")
                 theta_end = float(seg.theta_end)
-                bloch_rate[k] = ((theta_end - bloch0[k, 0]) / seg.duration, seg.phi_rate)
-            elif isinstance(seg, GeneratorConst):
-                gen_rows.append(k)
-                evals[k], evecs[k] = np.linalg.eigh(seg.generator)
-                w0[k + 1] = ((evecs[k] * np.exp(1j * evals[k] * seg.duration))
-                             @ evecs[k].conj().T @ w0[k])
+                bloch_rate[k] = (theta_end - theta) / seg.duration, seg.phi_rate
+                phi_end = phi + bloch_rate[k, 1] * seg.duration
+                f = w * np.exp(1j * chi)
+                rectangular[k] = True
+                left[k], right[k] = np.eye(2)[:, _BLOCH_I], _BLOCH_COEF[:, None] * f[_BLOCH_J]
+                phase0[k], rate[k] = np.array([bloch0[k], bloch_rate[k]]) @ _BLOCH_EXPONENT
+                tau = np.array([0.0, seg.duration])
+                terms = (left[k] * np.exp(1j * (phase0[k] + tau[:, None] * rate[k]))[:, None, :]
+                         @ right[k])
+                authored = _bloch_matrix([theta, theta_end], [phi, phi_end]) @ f
+                unitarity[k] = max(np.abs(f.conj().T @ f - np.eye(2)).max(),
+                                   np.abs(terms - authored).max())
+                determinant[k] = np.linalg.det(w) * np.exp(1j * chi.sum())
+                theta, phi = theta_end, phi_end
             else:
                 raise TypeError(f"unknown segment type {type(seg).__name__}")
-            t += seg.duration
-            ends[k] = t
-            chi0[k + 1] = chi0[k] + rates[k] * seg.duration
-            bloch0[k + 1] = theta_end, bloch0[k, 1] + bloch_rate[k, 1] * seg.duration
-        self._ends = ends
-        self._starts = np.append(ends, t) - durations
-        self._durations = durations
-        self._rates = rates
-        self._chi0 = chi0
-        self._bloch_rate = bloch_rate
-        self._bloch0 = bloch0
-        self.frames = _frame_tables(chi0, rates, evals, evecs, w0, gen_rows,
-                                    (bloch0, bloch_rate, durations, bloch_rows)
-                                    if self.has_bloch else None)
-        self.duration = t
+        chi0[n], bloch0[n], square[0, n], phase0[n, :d] = chi, (theta, phi), w, chi
+        if self.has_bloch:
+            square[0] = _bloch_matrix(*bloch0.T) @ square[0]
+        both = square.reshape(2 * (n + 1), d, d)
+        unit = np.abs(both.conj().transpose(0, 2, 1) @ both - np.eye(d)).max(axis=(1, 2))
+        det = np.linalg.det(both)
+        rows = ~rectangular
+        left[rows, :, :d], right[rows, :d] = square[0, rows], square[1, rows]
+        unitarity[rows] = np.maximum(unit[:n + 1], unit[n + 1:])[rows]
+        determinant[rows] = (det[:n + 1] * det[n + 1:])[rows]
+        self.frames = FrameTables(left=left, right=right, phase0=phase0, rate=rate,
+                                  unitarity=unitarity, determinant=determinant,
+                                  rectangular=rectangular)
 
     # -- coordinate queries -------------------------------------------------
 
@@ -516,7 +486,8 @@ class TimeGrid:
     def __post_init__(self):
         if not 0 < self.t_max < math.inf:
             raise ValueError("t_max must be positive and finite")
-        if self.steps < 2 or self.steps % 2:
+        if (isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer))
+                or self.steps < 2 or self.steps % 2):
             raise ValueError("steps must be an even integer >= 2 (Simpson rule)")
 
     @property

@@ -200,11 +200,15 @@ def _finalize_trace(t, overlap, dyn, residuals) -> PhaseTrace:
 def _check_rate_guard(rate: float, grid: TimeGrid) -> None:
     step = 2.0 * rate * grid.dt
     if step >= GUARD:
-        need = int(math.ceil(2.0 * rate * grid.t_max / GUARD))
-        need += need % 2
+        need = 2.0 * rate * grid.t_max / GUARD
+        if math.isfinite(need):
+            need = math.ceil(need)
+            advice = f"use at least {need + need % 2} steps"
+        else:
+            advice = "no step count resolves a phase that large"
         raise GridTooCoarseError(
             f"per-step phase increment {step:.3f} rad exceeds the guard "
-            f"{GUARD:.3f}; use at least {need} steps")
+            f"{GUARD:.3f}; {advice}")
 
 
 def _row_constants(frames, rho: np.ndarray) -> np.ndarray:

@@ -266,6 +266,12 @@ def _build_evolution(specs, d: int, t_max: float, where: str) -> LocalEvolution:
     if not isinstance(specs, list):
         raise ConfigError(f"{where}: expected a list of segments")
     segments = [_build_segment(s, d, f"{where}[{i}]") for i, s in enumerate(specs)]
+    duration = 0.0
+    for seg in segments:        # summed in path order, as LocalEvolution sums it
+        duration += seg.duration
+    if duration < t_max - 1e-9:
+        # pad with a hold so every path covers the grid window
+        segments.append(CartanHold(t_max - duration))
     try:
         evo = LocalEvolution(d, segments)
     except ValueError as exc:
@@ -274,10 +280,6 @@ def _build_evolution(specs, d: int, t_max: float, where: str) -> LocalEvolution:
     if start > 1e-8:
         raise ConfigError(f"{where}: the path must start at the identity, but its coset "
                           f"factor at t = 0 deviates from it by {start:.3g}")
-    if evo.duration < t_max - 1e-9:
-        # pad with a hold so every path covers the grid window
-        segments.append(CartanHold(t_max - evo.duration))
-        evo = LocalEvolution(d, segments)
     return evo
 
 

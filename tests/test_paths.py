@@ -265,6 +265,65 @@ def test_frame_phasors_reproduce_sampled_operators():
     np.testing.assert_allclose(fb.determinant, 1.0, rtol=0, atol=1e-14)
 
 
+_LOWERED_KINDS = {2: ["linear", "hold", "pinned", "generator", "diagonal", "bloch", "bloch",
+                      "continued"],
+                  3: ["linear", "hold", "pinned", "generator", "diagonal"]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_lowering_matches_dense_reference_on_random_segment_lists(data):
+    # every row's frames against the dense reference built from the segments:
+    # Bloch loops among generators (d = 2), theta_start continuations, holds
+    # pinned to the arrival angles, diagonal generators folded into ramps and
+    # zero-duration segments dropped; the tracked end coordinates pin the tables
+    d = data.draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
+    kinds = data.draw(st.lists(st.sampled_from(_LOWERED_KINDS[d]), min_size=1, max_size=7))
+    chi, theta, phi = np.zeros(d), 0.0, 0.0
+    segs = []
+    for kind in kinds:
+        duration = 0.25 * data.draw(st.integers(0, 4))
+        if kind in ("linear", "diagonal"):
+            rates = rng.uniform(-2.0, 2.0, size=d)
+            rates -= rates.mean()
+            seg = (qp.CartanLinear(rates, duration) if kind == "linear"
+                   else qp.GeneratorConst(np.diag(rates), duration))
+        elif kind == "generator":
+            seg = qp.GeneratorConst(_haar_spectrum(d, rng), duration)
+        elif kind in ("hold", "pinned"):
+            seg = qp.CartanHold(duration, angles=chi.copy() if kind == "pinned" else None)
+        else:
+            seg = qp.BlochLoop(theta_end=rng.uniform(0.0, 3.0), phi_rate=rng.uniform(-2.0, 2.0),
+                               duration=duration,
+                               theta_start=theta if kind == "continued" else None)
+        segs.append(seg)
+        if duration == 0.0:
+            continue
+        if kind in ("linear", "diagonal"):
+            chi = chi + rates * duration
+        elif kind in ("bloch", "continued"):
+            theta, phi = seg.theta_end, phi + seg.phi_rate * duration
+    evo = qp.LocalEvolution(d, segs)
+    assert len(evo.segments) == sum(seg.duration > 0 for seg in segs)
+    assert evo.is_diagonal == all(kind in ("linear", "hold", "pinned", "diagonal")
+                                  for kind, seg in zip(kinds, segs) if seg.duration > 0)
+    np.testing.assert_allclose(evo._chi0[-1], chi, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(evo._bloch0[-1], (theta, phi), rtol=0, atol=1e-12)
+    t = np.linspace(0.0, evo.duration, int(round(40 * evo.duration)) + 1)
+    _assert_row_sampler_matches_sample(evo, t)
+    f = evo.frames
+    assert f.unitarity.max() < 1e-13
+    assert np.abs(f.determinant - 1.0).max() < 1e-13
+
+
+def _haar_spectrum(d, rng):
+    """Traceless Hermitian generator with a random spectrum in a Haar frame."""
+    spectrum = rng.uniform(-1.5, 1.5, size=d)
+    v = qp.random_special_unitary(d, rng)
+    return (v * (spectrum - spectrum.mean())) @ v.conj().T
+
+
 def _direct_phasors(evo, k, t):
     """One exponential per phasor, exp(i (c + w (min(t, end) - start))), K x m."""
     _, _, phase0, rate = evo.row_frame(k)
@@ -517,6 +576,20 @@ def test_cartan_trajectory_accepts_center_coset_factors():
         qp.cartan_trajectory(evo, [1.0])
 
 
+def test_lowering_reports_the_first_faulty_segment():
+    # each fault alone keeps its message; with several, the first in path order wins
+    wide = qp.CartanLinear(np.array([1.0, 0.0, -1.0]), 1.0)
+    pinned = qp.CartanHold(1.0, angles=np.array([0.3, -0.3]))
+    for segs, message in (([qp.CartanHold(1.0), wide], "rates must have length 2"),
+                          ([pinned], "hold segment 0 pins angles"),
+                          ([pinned, wide], "hold segment 0 pins angles"),
+                          ([wide, pinned], "rates must have length 2"),
+                          ([qp.GeneratorConst(np.diag([1.0, 0.0, -1.0]), 1.0)],
+                           "generator dimension does not match the path")):
+        with pytest.raises(ValueError, match=message):
+            qp.LocalEvolution(2, segs)
+
+
 def test_bloch_start_continuity_enforced():
     with pytest.raises(ValueError):
         qp.LocalEvolution(2, [
@@ -555,6 +628,11 @@ def test_time_grid_validation():
         qp.TimeGrid(1.0, 3)  # odd
     with pytest.raises(ValueError):
         qp.TimeGrid(0.0, 4)
+    for steps in (10.0, np.float64(4.0), True, "4"):   # not an integer step count
+        with pytest.raises(ValueError, match="integer"):
+            qp.TimeGrid(1.0, steps)
+    np.testing.assert_array_equal(qp.TimeGrid(1.0, np.int64(4)).times(),
+                                  [0, 0.25, 0.5, 0.75, 1.0])
     grid = qp.TimeGrid(2.0, 4)
     np.testing.assert_allclose(grid.times(), [0, 0.5, 1.0, 1.5, 2.0])
 

@@ -56,6 +56,24 @@ def test_config_error_names_segment():
         qp.ScenarioConfig.from_yaml(BAD_RATES_YAML).build()
 
 
+def test_short_path_is_padded_before_it_is_lowered(monkeypatch):
+    # a path shorter than the grid gets its padding hold first: one lowering per path
+    lowered = []
+
+    class Counted(qp.LocalEvolution):
+        def __init__(self, d, segments):
+            lowered.append(len(segments))
+            super().__init__(d, segments)
+
+    monkeypatch.setattr(qp.scenarios, "LocalEvolution", Counted)
+    built = qp.ScenarioConfig.from_yaml(
+        GOOD_YAML.replace('-2.0], duration: "2*pi"', '-2.0], duration: "pi"')).build()
+    assert lowered == [2, 1]
+    hold = built.evo_a.segments[-1]
+    assert isinstance(hold, qp.CartanHold) and hold.duration == pytest.approx(math.pi)
+    assert built.evo_a.duration == pytest.approx(TWO_PI)
+
+
 def test_number_fields_reject_powers_at_once():
     for expr in ("9**9**8", "2**10"):
         text = GOOD_YAML.replace('t_max: "2*pi"', f't_max: "{expr}"')
@@ -262,6 +280,22 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["verify", "fig1a", "--tolerance", "1e-18"]) == 1
     # ok -> 0
     assert main(["verify", "fig1a"]) == 0
+
+
+@pytest.mark.parametrize("rates, duration", [("[1.0e308, -1.0e308, 0.0]", "1.0"),
+                                             ("[1.0, -1.0, 0.0]", "1.0e308")],
+                         ids=["rate-1e308", "duration-1e308"])
+@pytest.mark.parametrize("verb", ["run", "verify"])
+def test_cli_phase_beyond_any_grid_exits_guard(tmp_path, capsys, rates, duration, verb):
+    # the step count the guard would advise is infinite: a guard exit naming none
+    path = tmp_path / "vast.yaml"
+    path.write_text(GOOD_YAML.replace("[1.0, 1.0, -2.0]", rates)
+                    .replace('"2*pi"', duration))
+    assert main([verb, str(path), "--output", str(tmp_path / "vast.csv")]
+                if verb == "run" else [verb, str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "numerical guard" in err and "no step count" in err
 
 
 @pytest.mark.parametrize("edit, argv", [
