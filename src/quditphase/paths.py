@@ -13,9 +13,11 @@ The path's unitary is the factorized product
 ``U(t) = V(theta, phi) W(t) diag(e^{i chi_n(t)})`` where V is the explicit
 SU(2) coset matrix and W the ordered product of generator factors.
 
-Construction lowers the segments in one pass, one branch per kind that checks
-the segment, writes its row of tables (start coordinates, right Cartan rates,
-(theta, phi) rates and frames) and advances the coordinates. Every query reads
+Construction checks every segment's dimension against the path, drops
+zero-duration segments and lowers the rest in one pass, one branch per kind
+that checks the segment against the coordinates it arrives at, writes its row
+of tables (start coordinates, right Cartan rates, (theta, phi) rates and
+frames) and advances the coordinates. Every query reads
 those rows; U(t) has one evaluator, the frame rows, which both the trace kernel
 and ``coset_factor`` (V W = U diag(e^{-i chi})) read.
 
@@ -275,10 +277,16 @@ class LocalEvolution:
             raise ValueError("dimension must be an integer >= 2")
         self.d = int(d)
         segs = []
-        for seg in segments:    # a generator of another dimension is left to its check
-            if (isinstance(seg, GeneratorConst) and seg.generator.shape[0] == self.d
-                    and seg.is_diagonal()):
-                seg = CartanLinear(np.diagonal(seg.generator).real, seg.duration)
+        for seg in segments:    # the dimension checks also refuse zero-duration segments
+            if isinstance(seg, GeneratorConst):
+                if seg.generator.shape[0] != self.d:
+                    raise ValueError("generator dimension does not match the path")
+                if seg.is_diagonal():
+                    seg = CartanLinear(np.diagonal(seg.generator).real, seg.duration)
+            if isinstance(seg, CartanLinear) and seg.rates.size != self.d:
+                raise ValueError(f"segment rates must have length {self.d}")
+            if isinstance(seg, BlochLoop) and self.d != 2:
+                raise ValueError("Bloch segments are only defined for d = 2")
             if seg.duration > 0:
                 segs.append(seg)
         self.segments = tuple(segs)
@@ -290,8 +298,9 @@ class LocalEvolution:
         Row k holds the coordinates at the segment start (``chi0`` and the
         (theta, phi) pair ``bloch0``), the right Cartan rates, the (theta, phi)
         rates and the row's frames (``frames``, see ``FrameTables``). One
-        branch per segment kind checks the segment against the path, writes
-        its row and advances chi, (theta, phi) and the generator product W0.
+        branch per segment kind checks the segment against the coordinates it
+        arrives at (pinned hold angles, a Bloch ``theta_start``), writes its
+        row and advances chi, (theta, phi) and the generator product W0.
         Then the square d-term frames take their coset factor V(theta_k, phi_k)
         and their residuals, all rows at once; Bloch rows keep what their
         branch wrote. Nothing after construction asks which kind a segment is.
@@ -321,8 +330,6 @@ class LocalEvolution:
         for k, seg in enumerate(self.segments):
             chi0[k], bloch0[k] = chi, (theta, phi)
             if isinstance(seg, CartanLinear):           # frames (V W0, 1)
-                if seg.rates.size != d:
-                    raise ValueError(f"segment rates must have length {d}")
                 square[0, k], phase0[k, :d], rates[k], rate[k, :d] = w, chi, seg.rates, seg.rates
                 chi = chi + seg.rates * seg.duration
             elif isinstance(seg, CartanHold):
@@ -332,15 +339,11 @@ class LocalEvolution:
                                      f"path arrives with {chi}")
                 square[0, k], phase0[k, :d] = w, chi
             elif isinstance(seg, GeneratorConst):       # frames (V E, E^dag W0 diag(e^{i chi}))
-                if seg.generator.shape[0] != d:
-                    raise ValueError("generator dimension does not match the path")
                 rate[k, :d], square[0, k] = np.linalg.eigh(seg.generator)
                 e = square[0, k]
                 square[1, k] = e.conj().T @ w * np.exp(1j * chi)
                 w = (e * np.exp(1j * rate[k, :d] * seg.duration)) @ e.conj().T @ w
             elif isinstance(seg, BlochLoop):            # the 8-term sum of V(theta, phi) F
-                if d != 2:
-                    raise ValueError("Bloch segments are only defined for d = 2")
                 if seg.theta_start is not None:
                     if k == 0:
                         theta = bloch0[0, 0] = float(seg.theta_start)

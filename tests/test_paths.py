@@ -576,18 +576,26 @@ def test_cartan_trajectory_accepts_center_coset_factors():
         qp.cartan_trajectory(evo, [1.0])
 
 
-def test_lowering_reports_the_first_faulty_segment():
-    # each fault alone keeps its message; with several, the first in path order wins
+def test_dimension_checks_cover_every_segment_before_lowering():
+    # a segment that does not fit the path's dimension is refused even when its
+    # zero duration drops it from the path, and ahead of the faults that only
+    # lowering finds (pinned angles, Bloch continuity); each fault alone keeps
+    # its message
     wide = qp.CartanLinear(np.array([1.0, 0.0, -1.0]), 1.0)
     pinned = qp.CartanHold(1.0, angles=np.array([0.3, -0.3]))
-    for segs, message in (([qp.CartanHold(1.0), wide], "rates must have length 2"),
-                          ([pinned], "hold segment 0 pins angles"),
-                          ([pinned, wide], "hold segment 0 pins angles"),
-                          ([wide, pinned], "rates must have length 2"),
-                          ([qp.GeneratorConst(np.diag([1.0, 0.0, -1.0]), 1.0)],
-                           "generator dimension does not match the path")):
+    for d, segs, message in (
+            (2, [qp.CartanHold(1.0), wide], "rates must have length 2"),
+            (2, [pinned], "hold segment 0 pins angles"),
+            (2, [pinned, wide], "rates must have length 2"),
+            (2, [qp.CartanLinear(np.array([1.0, 0.0, -1.0]), 0.0)], "rates must have length 2"),
+            (2, [qp.GeneratorConst(np.diag([1.0, 0.0, -1.0]), 1.0)],
+             "generator dimension does not match the path"),
+            (2, [qp.GeneratorConst(np.diag([1.0, 1.0], 1) + np.diag([1.0, 1.0], -1), 0.0)],
+             "generator dimension does not match the path"),
+            (3, [qp.BlochLoop(theta_end=1.0, phi_rate=0.0, duration=0.0)],
+             "only defined for d = 2")):
         with pytest.raises(ValueError, match=message):
-            qp.LocalEvolution(2, segs)
+            qp.LocalEvolution(d, segs)
 
 
 def test_bloch_start_continuity_enforced():

@@ -323,13 +323,18 @@ def test_cli_phase_beyond_any_grid_exits_guard(tmp_path, capsys, rates, duration
     (("  preset: two_qutrit_schmidt", "  preset: [1]"), ["run"]),
     (("initial_state: {purity: {q: 0.5}}", 'initial_state: {purity: "abc"}'), ["run"]),
     (("  preset: two_qutrit_schmidt", "  schmidt: [1, 2]"), ["run"]),
+    # a zero-duration segment is dropped from the path, not from the dimension checks
+    (('cartan_hold, duration: "2*pi"}', 'cartan_hold, duration: "2*pi"}\n'
+      "    - {kind: bloch_loop, theta_end: 1.0, phi_rate: 0.0, duration: 0}"), ["run"]),
+    (('cartan_hold, duration: "2*pi"}', 'cartan_hold, duration: "2*pi"}\n'
+      "    - {kind: generator_const, generator: [[0, 1], [1, 0]], duration: 0}"), ["verify"]),
 ], ids=["dims-string", "dims-fraction", "dims-float", "tolerance-string",
         "tolerance-list", "t_max-negative", "t_max-zero", "run-steps-0",
         "verify-steps-0", "run-steps-negative", "verify-steps-negative",
         "t_max-inf", "t_max-nan", "t_max-401-digits", "duration-nan", "rates-inf",
         "run-tolerance-nan", "verify-tolerance-nan", "verify-tolerance-inf",
         "amplitudes-scalar", "amplitudes-vector", "preset-list", "purity-string",
-        "schmidt-list"])
+        "schmidt-list", "zero-duration-bloch-d3", "zero-duration-generator-2x2"])
 def test_cli_hostile_input_exits_config_error(tmp_path, capsys, edit, argv):
     # an edit applies to the pair config, or to the single-qudit one holding its target
     text = GOOD_YAML if edit is None else next(
