@@ -13,11 +13,11 @@ The path's unitary is the factorized product
 ``U(t) = V(theta, phi) W(t) diag(e^{i chi_n(t)})`` where V is the explicit
 SU(2) coset matrix and W the ordered product of generator factors.
 
-Construction checks every segment's dimension against the path, drops
-zero-duration segments and lowers the rest in one pass, one branch per kind
-that checks the segment against the coordinates it arrives at, writes its row
-of tables (start coordinates, right Cartan rates, (theta, phi) rates and
-frames) and advances the coordinates. Every query reads
+Construction checks every segment's type and dimension against the path and
+every segment, zero-duration ones too, against the coordinates it arrives at;
+it drops zero-duration segments and lowers the rest in one pass, one branch
+per kind that writes its row of tables (start coordinates, right Cartan rates,
+(theta, phi) rates and frames) and advances the coordinates. Every query reads
 those rows; U(t) has one evaluator, the frame rows, which both the trace kernel
 and ``coset_factor`` (V W = U diag(e^{-i chi})) read.
 
@@ -29,12 +29,14 @@ c = 0 and w = the eigenvalues of G, with V_k = V(theta_k, phi_k) the row's
 constant coset factor (1 without a Bloch segment). On a ``BlochLoop`` row theta
 and phi are linear in tau, so V(theta, phi) W0 diag(exp(i chi0)) is an exact
 sum of 8 rank-one terms with exponents +-theta/2 + (i - j) phi: L is 2 x 8 and
-R is 8 x 2 (see ``FrameTables``). The trace kernel samples a path one row at a
-time as its frame phasors (``row_phasors``), K x m per call of m samples with the
-row's live width K: d, or 8 on a Bloch row. A call of ``TABLE_PHASORS`` or more
-builds them from O(sqrt(m) K) exponentials (``_table_phasors``), so sampling is
-O(n K) multiplies and O(sqrt(m) K) exponentials per call. Paths are immutable
-after construction and sampling is pure.
+R is 8 x 2 (see ``FrameTables``). A row has K live terms, d or 8 on a Bloch row,
+and G <= K distinct phasors: terms with bit-equal (phase0, rate) share one (6
+on a Bloch row, 1 on the identity hold). The trace kernel samples a path one
+row at a time as its distinct phasors (``row_phasors``), G x m per call of m
+samples. A call of ``TABLE_PHASORS`` or more samples times terms builds them
+from O(sqrt(m) G) exponentials (``_table_phasors``), so sampling is O(n G)
+multiplies and O(sqrt(m) G) exponentials per call. Paths are immutable after
+construction and sampling is pure.
 """
 
 from __future__ import annotations
@@ -185,6 +187,14 @@ class FrameTables:
 
     Rows are written per segment kind, in one pass (``LocalEvolution._build_tables``).
 
+    Live terms with bit-equal (phase0, rate) have one phasor: a Bloch row's
+    8 terms have 6 (the i = j terms share +-theta/2), the identity hold has
+    1, and a ramp with repeated rates from equal start phases fewer than d.
+    Row k has ``distinct[k]`` = G distinct phasors; ``lead[k, g]`` is the
+    first term of phasor g (g < G, in term order) and ``rep[k, j]`` the
+    phasor of term j, so the K terms' phasors are z[rep[k, :K]] for the G
+    phasors z of ``LocalEvolution.row_phasors``.
+
     ``unitarity`` is the row's largest |F^dag F - 1| entry over both frames of
     a unitary row, and on a Bloch row the largest of |F^dag F - 1| for its
     factor F and of the term sum's deviation from V(theta, phi) F at both ends
@@ -200,6 +210,9 @@ class FrameTables:
     unitarity: np.ndarray
     determinant: np.ndarray
     rectangular: np.ndarray
+    rep: np.ndarray
+    lead: np.ndarray
+    distinct: np.ndarray
 
 
 # The 8 rank-one terms (s, i, j) of V(theta, phi): exponent (theta, phi) @ _BLOCH_EXPONENT
@@ -225,6 +238,20 @@ def _bloch_matrix(theta, phi) -> np.ndarray:
     return out
 
 
+def _distinct_terms(phase0: np.ndarray, rate: np.ndarray, live: np.ndarray) -> tuple:
+    """(rep, lead, distinct) of every row at once (see ``FrameTables``): the
+    live terms j < live[k] of row k with bit-equal (phase0, rate) share the
+    phasor of the first of them, numbered in term order."""
+    width = rate.shape[1]
+    terms = np.arange(width)
+    bits = np.stack([phase0, rate], axis=-1).view(np.int64)
+    same = (bits[:, :, None] == bits[:, None, :]).all(axis=-1)     # [k, i, j]: term i is term j
+    first = same.argmax(axis=1)                                   # the first such i
+    is_lead = (first == terms) & (terms < live[:, None])
+    rep = np.take_along_axis(np.cumsum(is_lead, axis=1) - 1, first, axis=1)
+    return rep, np.argsort(~is_lead, axis=1, kind="stable"), is_lead.sum(axis=1)
+
+
 def _table_phasors(t: np.ndarray, tau: np.ndarray, phase0: np.ndarray, rate: np.ndarray,
                    past: np.ndarray) -> np.ndarray:
     """exp(i arg), arg = phase0 + tau rate, K x m, on uniform times t from
@@ -240,7 +267,10 @@ def _table_phasors(t: np.ndarray, tau: np.ndarray, phase0: np.ndarray, rate: np.
     block; blocks under three spans from the origin, and the samples ``past``
     the path's end (clipped to it, so off the grid), take the direct
     exponential. The blocks are padded to a whole number of b samples, and z
-    is a view of the first m. Times that are not uniform raise ValueError.
+    is a view of the first m. delta is computed in the argument buffer and
+    (1 + i delta) applied to z in place, as (x - y delta) + i (y + x delta):
+    the same roundings as the complex product, without complex temporaries.
+    Times that are not uniform raise ValueError.
     """
     m, K = t.size, rate.size
     dt = (t[-1] - t[0]) / (m - 1)
@@ -253,19 +283,25 @@ def _table_phasors(t: np.ndarray, tau: np.ndarray, phase0: np.ndarray, rate: np.
     np.multiply(tau, rate[:, None], out=arg)
     arg += phase0[:, None]
     padded[:, m:] = arg[:, -1:]
+    tail = np.exp(1j * arg[:, past]) if past.any() else None
     blocks = padded.reshape(K, -1, b)
-    coarse = blocks[:, :, 0]
+    coarse = blocks[:, :, 0].copy()
     step = rate[:, None] * (dt * np.arange(b))        # j dt w, K x b
-    delta = blocks - coarse[:, :, None]
-    delta -= step[:, None, :]
-    z = np.exp(1j * coarse)[:, :, None] * np.exp(1j * step)[:, None, :]
-    z *= 1.0 + 1j * delta
     near = np.abs(coarse) < 3.0 * np.abs(step[:, -1:])
-    if near.any():
-        z[near] = np.exp(1j * blocks[near])
+    direct = np.exp(1j * blocks[near]) if near.any() else None
+    z = np.exp(1j * coarse)[:, :, None] * np.exp(1j * step)[:, None, :]
+    delta = blocks                                    # delta_i, in the argument buffer
+    delta -= coarse[:, :, None]
+    delta -= step[:, None, :]
+    shift = z.imag * delta                            # z (1 + i delta), in place
+    delta *= z.real
+    z.real -= shift
+    z.imag += delta
+    if direct is not None:
+        z[near] = direct
     z = z.reshape(K, -1)[:, :m]
-    if past.any():
-        z[:, past] = np.exp(1j * arg[:, past])
+    if tail is not None:
+        z[:, past] = tail
     return z
 
 
@@ -278,6 +314,8 @@ class LocalEvolution:
         self.d = int(d)
         segs = []
         for seg in segments:    # the dimension checks also refuse zero-duration segments
+            if not isinstance(seg, (CartanLinear, CartanHold, BlochLoop, GeneratorConst)):
+                raise TypeError(f"unknown segment type {type(seg).__name__}")
             if isinstance(seg, GeneratorConst):
                 if seg.generator.shape[0] != self.d:
                     raise ValueError("generator dimension does not match the path")
@@ -287,23 +325,25 @@ class LocalEvolution:
                 raise ValueError(f"segment rates must have length {self.d}")
             if isinstance(seg, BlochLoop) and self.d != 2:
                 raise ValueError("Bloch segments are only defined for d = 2")
-            if seg.duration > 0:
-                segs.append(seg)
-        self.segments = tuple(segs)
-        self._build_tables()
+            segs.append(seg)
+        self.segments = tuple(seg for seg in segs if seg.duration > 0)
+        self._build_tables(segs)
 
-    def _build_tables(self):
+    def _build_tables(self, authored):
         """Lower every segment to one table row in one pass; row n is a trailing hold.
 
         Row k holds the coordinates at the segment start (``chi0`` and the
         (theta, phi) pair ``bloch0``), the right Cartan rates, the (theta, phi)
-        rates and the row's frames (``frames``, see ``FrameTables``). One
-        branch per segment kind checks the segment against the coordinates it
-        arrives at (pinned hold angles, a Bloch ``theta_start``), writes its
-        row and advances chi, (theta, phi) and the generator product W0.
-        Then the square d-term frames take their coset factor V(theta_k, phi_k)
-        and their residuals, all rows at once; Bloch rows keep what their
-        branch wrote. Nothing after construction asks which kind a segment is.
+        rates and the row's frames (``frames``, see ``FrameTables``). Every
+        authored segment, zero-duration ones too, is first checked against
+        the coordinates it arrives at (pinned hold angles, a Bloch
+        ``theta_start``); then the kept ones take one branch per kind that
+        writes the row and advances chi, (theta, phi) and the generator
+        product W0. Then the square d-term frames take their coset factor
+        V(theta_k, phi_k) and their residuals, and every row its distinct
+        phasors (``_distinct_terms``), all rows at once; Bloch rows keep what
+        their branch wrote. Nothing after construction asks which kind a
+        segment is.
         """
         n, d = len(self.segments), self.d
         self.has_bloch = any(isinstance(s, BlochLoop) for s in self.segments)
@@ -327,30 +367,32 @@ class LocalEvolution:
         determinant = np.empty(n + 1, dtype=complex)
         rectangular = np.zeros(n + 1, dtype=bool)
         chi, w, theta, phi = np.zeros(d), np.eye(d, dtype=complex), 0.0, 0.0
-        for k, seg in enumerate(self.segments):
+        k = 0                                           # the row the next kept segment writes
+        for seg in authored:
+            if isinstance(seg, CartanHold) and seg.angles is not None and (
+                    seg.angles.shape != (d,) or np.abs(seg.angles - chi).max() > 1e-9):
+                raise ValueError(f"hold segment {k} pins angles {seg.angles} but the "
+                                 f"path arrives with {chi}")
+            if (isinstance(seg, BlochLoop) and seg.theta_start is not None and k
+                    and abs(seg.theta_start - theta) > 1e-9):
+                raise ValueError(f"Bloch segment {k} starts at theta = {seg.theta_start:g} "
+                                 f"but the path arrives at {theta:g}")
+            if not seg.duration:
+                continue
             chi0[k], bloch0[k] = chi, (theta, phi)
             if isinstance(seg, CartanLinear):           # frames (V W0, 1)
                 square[0, k], phase0[k, :d], rates[k], rate[k, :d] = w, chi, seg.rates, seg.rates
                 chi = chi + seg.rates * seg.duration
             elif isinstance(seg, CartanHold):
-                if seg.angles is not None and (seg.angles.shape != (d,)
-                                               or np.abs(seg.angles - chi).max() > 1e-9):
-                    raise ValueError(f"hold segment {k} pins angles {seg.angles} but the "
-                                     f"path arrives with {chi}")
                 square[0, k], phase0[k, :d] = w, chi
             elif isinstance(seg, GeneratorConst):       # frames (V E, E^dag W0 diag(e^{i chi}))
                 rate[k, :d], square[0, k] = np.linalg.eigh(seg.generator)
                 e = square[0, k]
                 square[1, k] = e.conj().T @ w * np.exp(1j * chi)
                 w = (e * np.exp(1j * rate[k, :d] * seg.duration)) @ e.conj().T @ w
-            elif isinstance(seg, BlochLoop):            # the 8-term sum of V(theta, phi) F
-                if seg.theta_start is not None:
-                    if k == 0:
-                        theta = bloch0[0, 0] = float(seg.theta_start)
-                    elif abs(seg.theta_start - theta) > 1e-9:
-                        raise ValueError(
-                            f"Bloch segment {k} starts at theta = {seg.theta_start:g} "
-                            f"but the path arrives at {theta:g}")
+            else:                                       # the 8-term sum of V(theta, phi) F
+                if seg.theta_start is not None and k == 0:
+                    theta = bloch0[0, 0] = float(seg.theta_start)
                 theta_end = float(seg.theta_end)
                 bloch_rate[k] = (theta_end - theta) / seg.duration, seg.phi_rate
                 phi_end = phi + bloch_rate[k, 1] * seg.duration
@@ -366,8 +408,7 @@ class LocalEvolution:
                                    np.abs(terms - authored).max())
                 determinant[k] = np.linalg.det(w) * np.exp(1j * chi.sum())
                 theta, phi = theta_end, phi_end
-            else:
-                raise TypeError(f"unknown segment type {type(seg).__name__}")
+            k += 1
         chi0[n], bloch0[n], square[0, n], phase0[n, :d] = chi, (theta, phi), w, chi
         if self.has_bloch:
             square[0] = _bloch_matrix(*bloch0.T) @ square[0]
@@ -378,9 +419,10 @@ class LocalEvolution:
         left[rows, :, :d], right[rows, :d] = square[0, rows], square[1, rows]
         unitarity[rows] = np.maximum(unit[:n + 1], unit[n + 1:])[rows]
         determinant[rows] = (det[:n + 1] * det[n + 1:])[rows]
+        rep, lead, distinct = _distinct_terms(phase0, rate, np.where(rectangular, width, d))
         self.frames = FrameTables(left=left, right=right, phase0=phase0, rate=rate,
                                   unitarity=unitarity, determinant=determinant,
-                                  rectangular=rectangular)
+                                  rectangular=rectangular, rep=rep, lead=lead, distinct=distinct)
 
     # -- coordinate queries -------------------------------------------------
 
@@ -446,21 +488,28 @@ class LocalEvolution:
         return f.left[k, :, :width], f.right[k, :width], f.phase0[k, :width], f.rate[k, :width]
 
     def row_phasors(self, k: int, t: np.ndarray) -> np.ndarray:
-        """Frame phasors z = exp(i (c + w (t - start))) of row k at times t, K x m.
+        """Distinct frame phasors z = exp(i (c + w (t - start))) of row k at times t, G x m.
 
-        U(t) = L diag(z) R and dU/dt = L diag(i w z) R with (L, R, c, w) =
-        ``row_frame(k)``; row j of z is frame term j over the m times. A row
-        without rates (a hold, or a path held at the identity) takes one
-        exponential, broadcast over the times. A call of fewer than
-        ``TABLE_PHASORS`` phasors takes one exponential per phasor; a larger
-        one needs uniform times t (a slice of a grid) and builds z from
-        O(sqrt(m) K) exponentials (``_table_phasors``).
+        Row g of z is the phasor of the row's distinct term g, over the m
+        times; the K frame terms' phasors are z[rep], with rep =
+        ``frames.rep[k, :K]`` (see ``FrameTables``). So U(t) = L diag(z[rep])
+        R and dU/dt = L diag(i w z[rep]) R with (L, R, c, w) = ``row_frame(k)``.
+        A row without rates (a hold, or a path held at the identity) takes
+        one exponential per distinct term, broadcast over the times. A call
+        of fewer than ``TABLE_PHASORS`` samples times frame terms takes one
+        exponential per phasor; a larger one needs uniform times t (a slice
+        of a grid) and builds z from O(sqrt(m) G) exponentials
+        (``_table_phasors``). Either way each phasor is the one its terms
+        would have on their own.
         """
-        _, _, phase0, rate = self.row_frame(k)
+        f = self.frames
+        lead = f.lead[k, :f.distinct[k]]
+        phase0, rate = f.phase0[k][lead], f.rate[k][lead]     # the row first: about 2 us less
+        terms = f.rate.shape[1] if f.rectangular[k] else self.d
         if not rate.any():
             return np.broadcast_to(np.exp(1j * phase0)[:, None], (phase0.size, t.size))
         tau = np.minimum(t, self.duration) - self._starts[k]   # past the end is the end
-        if t.size * rate.size < TABLE_PHASORS or t.size < 16:    # 16: too few to tabulate
+        if t.size * terms < TABLE_PHASORS or t.size < 16:      # 16: too few to tabulate
             return np.exp(1j * (phase0[:, None] + tau * rate[:, None]))
         return _table_phasors(t, tau, phase0, rate, t > self.duration)
 

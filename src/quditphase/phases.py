@@ -11,12 +11,14 @@ row, at the row's live width K (d, or 8 on a Bloch row; see
 ``paths.FrameTables``). The trace kernel walks the grid one run at a time, a
 maximal stretch of samples on which each path stays on one row. Over a run
 the matrix C of the overlap z_A C z_B and each path's frequency (an exact row
-constant, or on a Bloch row an exact quadratic form in z) are fixed, so only
-the phasors are evaluated, O(n K_A K_B) in all, and each run's quadrature
-ends on the left limit at the next cut. Each path's phasors of a chunk of m
-samples come as one K x m array (``LocalEvolution.row_phasors``), from
-O(sqrt(m) K) exponentials on chunks of ``paths.TABLE_PHASORS`` or more. A single qudit runs as its purified
-pair, alpha = sqrt(rho) with qudit B held at the identity:
+constant, or on a Bloch row an exact quadratic form in z) are fixed. Both are
+folded once per run onto the rows' distinct phasors y (terms with bit-equal
+phase and rate share one), so only those are evaluated, O(n G_A G_B) in all,
+and each run's quadrature ends on the left limit at the next cut. Each path's
+phasors of a chunk of m samples come as one G x m array
+(``LocalEvolution.row_phasors``), from O(sqrt(m) G) exponentials on chunks of
+``paths.TABLE_PHASORS`` or more samples times terms. A single qudit runs as
+its purified pair, alpha = sqrt(rho) with qudit B held at the identity:
 Tr[alpha^dag U alpha] = Tr[rho U].
 """
 
@@ -50,11 +52,14 @@ __all__ = [
 # magnitude below which a sample has no argument, and the unwrap's transit
 # thresholds (chord distance per chord length, magnitude per path maximum).
 GUARD = math.pi / 4.0
+TWO_PI = 2.0 * math.pi
 INDETERMINATE_TOL = 1e-12
 TRANSIT_RATIO = 0.25
 NEAR_ORIGIN = 0.05
 # Grid samples per chunk of a run: 1 MiB of phasors at width 8.
 CHUNK_ROWS = 2 ** 13
+# Runs whose folded overlap matrices are built together: 1 MiB at width 8 x 8.
+RUN_BLOCK = 2 ** 10
 # Largest per-level phasor spread at which a closed path's levels count as on
 # the fractional lattice (cycle labels).
 LATTICE_TOL = 1e-6
@@ -100,11 +105,15 @@ def _chord_origin_distance(z0: complex, z1: complex) -> float:
     return abs(z0 + tau * d)
 
 
-def unwrap_phases(z: np.ndarray, dynamical: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def unwrap_phases(z: np.ndarray, dynamical: np.ndarray,
+                  mag: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Continuously unwrapped argument of a sampled complex path.
 
     Nearest-branch continuation sample to sample: between two determinate
-    samples the increment is the argument of z[k] conj(z[k-1]). The argument
+    samples the increment is the argument of z[k] conj(z[k-1]). Each
+    determinate sample's phase is therefore its own argument plus 2 pi times
+    an integer winding count, angle(z[k]) + 2 pi n_k, so its rounding is that
+    of its own sample, not a sum over the steps before it. The argument
     legitimately swings fast wherever the path runs close to the origin
     (transits), so the aliasing guard only fires for steps exceeding
     ``GUARD`` whose chord stays away from the origin both relative to its own
@@ -113,35 +122,48 @@ def unwrap_phases(z: np.ndarray, dynamical: np.ndarray) -> tuple[np.ndarray, np.
     ``INDETERMINATE_TOL`` have no defined argument; the phase steps onto them
     by the local slope of the ``dynamical`` series, and they are flagged in
     the returned mask. The first determinate sample after such a bridged run
-    re-anchors on the branch nearest the bridged phase.
+    re-anchors on the branch nearest the bridged phase. ``mag`` is |z| if the
+    caller has it.
     """
     z = np.asarray(z, dtype=complex)
     n = z.size
-    mag = np.abs(z)
+    if mag is None:
+        mag = np.abs(z)
     scale = NEAR_ORIGIN * (mag.max() if n else 1.0)
     determinate = mag > INDETERMINATE_TOL
-    args = np.angle(z)
-    steps = np.angle(z[1:] * np.conj(z[:-1]))
+    phases = np.angle(z)                  # becomes the total phase, in place
+    steps = np.diff(phases)
+    winds = np.rint(steps / TWO_PI)       # branch cuts crossed per step
+    steps -= TWO_PI * winds               # the nearest-branch increments
     for k in np.flatnonzero(np.abs(steps) >= GUARD).tolist():
         if not (determinate[k] and determinate[k + 1]) or min(mag[k], mag[k + 1]) <= scale:
             continue
         if _chord_origin_distance(z[k], z[k + 1]) > TRANSIT_RATIO * abs(z[k + 1] - z[k]):
             raise GridTooCoarseError(
-                f"phase increment {steps[k]:.3f} rad between samples {k} and "
+                f"phase increment {steps[k]:.3g} rad between samples {k} and "
                 f"{k + 1} exceeds the guard {GUARD:.3f}; refine the grid")
+    del steps
+    np.cumsum(winds, out=winds)           # winds[k - 1]: crossed from sample 0 to k
     # a step with a bridged end follows the dynamical slope; the first
-    # determinate sample after a bridged run is an anchor
+    # determinate sample after a bridged run is an anchor. Each piece from an
+    # anchor is determinate up to its first bridged step (``last``), then bridged.
     bridged = np.flatnonzero(~(determinate[1:] & determinate[:-1]))
-    steps[bridged] = dynamical[bridged + 1] - dynamical[bridged]
     anchors = (bridged[determinate[bridged + 1]] + 1).tolist()
-    phases = np.empty(n)
-    phases[0] = args[0] if determinate[0] else 0.0
-    for lo, hi in zip([0, *anchors], [*anchors, n]):
+    starts = [0, *anchors]
+    lasts = np.append(bridged, n - 1)[np.searchsorted(bridged, starts)].tolist()
+    if not determinate[0]:
+        phases[0] = 0.0
+    for lo, last, hi in zip(starts, lasts, [*anchors, n]):
+        turns = 0.0                       # n_lo + winds[lo - 1]
         if lo:
-            phases[lo] = phases[lo - 1] + math.remainder(args[lo] - phases[lo - 1],
-                                                         2.0 * math.pi)
-        np.cumsum(steps[lo:hi - 1], out=phases[lo + 1:hi])
-        phases[lo + 1:hi] += phases[lo]
+            turns = round((phases[lo - 1] - phases[lo]) / TWO_PI)
+            phases[lo] += TWO_PI * turns
+            turns += winds[lo - 1]
+        count = winds[lo:last]            # -n_k = winds[k - 1] - turns, in place
+        count -= turns
+        count *= TWO_PI
+        phases[lo + 1:last + 1] -= count
+        phases[last + 1:hi] = phases[last] + (dynamical[last + 1:hi] - dynamical[last])
     return phases, ~determinate
 
 
@@ -157,12 +179,14 @@ class PhaseTrace:
     |U^dag U - 1| and |det U - 1|. The kernel samples each path in its frames,
     U = L diag(z) R, and reports them for the parts it relies on. The
     unitarity residual is the largest ``FrameTables.unitarity`` over the rows
-    the grid visits together with |conj(z) z - 1| over the samples: on a row
+    the grid visits together with |conj(z) z - 1| over the samples' distinct
+    phasors, computed as Re(z)^2 + Im(z)^2 - 1: on a row
     with unitary frames that is |F^dag F - 1| over both frames; on a Bloch row
     it is |F^dag F - 1| of its factor F = W0 diag(exp(i chi0)) and the
     construction-time deviation of its 8-term sum from V(theta, phi) F at both
     ends of the row. The determinant residual is |det L det R prod(z) - 1| per
-    sample on a unitary row and |det(W0) e^{i sum chi0} z_+ z_- - 1| on a
+    sample on a unitary row, the product over the d terms' phasors in term
+    order, and |det(W0) e^{i sum chi0} z_+ z_- - 1| on a
     Bloch row, z_+- the e^{+-i theta/2} terms. On an all-diagonal path
     L = R = 1 exactly, so both equal the residuals of U = diag(z). The
     per-sample parts are of the phasors the kernel used: on a long chunk the
@@ -189,8 +213,8 @@ def _finalize_trace(t, overlap, dyn, residuals) -> PhaseTrace:
             "start at the identity and the state must be normalized")
     if mag.max() > 1.0 + 1e-9:
         raise ValueError("overlap magnitude exceeds 1; inputs are inconsistent")
-    total, indet = unwrap_phases(overlap, dynamical=dyn)
-    total = total - total[0]
+    total, indet = unwrap_phases(overlap, dynamical=dyn, mag=mag)
+    total -= total[0]
     return PhaseTrace(t=t, overlap=overlap, overlap_mag=mag, total_phase=total,
                       dynamical_phase=dyn, geometric_phase=total - dyn,
                       indeterminate=indet, unitarity_residual=residuals[0],
@@ -207,40 +231,78 @@ def _check_rate_guard(rate: float, grid: TimeGrid) -> None:
         else:
             advice = "no step count resolves a phase that large"
         raise GridTooCoarseError(
-            f"per-step phase increment {step:.3f} rad exceeds the guard "
+            f"per-step phase increment {step:.3g} rad exceeds the guard "
             f"{GUARD:.3f}; {advice}")
 
 
-def _row_constants(frames, rho: np.ndarray) -> np.ndarray:
+def _row_constants(frames, rho: np.ndarray) -> list:
     """Frequency w @ diag(R rho R^dag) of every row, exact on rows with unitary frames."""
     levels = np.einsum("kij,kij->ki", frames.right @ rho, frames.right.conj()).real
-    return (frames.rate * levels).sum(axis=1)
+    return (frames.rate * levels).sum(axis=1).tolist()
 
 
-def _row_frequency(evo: LocalEvolution, k: int, rho: np.ndarray, constants: np.ndarray,
-                   z: np.ndarray) -> np.ndarray | float:
-    """-i Tr[rho U^dag dU/dt] at row k's phasors z (K x m), per sample.
+def _folded_constants(alpha: np.ndarray, evo_a: LocalEvolution, rows_a: np.ndarray,
+                      evo_b: LocalEvolution, rows_b: np.ndarray) -> np.ndarray:
+    """C of runs on rows (rows_a, rows_b), folded onto the rows' distinct phasors.
 
-    With U = L diag(z) R and dz/dt = i w z it is Re conj(z) M (w z),
-    M = (L^dag L) * (R rho R^dag)^T. A row with unitary frames has
-    L^dag L = 1, so there it is the row constant (``_row_constants``),
-    returned as one number: rates @ diag(rho) on a Cartan row, <G> on a
-    generator row. A Bloch row takes the form per sample.
+    C = (L_A^T conj(alpha) L_B) * (R_A alpha R_B^T) gives the overlap as
+    z_A C z_B over the frame terms. Its rows and columns that share a
+    phasor are summed, P_A^T C P_B with the one-hot term maps P (``paths.
+    FrameTables.rep``), so the overlap is y_A^T (P_A^T C P_B) y_B over the
+    distinct phasors y. Runs x W_A x W_B at the paths' storage widths, zero
+    past each run's G_A x G_B (every term maps below G, and a padded term's
+    zero frames add nothing to the phasor it maps to).
     """
-    if not evo.frames.rectangular[k]:
+    fa, fb = evo_a.frames, evo_b.frames
+    c = fa.left[rows_a].transpose(0, 2, 1) @ alpha.conj() @ fb.left[rows_b]
+    c *= fa.right[rows_a] @ alpha @ fb.right[rows_b].transpose(0, 2, 1)
+    fold_a = np.eye(fa.rep.shape[1])[fa.rep[rows_a]]
+    fold_b = np.eye(fb.rep.shape[1])[fb.rep[rows_b]]
+    return fold_a.transpose(0, 2, 1) @ c @ fold_b
+
+
+def _row_form(evo: LocalEvolution, k: int, rho: np.ndarray, constants: list):
+    """Row k's frequency -i Tr[rho U^dag dU/dt] in its distinct phasors y.
+
+    With U = L diag(z) R, z = P y (P the one-hot term map) and dz/dt = i w z
+    it is Re conj(y) P^T M P y, M = (L^dag L) * (R rho R^dag)^T times w per
+    column. A row with unitary frames has L^dag L = 1, so there it is the
+    row constant (``_row_constants``), returned as one float: rates @
+    diag(rho) on a Cartan row, <G> on a generator row. A Bloch row returns
+    the folded form P^T M P.
+    """
+    f = evo.frames
+    if not f.rectangular[k]:
         return constants[k]
     left, right, _, rate = evo.row_frame(k)
+    fold = np.eye(f.distinct[k])[f.rep[k]]
     form = (left.conj().T @ left) * (right @ rho @ right.conj().T).T * rate
-    return (z.conj() * (form @ z)).sum(axis=0).real
+    return fold.T @ form @ fold
 
 
-def _row_residuals(evo: LocalEvolution, k: int, z: np.ndarray) -> tuple[float, float]:
-    """Residuals of row k's phasors z from their parts (see ``PhaseTrace``);
-    det U / ``determinant`` is the product of the first d phasors."""
-    frames = evo.frames
-    unit = max(float(frames.unitarity[k]), float(np.abs((z.conj() * z).real - 1.0).max()))
-    det = float(np.abs(frames.determinant[k] * z[:evo.d].prod(axis=0) - 1.0).max())
-    return unit, det
+def _frequency(form, y: np.ndarray):
+    """A row's frequency per sample at its distinct phasors y (G x m), from ``_row_form``."""
+    if isinstance(form, float):
+        return form
+    return (y.conj() * (form @ y)).sum(axis=0).real
+
+
+def _phasor_residuals(evo: LocalEvolution, k: int, y: np.ndarray) -> tuple[float, float]:
+    """Per-sample residuals of row k's distinct phasors y (see ``PhaseTrace``).
+
+    The unit residual |conj(y) y - 1| takes the distinct phasors, the same
+    set of values as the terms'. det U / ``determinant`` is the product of
+    the first d terms' phasors, in term order. A row without rates has the
+    same phasors at every sample, so its first sample stands for all.
+    """
+    if not y.strides[1]:
+        y = y[:, :1]
+    norm = y.real * y.real
+    norm += y.imag * y.imag
+    rep = evo.frames.rep[k, :evo.d]
+    head = y[:evo.d] if rep[-1] == evo.d - 1 else y[rep]
+    det = np.abs(evo.frames.determinant[k] * head.prod(axis=0) - 1.0).max()
+    return max(norm.max() - 1.0, 1.0 - norm.min()), det
 
 
 def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
@@ -249,14 +311,16 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
     one run of grid samples at a time, for ``_finalize_trace``.
 
     A run is a maximal stretch of samples on which each path stays on one
-    row. Its rows give C = (L_A^T conj(alpha) L_B) * (R_A alpha R_B^T), so the
-    overlap is z_A C z_B, and each path's frequency form. The phasors are
-    evaluated in chunks of at most ``CHUNK_ROWS`` samples, on the run's own
-    samples plus, before a cut, its end sample in the run's rows: the left
-    limit of the frequency there. Each run is integrated on its own and the
-    running dynamical phase carried into the next. The unitarity and
-    determinant residuals are maxima over the owned samples. The last
-    chunk's phasors are freed on return, before the unwrap runs.
+    row. Its rows give the overlap's matrix C, folded onto the rows'
+    distinct phasors (``_folded_constants``, built for ``RUN_BLOCK`` runs at
+    a time), and each path's frequency form, folded the same way. The
+    phasors are evaluated in chunks of at most ``CHUNK_ROWS`` samples, on
+    the run's own samples plus, before a cut, its end sample in the run's
+    rows: the left limit of the frequency there. Each run is integrated on
+    its own and the running dynamical phase carried into the next. The
+    unitarity residual is the largest of the visited rows' ``unitarity``
+    and, as the determinant residual, a maximum over the owned samples. The
+    last chunk's phasors are freed on return, before the unwrap runs.
     """
     _check_rate_guard(evo_a.max_phase_rate + evo_b.max_phase_rate, grid)
     alpha = alpha0.alpha
@@ -266,34 +330,37 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
     n = times.size
     overlap = np.empty(n, dtype=complex)
     dyn = np.empty(n)
-    unit = det = offset = 0.0
     (first_a, rows_a), (first_b, rows_b) = evo_a.row_starts(times), evo_b.row_starts(times)
+    unit = max(evo_a.frames.unitarity[rows_a].max(), evo_b.frames.unitarity[rows_b].max())
+    det = offset = 0.0
     # a set, not np.union1d, which imports numpy.ma (about 1 MiB) on first use
     starts = np.array(sorted({*first_a.tolist(), *first_b.tolist()}))
     rows_a = rows_a[np.searchsorted(first_a, starts, side="right") - 1]
     rows_b = rows_b[np.searchsorted(first_b, starts, side="right") - 1]
-    for lo, hi, ka, kb in zip(starts.tolist(), [*starts[1:].tolist(), n],
-                              rows_a.tolist(), rows_b.tolist()):
-        left_a, right_a, _, _ = evo_a.row_frame(ka)
-        left_b, right_b, _, _ = evo_b.row_frame(kb)
-        c = (left_a.T @ alpha.conj() @ left_b) * (right_a @ alpha @ right_b.T)
+    runs = zip(starts.tolist(), [*starts[1:].tolist(), n], rows_a.tolist(), rows_b.tolist(),
+               evo_a.frames.distinct[rows_a].tolist(), evo_b.frames.distinct[rows_b].tolist())
+    for r, (lo, hi, ka, kb, ga, gb) in enumerate(runs):
+        if not r % RUN_BLOCK:
+            block = _folded_constants(alpha, evo_a, rows_a[r:r + RUN_BLOCK],
+                                      evo_b, rows_b[r:r + RUN_BLOCK])
+        c = block[r % RUN_BLOCK, :ga, :gb]
+        form_a, form_b = _row_form(evo_a, ka, rho_a, const_a), _row_form(evo_b, kb, rho_b, const_b)
         end = min(hi + 1, n)
         freq = np.empty(end - lo)
         for s in range(lo, end, CHUNK_ROWS):
             e = min(s + CHUNK_ROWS, end)
-            z_a, z_b = evo_a.row_phasors(ka, times[s:e]), evo_b.row_phasors(kb, times[s:e])
-            freq[s - lo:e - lo] = (_row_frequency(evo_a, ka, rho_a, const_a, z_a)
-                                   + _row_frequency(evo_b, kb, rho_b, const_b, z_b))
+            y_a, y_b = evo_a.row_phasors(ka, times[s:e]), evo_b.row_phasors(kb, times[s:e])
+            freq[s - lo:e - lo] = _frequency(form_a, y_a) + _frequency(form_b, y_b)
             owned = min(e, hi) - s
             if owned:
-                z_a, z_b = z_a[:, :owned], z_b[:, :owned]
-                overlap[s:s + owned] = (c.T @ z_a * z_b).sum(axis=0)
-                (unit_a, det_a), (unit_b, det_b) = (_row_residuals(evo_a, ka, z_a),
-                                                    _row_residuals(evo_b, kb, z_b))
+                y_a, y_b = y_a[:, :owned], y_b[:, :owned]
+                overlap[s:s + owned] = (c.T @ y_a * y_b).sum(axis=0)
+                (unit_a, det_a), (unit_b, det_b) = (_phasor_residuals(evo_a, ka, y_a),
+                                                    _phasor_residuals(evo_b, kb, y_b))
                 unit, det = max(unit, unit_a, unit_b), max(det, det_a, det_b)
         dyn[lo:end] = offset + cumulative_simpson(freq, grid.dt)
         offset = dyn[end - 1]
-    return times, overlap, dyn, (unit, det)
+    return times, overlap, dyn, (float(unit), float(det))
 
 
 def run_trace(alpha0: CoefficientMatrix, pair: PairEvolution) -> PhaseTrace:

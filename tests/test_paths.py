@@ -194,17 +194,33 @@ def test_derivative_consistency_second_order(name):
         assert np.abs(derivs["left"] - derivs["right"]).max() > 0.1
 
 
+def _assert_distinct_terms(evo, k):
+    """Row k's terms share a phasor exactly when their (phase0, rate) are
+    bit-equal, and each phasor is its first term's; returns the term map rep."""
+    f = evo.frames
+    _, _, phase0, rate = evo.row_frame(k)
+    rep, lead = f.rep[k, :rate.size], f.lead[k, :f.distinct[k]]
+    bits = np.stack([phase0, rate], axis=-1).view(np.int64)
+    same = (bits[:, None] == bits[None, :]).all(axis=-1)
+    np.testing.assert_array_equal(same, rep[:, None] == rep[None, :])
+    np.testing.assert_array_equal(lead, [np.flatnonzero(rep == g)[0] for g in range(lead.size)])
+    return rep
+
+
 def _assert_row_sampler_matches_sample(evo, t):
-    """Row by row, U = L diag(z) R and dU/dt = L diag(i w z) R from the row
-    sampler match the dense reference on the row's own samples and, at the
-    cut that ends the row, its left limit (``side="left"``)."""
+    """Row by row, U = L diag(z[rep]) R and dU/dt = L diag(i w z[rep]) R from
+    the row's distinct phasors z match the dense reference on the row's own
+    samples and, at the cut that ends the row, its left limit (``side="left"``)."""
     first, rows = evo.row_starts(t)
     ends = [*first[1:].tolist(), t.size]
     owner = np.repeat(rows, np.diff([*first.tolist(), t.size]))
     np.testing.assert_array_equal(owner, evo._segment_index(t))
     for lo, hi, k in zip(first.tolist(), ends, rows.tolist()):
         left, right, _, rate = evo.row_frame(k)
-        z = evo.row_phasors(k, t[lo:hi + 1]).T
+        rep = _assert_distinct_terms(evo, k)
+        z = evo.row_phasors(k, t[lo:hi + 1])
+        assert z.shape == (evo.frames.distinct[k], min(hi + 1, t.size) - lo)
+        z = z[rep].T
         u = (left * z[:, None, :]) @ right
         u_dot = (left * (1j * rate * z)[:, None, :]) @ right
         ref_u, ref_dot = dense.sample(evo, t[lo:hi])
@@ -233,22 +249,24 @@ def test_frame_phasors_reproduce_sampled_operators():
                                  qp.CartanHold(1.0)])
     assert (diag.frames.left == np.eye(3)).all() and (diag.frames.right == np.eye(3)).all()
     assert (diag.frames.unitarity == 0.0).all() and (diag.frames.determinant == 1.0).all()
-    # a row without rates takes one exponential, broadcast over its times: ones
-    # on a path that holds the identity, the arrival phases on a later hold
+    # a row without rates takes one exponential per distinct phasor, broadcast
+    # over its times: one phasor of ones on a path that holds the identity, the
+    # arrival phases on a later hold
     held = qp.LocalEvolution(3, [qp.CartanHold(0.5), qp.CartanHold(0.5)])
     t = np.linspace(0.0, 1.0, 11)
     first, rows = held.row_starts(t)
     assert first.tolist() == [0, 5] and rows.tolist() == [0, 1]
     for k, times in ((0, t[:5]), (1, t[5:])):
         z = held.row_phasors(k, times)
-        assert z.shape == (3, times.size) and z.strides[1] == 0 and (z == 1.0).all()
+        assert z.shape == (1, times.size) and z.strides[1] == 0 and (z == 1.0).all()
     z = diag.row_phasors(1, np.linspace(1.0, 2.0, 5))
     assert z.strides[1] == 0
     np.testing.assert_array_equal(z[:, 0], np.exp(1j * np.array([1.0, 0.0, -1.0])))
     assert diag.row_phasors(0, t).strides[1] != 0
     _assert_row_sampler_matches_sample(diag, np.linspace(0.0, 2.0, 21))
-    # a Bloch path is stored 8 terms wide: a Bloch row is its 8-term sum, the
-    # other rows are unitary 2-term frames whose zero padding is storage only
+    # a Bloch path is stored 8 terms wide: a Bloch row is its 8-term sum with 6
+    # distinct phasors, the other rows are unitary 2-term frames whose zero
+    # padding is storage only
     bloch = qp.LocalEvolution(2, [qp.GeneratorConst(QUBIT_GEN, 0.5),
                                   qp.BlochLoop(theta_end=1.0, phi_rate=1.5, duration=1.0),
                                   qp.CartanLinear(np.array([0.8, -0.8]), 0.5)])
@@ -259,7 +277,7 @@ def test_frame_phasors_reproduce_sampled_operators():
     assert not fb.left[unitary][:, :, 2:].any() and not fb.right[unitary][:, 2:].any()
     assert not fb.phase0[unitary][:, 2:].any() and not fb.rate[unitary][:, 2:].any()
     assert [bloch.row_frame(k)[0].shape for k in range(4)] == [(2, 2), (2, 8), (2, 2), (2, 2)]
-    assert [bloch.row_phasors(k, t[:3]).shape for k in range(3)] == [(2, 3), (8, 3), (2, 3)]
+    assert [bloch.row_phasors(k, t[:3]).shape for k in range(3)] == [(2, 3), (6, 3), (2, 3)]
     _assert_row_sampler_matches_sample(bloch, np.linspace(0.0, bloch.duration, 401))
     assert fb.unitarity.max() < 1e-14
     np.testing.assert_allclose(fb.determinant, 1.0, rtol=0, atol=1e-14)
@@ -332,10 +350,11 @@ def _direct_phasors(evo, k, t):
 
 
 def _tabled_phasors(evo, k, t):
-    """(row_phasors(k, t), whether it took the table product)."""
+    """(row k's K terms' phasors z[rep] from row_phasors(k, t), whether it took the
+    table product)."""
     with mock.patch.object(paths, "_table_phasors", wraps=paths._table_phasors) as table:
         z = evo.row_phasors(k, t)
-    return z, table.called
+    return z[_assert_distinct_terms(evo, k)], table.called
 
 
 @settings(max_examples=60, deadline=None)
@@ -596,6 +615,49 @@ def test_dimension_checks_cover_every_segment_before_lowering():
              "only defined for d = 2")):
         with pytest.raises(ValueError, match=message):
             qp.LocalEvolution(d, segs)
+
+
+def test_zero_duration_segments_are_checked_on_arrival():
+    # a zero-duration segment is dropped from the rows, not from the checks
+    # against the coordinates it arrives at; correct ones still lower to nothing
+    ramp = qp.CartanLinear(np.array([0.5, -0.5]), 1.0)
+    loop = qp.BlochLoop(theta_end=1.0, phi_rate=0.5, duration=1.0)
+    for segs, message in (
+            ([ramp, qp.CartanHold(0.0, angles=np.array([0.0, 0.0]))], "hold segment 1 pins"),
+            ([qp.CartanHold(0.0, angles=np.array([0.1, -0.1])), ramp], "hold segment 0 pins"),
+            ([loop, qp.BlochLoop(theta_end=0.5, phi_rate=0.0, duration=0.0, theta_start=0.5)],
+             "Bloch segment 1 starts at theta = 0.5")):
+        with pytest.raises(ValueError, match=message):
+            qp.LocalEvolution(2, segs)
+    kept = qp.LocalEvolution(2, [ramp, qp.CartanHold(0.0, angles=np.array([0.5, -0.5])), loop,
+                                 qp.BlochLoop(theta_end=2.0, phi_rate=1.0, duration=0.0,
+                                              theta_start=1.0)])
+    assert kept.segments == (ramp, loop)
+
+
+def test_segment_type_is_checked_first():
+    with pytest.raises(TypeError, match="unknown segment type str"):
+        qp.LocalEvolution(2, [qp.CartanHold(1.0), "not a segment"])
+
+
+def test_rows_evaluate_their_distinct_phasors():
+    # bit-equal (phase0, rate) terms share one phasor: a Bloch row's i = j terms,
+    # the identity hold, repeated ramp rates from equal start phases
+    rng = np.random.default_rng(4)
+    bloch = qp.LocalEvolution(2, [qp.BlochLoop(theta_end=1.0, phi_rate=1.5, duration=1.0)])
+    ramp = qp.LocalEvolution(3, [qp.CartanLinear(np.array([1.0, 1.0, -2.0]), 1.0)])
+    haar = qp.LocalEvolution(8, [qp.GeneratorConst(_haar_spectrum(8, rng), 1.0)])
+    assert bloch.frames.distinct[0] == 6
+    assert qp.identity_evolution(8, 1.0).frames.distinct[0] == 1
+    assert ramp.frames.distinct[0] == 2
+    assert haar.frames.distinct[0] == 8
+    np.testing.assert_array_equal(bloch.frames.rep[0], [0, 1, 0, 1, 2, 3, 4, 5])
+    np.testing.assert_array_equal(ramp.frames.rep[0], [0, 0, 1])
+    t = np.linspace(0.0, 1.0, 4001)
+    for evo in (bloch, ramp, haar):
+        z = evo.row_phasors(0, t)
+        assert z.shape == (evo.frames.distinct[0], t.size)
+        _assert_row_sampler_matches_sample(evo, t)
 
 
 def test_bloch_start_continuity_enforced():

@@ -920,7 +920,8 @@ def test_bloch_frame_route_matches_dense_stacks(data):
 
 def test_tabled_mixed_pair_matches_dense_route():
     # at the default CHUNK_ROWS, runs of 4096 samples or more: both paths take
-    # the table product (K = 8 on the Bloch row, 2 and 3 elsewhere)
+    # the table product (the Bloch row's 8 terms as 6 distinct phasors, 2 and 3
+    # elsewhere)
     dt = 2.0 ** -11
     edges = [6000, 12000, 16384]
     a = qp.LocalEvolution(2, [
@@ -936,7 +937,7 @@ def test_tabled_mixed_pair_matches_dense_route():
     with mock.patch.object(paths, "_table_phasors", wraps=paths._table_phasors) as table:
         trace = qp.run_trace(state, qp.PairEvolution(a, b, grid))
     widths = sorted({call.args[3].size for call in table.call_args_list})
-    assert widths == [2, 3, 8]
+    assert widths == [2, 3, 6]
     _assert_matches_dense(trace, (a, b), state, grid)
 
 

@@ -298,6 +298,47 @@ def test_cli_phase_beyond_any_grid_exits_guard(tmp_path, capsys, rates, duration
     assert "numerical guard" in err and "no step count" in err
 
 
+def test_cli_guard_prints_a_huge_increment_in_short_form(tmp_path, capsys):
+    # a finite increment of 3.3e305 rad per step is printed in three digits, not in full
+    path = tmp_path / "vast.yaml"
+    path.write_text(GOOD_YAML.replace("[1.0, 1.0, -2.0]", "[1.0, -1.0, 0.0]")
+                    .replace('"2*pi"', "1.0e308"))
+    assert main(["run", str(path), "--output", str(tmp_path / "vast.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "per-step phase increment 3.33e+305 rad exceeds the guard" in err
+    assert len(err) < 300
+
+
+ZERO_DURATION_YAML = {
+    "hold": GOOD_YAML.replace(
+        'cartan_hold, duration: "2*pi"}',
+        'cartan_hold, duration: "2*pi"}\n    - {kind: cartan_hold, duration: 0, '
+        "angles: [0.5, 0.0, -0.5]}"),
+    "bloch": "dims: [2, 2]\ninitial_state: {preset: two_qubit_schmidt, q: 0.3}\n"
+             "evolution:\n  a:\n"
+             '    - {kind: bloch_loop, theta_end: 1.0, phi_rate: 1.0, duration: "pi"}\n'
+             "    - {kind: bloch_loop, theta_start: 0.5, theta_end: 0.5, phi_rate: 1.0, "
+             "duration: 0}\n"
+             '    - {kind: bloch_loop, theta_end: 0.0, phi_rate: 1.0, duration: "pi"}\n'
+             '  b: [{kind: cartan_hold, duration: "2*pi"}]\n'
+             'grid: {t_max: "2*pi", steps: 600}\n',
+}
+
+
+@pytest.mark.parametrize("kind", list(ZERO_DURATION_YAML))
+@pytest.mark.parametrize("verb", ["run", "verify"])
+def test_cli_zero_duration_segment_is_checked_on_arrival(tmp_path, capsys, kind, verb):
+    # a zero-duration hold pinning angles the path does not arrive with, and a
+    # zero-duration Bloch loop starting at a theta the path is not at
+    path = tmp_path / "zero.yaml"
+    path.write_text(ZERO_DURATION_YAML[kind])
+    assert main([verb, str(path), "--output", str(tmp_path / "zero.csv")]
+                if verb == "run" else [verb, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert ("pins angles" if kind == "hold" else "starts at theta = 0.5") in err
+
+
 @pytest.mark.parametrize("edit, argv", [
     (("dims: [3, 3]", 'dims: ["a", 3]'), ["run"]),
     (("dims: [3, 3]", "dims: [3.5, 3]"), ["run"]),

@@ -34,3 +34,8 @@ def test_sweep_entanglement_matches_closed_form():
     m = re.search(r"max engine-vs-closed-form residual: (\S+)", out)
     assert m, out
     assert float(m.group(1)) < 1e-10
+
+
+def test_many_segments_prints_median():
+    out = _run_script("many_segments.py", "--segments", "6", "--repeats", "1")
+    assert re.fullmatch(r"6 segments, 13 samples: median \d+\.\d ms over 1 runs\n", out), out
