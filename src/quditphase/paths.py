@@ -337,13 +337,13 @@ class LocalEvolution:
         rates and the row's frames (``frames``, see ``FrameTables``). Every
         authored segment, zero-duration ones too, is first checked against
         the coordinates it arrives at (pinned hold angles, a Bloch
-        ``theta_start``); then the kept ones take one branch per kind that
-        writes the row and advances chi, (theta, phi) and the generator
-        product W0. Then the square d-term frames take their coset factor
-        V(theta_k, phi_k) and their residuals, and every row its distinct
-        phasors (``_distinct_terms``), all rows at once; Bloch rows keep what
-        their branch wrote. Nothing after construction asks which kind a
-        segment is.
+        ``theta_start``, a zero-duration Bloch ``theta_end``); then the kept
+        ones take one branch per kind that writes the row and advances chi,
+        (theta, phi) and the generator product W0. Then the square d-term
+        frames take their coset factor V(theta_k, phi_k) and their residuals,
+        and every row its distinct phasors (``_distinct_terms``), all rows at
+        once; Bloch rows keep what their branch wrote. Nothing after
+        construction asks which kind a segment is.
         """
         n, d = len(self.segments), self.d
         self.has_bloch = any(isinstance(s, BlochLoop) for s in self.segments)
@@ -373,10 +373,12 @@ class LocalEvolution:
                     seg.angles.shape != (d,) or np.abs(seg.angles - chi).max() > 1e-9):
                 raise ValueError(f"hold segment {k} pins angles {seg.angles} but the "
                                  f"path arrives with {chi}")
-            if (isinstance(seg, BlochLoop) and seg.theta_start is not None and k
-                    and abs(seg.theta_start - theta) > 1e-9):
-                raise ValueError(f"Bloch segment {k} starts at theta = {seg.theta_start:g} "
-                                 f"but the path arrives at {theta:g}")
+            if isinstance(seg, BlochLoop):              # a later start, an end in zero time
+                for at, pin in (("starts", seg.theta_start if k else None),
+                                ("ends in zero time", None if seg.duration else seg.theta_end)):
+                    if pin is not None and abs(pin - theta) > 1e-9:
+                        raise ValueError(f"Bloch segment {k} {at} at theta = {pin:g} but the "
+                                         f"path arrives at {theta:g}")
             if not seg.duration:
                 continue
             chi0[k], bloch0[k] = chi, (theta, phi)

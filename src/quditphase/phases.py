@@ -1,7 +1,7 @@
 """Total, dynamical and geometric phases along local unitary evolutions.
 
 The total phase is the continuously unwrapped argument of the state overlap,
-the dynamical phase is the Simpson quadrature of the instantaneous frequency
+the dynamical phase is the integral of the instantaneous frequency
 ``-i <psi|dpsi/dt>``, and the geometric phase is their difference. Cyclic
 points are overlap-magnitude returns to one; on them only the fractional
 values 2 pi (n_A/d_A + n_B/d_B) can occur for Cartan-closed local paths.
@@ -13,13 +13,13 @@ maximal stretch of samples on which each path stays on one row. Over a run
 the matrix C of the overlap z_A C z_B and each path's frequency (an exact row
 constant, or on a Bloch row an exact quadratic form in z) are fixed. Both are
 folded once per run onto the rows' distinct phasors y (terms with bit-equal
-phase and rate share one), so only those are evaluated, O(n G_A G_B) in all,
-and each run's quadrature ends on the left limit at the next cut. Each path's
-phasors of a chunk of m samples come as one G x m array
-(``LocalEvolution.row_phasors``), from O(sqrt(m) G) exponentials on chunks of
-``paths.TABLE_PHASORS`` or more samples times terms. A single qudit runs as
-its purified pair, alpha = sqrt(rho) with qudit B held at the identity:
-Tr[alpha^dag U alpha] = Tr[rho U].
+phase and rate share one), so only those are evaluated, O(n G_A G_B) in all.
+A row constant w integrates exactly to w (t - t_lo), a Bloch row's form by
+Simpson's rule up to its left limit at the next cut. Each path's phasors of a
+chunk of m samples come as one G x m array (``LocalEvolution.row_phasors``),
+from O(sqrt(m) G) exponentials on chunks of ``paths.TABLE_PHASORS`` or more
+samples times terms. A single qudit runs as its purified pair, B held at the
+identity and alpha = sqrt(rho): Tr[alpha^dag U alpha] = Tr[rho U].
 """
 
 from __future__ import annotations
@@ -262,29 +262,21 @@ def _folded_constants(alpha: np.ndarray, evo_a: LocalEvolution, rows_a: np.ndarr
 
 
 def _row_form(evo: LocalEvolution, k: int, rho: np.ndarray, constants: list):
-    """Row k's frequency -i Tr[rho U^dag dU/dt] in its distinct phasors y.
+    """(w, form): row k's frequency -i Tr[rho U^dag dU/dt] in its distinct phasors y.
 
-    With U = L diag(z) R, z = P y (P the one-hot term map) and dz/dt = i w z
-    it is Re conj(y) P^T M P y, M = (L^dag L) * (R rho R^dag)^T times w per
-    column. A row with unitary frames has L^dag L = 1, so there it is the
-    row constant (``_row_constants``), returned as one float: rates @
-    diag(rho) on a Cartan row, <G> on a generator row. A Bloch row returns
-    the folded form P^T M P.
+    With U = L diag(z) R, z = P y (P the one-hot term map) and dz/dt = i r z
+    (r the rates) it is Re conj(y) P^T M P y, M = (L^dag L) * (R rho R^dag)^T
+    times r per column. A row with unitary frames has L^dag L = 1: there it
+    is the constant w = r @ diag(R rho R^dag) (``_row_constants``; <G> on a
+    generator row) and form is None. A Bloch row gives w = 0 and P^T M P.
     """
     f = evo.frames
     if not f.rectangular[k]:
-        return constants[k]
+        return constants[k], None
     left, right, _, rate = evo.row_frame(k)
     fold = np.eye(f.distinct[k])[f.rep[k]]
     form = (left.conj().T @ left) * (right @ rho @ right.conj().T).T * rate
-    return fold.T @ form @ fold
-
-
-def _frequency(form, y: np.ndarray):
-    """A row's frequency per sample at its distinct phasors y (G x m), from ``_row_form``."""
-    if isinstance(form, float):
-        return form
-    return (y.conj() * (form @ y)).sum(axis=0).real
+    return 0.0, fold.T @ form @ fold
 
 
 def _phasor_residuals(evo: LocalEvolution, k: int, y: np.ndarray) -> tuple[float, float]:
@@ -311,16 +303,16 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
     one run of grid samples at a time, for ``_finalize_trace``.
 
     A run is a maximal stretch of samples on which each path stays on one
-    row. Its rows give the overlap's matrix C, folded onto the rows'
-    distinct phasors (``_folded_constants``, built for ``RUN_BLOCK`` runs at
-    a time), and each path's frequency form, folded the same way. The
-    phasors are evaluated in chunks of at most ``CHUNK_ROWS`` samples, on
-    the run's own samples plus, before a cut, its end sample in the run's
-    rows: the left limit of the frequency there. Each run is integrated on
-    its own and the running dynamical phase carried into the next. The
-    unitarity residual is the largest of the visited rows' ``unitarity``
-    and, as the determinant residual, a maximum over the owned samples. The
-    last chunk's phasors are freed on return, before the unwrap runs.
+    row. Its rows give the overlap's matrix C, folded onto their distinct
+    phasors (``_folded_constants``, for ``RUN_BLOCK`` runs at a time), and
+    each path's frequency (``_row_form``). Its dynamical phase is the running
+    offset plus w (t - t_lo), w its unitary rows' constants; a run with a
+    Bloch row adds the cumulative Simpson integral of that row's form on its
+    samples and, before a cut, its end sample in its rows (the left limit).
+    Phasors come in chunks of at most ``CHUNK_ROWS`` samples. The unitarity
+    residual is the largest of the visited rows' ``unitarity`` and, as the
+    determinant residual, a maximum over the owned samples. The last chunk's
+    phasors are freed on return, before the unwrap runs.
     """
     _check_rate_guard(evo_a.max_phase_rate + evo_b.max_phase_rate, grid)
     alpha = alpha0.alpha
@@ -344,13 +336,17 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
             block = _folded_constants(alpha, evo_a, rows_a[r:r + RUN_BLOCK],
                                       evo_b, rows_b[r:r + RUN_BLOCK])
         c = block[r % RUN_BLOCK, :ga, :gb]
-        form_a, form_b = _row_form(evo_a, ka, rho_a, const_a), _row_form(evo_b, kb, rho_b, const_b)
-        end = min(hi + 1, n)
-        freq = np.empty(end - lo)
+        (w_a, form_a), (w_b, form_b) = (_row_form(evo_a, ka, rho_a, const_a),
+                                        _row_form(evo_b, kb, rho_b, const_b))
+        bloch = form_a is not None or form_b is not None
+        end = min(hi + 1, n) if bloch else hi   # a Bloch run's end sample: its left limit
+        freq = np.zeros(end - lo) if bloch else None
         for s in range(lo, end, CHUNK_ROWS):
             e = min(s + CHUNK_ROWS, end)
             y_a, y_b = evo_a.row_phasors(ka, times[s:e]), evo_b.row_phasors(kb, times[s:e])
-            freq[s - lo:e - lo] = _frequency(form_a, y_a) + _frequency(form_b, y_b)
+            for form, y in ((form_a, y_a), (form_b, y_b)):
+                if form is not None:
+                    freq[s - lo:e - lo] += (y.conj() * (form @ y)).sum(axis=0).real
             owned = min(e, hi) - s
             if owned:
                 y_a, y_b = y_a[:, :owned], y_b[:, :owned]
@@ -358,16 +354,18 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
                 (unit_a, det_a), (unit_b, det_b) = (_phasor_residuals(evo_a, ka, y_a),
                                                     _phasor_residuals(evo_b, kb, y_b))
                 unit, det = max(unit, unit_a, unit_b), max(det, det_a, det_b)
-        dyn[lo:end] = offset + cumulative_simpson(freq, grid.dt)
-        offset = dyn[end - 1]
+        dyn[lo:hi + 1] = offset + (w_a + w_b) * (times[lo:hi + 1] - times[lo])
+        if bloch:
+            dyn[lo:hi + 1] += cumulative_simpson(freq, grid.dt)
+        offset = dyn[min(hi, n - 1)]
     return times, overlap, dyn, (float(unit), float(det))
 
 
 def run_trace(alpha0: CoefficientMatrix, pair: PairEvolution) -> PhaseTrace:
     """Run a two-qudit trace over the pair's time grid.
 
-    The dynamical quadrature is stitched at segment boundaries with the
-    left-limit integrand, keeping full Simpson accuracy on piecewise paths.
+    The dynamical phase is exact on rows with unitary frames; on Bloch rows it
+    is Simpson's rule, stitched at segment cuts with the left-limit integrand.
     """
     if pair.a.d != alpha0.d_a or pair.b.d != alpha0.d_b:
         raise ValueError(

@@ -311,9 +311,10 @@ def test_lowering_matches_dense_reference_on_random_segment_lists(data):
             seg = qp.GeneratorConst(_haar_spectrum(d, rng), duration)
         elif kind in ("hold", "pinned"):
             seg = qp.CartanHold(duration, angles=chi.copy() if kind == "pinned" else None)
-        else:
-            seg = qp.BlochLoop(theta_end=rng.uniform(0.0, 3.0), phi_rate=rng.uniform(-2.0, 2.0),
-                               duration=duration,
+        else:                   # a zero-duration loop ends where it arrives
+            end = rng.uniform(0.0, 3.0)
+            seg = qp.BlochLoop(theta_end=end if duration else theta,
+                               phi_rate=rng.uniform(-2.0, 2.0), duration=duration,
                                theta_start=theta if kind == "continued" else None)
         segs.append(seg)
         if duration == 0.0:
@@ -363,8 +364,9 @@ def test_table_phasors_match_direct_exponentials(data):
     # row 1 of a path, a Cartan ramp, generator or Bloch row at K terms, sampled
     # on m grid samples with m K just below, at or above the table threshold or
     # far above it: |arg| up to about 1e3 rad, per-step phase rates up to pi/4
-    d = data.draw(st.integers(2, 8))
-    kind = data.draw(st.sampled_from(["linear", "generator"] + (["bloch"] if d == 2 else [])))
+    # the kind is drawn first, so every kind is drawn whatever d the run draws
+    kind = data.draw(st.sampled_from(["linear", "generator", "bloch"]))
+    d = 2 if kind == "bloch" else data.draw(st.integers(2, 8))
     width = 8 if kind == "bloch" else d
     least = -(-paths.TABLE_PHASORS // width)              # smallest m that takes the tables
     m = data.draw(st.sampled_from([least - 1, least, least + 1, 8193]))
@@ -626,11 +628,17 @@ def test_zero_duration_segments_are_checked_on_arrival():
             ([ramp, qp.CartanHold(0.0, angles=np.array([0.0, 0.0]))], "hold segment 1 pins"),
             ([qp.CartanHold(0.0, angles=np.array([0.1, -0.1])), ramp], "hold segment 0 pins"),
             ([loop, qp.BlochLoop(theta_end=0.5, phi_rate=0.0, duration=0.0, theta_start=0.5)],
-             "Bloch segment 1 starts at theta = 0.5")):
+             "Bloch segment 1 starts at theta = 0.5"),
+            # a jump of theta in zero time, which dropping the segment would hide
+            ([loop, qp.BlochLoop(theta_end=2.5, phi_rate=0.0, duration=0.0),
+              qp.BlochLoop(theta_end=0.0, phi_rate=1.0, duration=1.0)],
+             "Bloch segment 1 ends in zero time at theta = 2.5 but the path arrives at 1"),
+            ([loop, qp.BlochLoop(theta_end=2.0, phi_rate=1.0, duration=0.0, theta_start=1.0)],
+             "Bloch segment 1 ends in zero time at theta = 2")):
         with pytest.raises(ValueError, match=message):
             qp.LocalEvolution(2, segs)
     kept = qp.LocalEvolution(2, [ramp, qp.CartanHold(0.0, angles=np.array([0.5, -0.5])), loop,
-                                 qp.BlochLoop(theta_end=2.0, phi_rate=1.0, duration=0.0,
+                                 qp.BlochLoop(theta_end=1.0, phi_rate=1.0, duration=0.0,
                                               theta_start=1.0)])
     assert kept.segments == (ramp, loop)
 

@@ -323,20 +323,24 @@ ZERO_DURATION_YAML = {
              '  b: [{kind: cartan_hold, duration: "2*pi"}]\n'
              'grid: {t_max: "2*pi", steps: 600}\n',
 }
+# a zero-duration Bloch loop that jumps to another theta in zero time
+ZERO_DURATION_YAML["bloch_end"] = ZERO_DURATION_YAML["bloch"].replace(
+    "theta_start: 0.5, theta_end: 0.5, phi_rate: 1.0", "theta_end: 2.5, phi_rate: 0.0")
 
 
 @pytest.mark.parametrize("kind", list(ZERO_DURATION_YAML))
 @pytest.mark.parametrize("verb", ["run", "verify"])
 def test_cli_zero_duration_segment_is_checked_on_arrival(tmp_path, capsys, kind, verb):
     # a zero-duration hold pinning angles the path does not arrive with, and a
-    # zero-duration Bloch loop starting at a theta the path is not at
+    # zero-duration Bloch loop starting at, or ending on, a theta the path is not at
     path = tmp_path / "zero.yaml"
     path.write_text(ZERO_DURATION_YAML[kind])
     assert main([verb, str(path), "--output", str(tmp_path / "zero.csv")]
                 if verb == "run" else [verb, str(path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
-    assert ("pins angles" if kind == "hold" else "starts at theta = 0.5") in err
+    assert {"hold": "pins angles", "bloch": "starts at theta = 0.5",
+            "bloch_end": "ends in zero time at theta = 2.5"}[kind] in err
 
 
 @pytest.mark.parametrize("edit, argv", [
