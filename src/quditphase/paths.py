@@ -31,12 +31,12 @@ and phi are linear in tau, so V(theta, phi) W0 diag(exp(i chi0)) is an exact
 sum of 8 rank-one terms with exponents +-theta/2 + (i - j) phi: L is 2 x 8 and
 R is 8 x 2 (see ``FrameTables``). A row has K live terms, d or 8 on a Bloch row,
 and G <= K distinct phasors: terms with bit-equal (phase0, rate) share one (6
-on a Bloch row, 1 on the identity hold). The trace kernel samples a path one
-row at a time as its distinct phasors (``row_phasors``), G x m per call of m
-samples. A call of ``TABLE_PHASORS`` or more samples times terms builds them
-from O(sqrt(m) G) exponentials (``_table_phasors``), so sampling is O(n G)
-multiplies and O(sqrt(m) G) exponentials per call. Paths are immutable after
-construction and sampling is pure.
+on a Bloch row, 1 on the identity hold). ``row_phasors`` gives a row's
+distinct phasors at float times, one exponential each. The trace kernel takes
+them at ideal grid times i dt instead (``grid_phasors``, ``step_phasors``):
+the argument is formed in double-double and reduced mod 2 pi, so each phasor
+is within about 1 ulp of exact whatever its argument. Paths are immutable
+after construction and sampling is pure.
 """
 
 from __future__ import annotations
@@ -69,12 +69,11 @@ _BOUNDARY_TOL = 1e-9
 CLOSURE_TOL = 1e-8
 # Largest theta and phi (mod 2 pi) mismatch of a closed Bloch loop (``solid_angle``).
 _LOOP_CLOSURE_TOL = 1e-9
-# Calls of at least this many phasors (samples x frame terms) build them from
-# tables (``_table_phasors``). Below it one exponential per phasor is cheaper
-# than the tables' fixed numpy-call cost: measured with one BLAS thread on a
-# 2-vCPU x86 host, the two tie at about 2048 phasors and the tables win by
-# 15-20% at 3072, for K = 2, 3 and 8 terms.
-TABLE_PHASORS = 3072
+# Dekker's splitter (a = hi + lo in 26-bit halves) and 2 pi = _TWO_PI + _TWO_PI_LO
+# to double-double precision.
+_SPLITTER = 2.0 ** 27 + 1.0
+_TWO_PI = 2.0 * math.pi
+_TWO_PI_LO = 2.4492935982947064e-16
 
 
 def _check_segment(duration, **values) -> None:
@@ -201,6 +200,7 @@ class FrameTables:
     of the row. ``determinant`` is det U over the product of the first d
     phasors: det(left) det(right) on a unitary row, det(W0) e^{i sum chi0} on
     a Bloch row, where det V = e^{i theta/2} e^{-i theta/2}.
+    ``determinant_residual`` is |det U - 1| at the row's two ends, the larger.
     """
 
     left: np.ndarray
@@ -209,6 +209,7 @@ class FrameTables:
     rate: np.ndarray
     unitarity: np.ndarray
     determinant: np.ndarray
+    determinant_residual: np.ndarray
     rectangular: np.ndarray
     rep: np.ndarray
     lead: np.ndarray
@@ -252,57 +253,37 @@ def _distinct_terms(phase0: np.ndarray, rate: np.ndarray, live: np.ndarray) -> t
     return rep, np.argsort(~is_lead, axis=1, kind="stable"), is_lead.sum(axis=1)
 
 
-def _table_phasors(t: np.ndarray, tau: np.ndarray, phase0: np.ndarray, rate: np.ndarray,
-                   past: np.ndarray) -> np.ndarray:
-    """exp(i arg), arg = phase0 + tau rate, K x m, on uniform times t from
-    O(sqrt(m) K) exponentials.
+def _two_sum(a, b) -> tuple:
+    """(s, e): s = fl(a + b) and s + e = a + b exactly (Knuth)."""
+    s = a + b
+    v = s - a
+    return s, (a - (s - v)) + (b - v)
 
-    arg rounds as in the direct formula. With b = ceil(sqrt(m)) and sample
-    i = q b + j, arg_i = arg_qb + j dt w + delta_i, where delta_i is at
-    rounding level on a uniform grid: the rounding of t and of arg itself. So
-    exp(i arg_i) = exp(i arg_qb) exp(i j dt w) (1 + i delta_i) up to
-    delta_i^2 / 2: a coarse table of every b-th sample times a fine table of
-    the b steps, corrected to first order. delta_i needs arg_i - arg_qb exact,
-    which holds (Sterbenz) where |arg_qb| is at least twice the span of its
-    block; blocks under three spans from the origin, and the samples ``past``
-    the path's end (clipped to it, so off the grid), take the direct
-    exponential. The blocks are padded to a whole number of b samples, and z
-    is a view of the first m. delta is computed in the argument buffer and
-    (1 + i delta) applied to z in place, as (x - y delta) + i (y + x delta):
-    the same roundings as the complex product, without complex temporaries.
-    Times that are not uniform raise ValueError.
-    """
-    m, K = t.size, rate.size
-    dt = (t[-1] - t[0]) / (m - 1)
-    tol = 64.0 * np.finfo(float).eps * max(abs(t[0]), abs(t[-1]))
-    if not np.abs(t - (t[0] + dt * np.arange(m))).max() <= tol:
-        raise ValueError("table phasors need uniform times, a slice of a grid")
-    b = math.isqrt(m - 1) + 1
-    padded = np.empty((K, -(-m // b) * b))
-    arg = padded[:, :m]
-    np.multiply(tau, rate[:, None], out=arg)
-    arg += phase0[:, None]
-    padded[:, m:] = arg[:, -1:]
-    tail = np.exp(1j * arg[:, past]) if past.any() else None
-    blocks = padded.reshape(K, -1, b)
-    coarse = blocks[:, :, 0].copy()
-    step = rate[:, None] * (dt * np.arange(b))        # j dt w, K x b
-    near = np.abs(coarse) < 3.0 * np.abs(step[:, -1:])
-    direct = np.exp(1j * blocks[near]) if near.any() else None
-    z = np.exp(1j * coarse)[:, :, None] * np.exp(1j * step)[:, None, :]
-    delta = blocks                                    # delta_i, in the argument buffer
-    delta -= coarse[:, :, None]
-    delta -= step[:, None, :]
-    shift = z.imag * delta                            # z (1 + i delta), in place
-    delta *= z.real
-    z.real -= shift
-    z.imag += delta
-    if direct is not None:
-        z[near] = direct
-    z = z.reshape(K, -1)[:, :m]
-    if tail is not None:
-        z[:, past] = tail
-    return z
+
+def _two_prod(a, b) -> tuple:
+    """(p, e): p = fl(a b) and p + e = a b exactly (Dekker); e = 0 where a
+    factor is too large to split (past 2^996)."""
+    p = a * b
+    with np.errstate(over="ignore", invalid="ignore"):
+        sa, sb = _SPLITTER * a, _SPLITTER * b
+        a_hi, b_hi = sa - (sa - a), sb - (sb - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    return p, np.where(np.isnan(e), 0.0, e)
+
+
+def _exact_phasors(phase0, rate, tau, tau_lo) -> np.ndarray:
+    """exp(i (phase0 + rate (tau + tau_lo))), the argument in double-double and
+    reduced mod 2 pi before one rounding: within about 1 ulp of exact at any size."""
+    arg, err = _two_prod(rate, tau)
+    err += rate * tau_lo
+    arg, e = _two_sum(phase0, arg)
+    err += e
+    turns = np.rint(arg / _TWO_PI)
+    whole, lost = _two_prod(turns, _TWO_PI)
+    arg, e = _two_sum(arg, -whole)
+    err += e - lost - turns * _TWO_PI_LO
+    return np.exp(1j * (arg + err))
 
 
 class LocalEvolution:
@@ -341,9 +322,9 @@ class LocalEvolution:
         ones take one branch per kind that writes the row and advances chi,
         (theta, phi) and the generator product W0. Then the square d-term
         frames take their coset factor V(theta_k, phi_k) and their residuals,
-        and every row its distinct phasors (``_distinct_terms``), all rows at
-        once; Bloch rows keep what their branch wrote. Nothing after
-        construction asks which kind a segment is.
+        and every row its distinct phasors (``_distinct_terms``) and |det U - 1|
+        at both ends, all rows at once; Bloch rows keep what their branch
+        wrote. Nothing after construction asks which kind a segment is.
         """
         n, d = len(self.segments), self.d
         self.has_bloch = any(isinstance(s, BlochLoop) for s in self.segments)
@@ -422,8 +403,13 @@ class LocalEvolution:
         unitarity[rows] = np.maximum(unit[:n + 1], unit[n + 1:])[rows]
         determinant[rows] = (det[:n + 1] * det[n + 1:])[rows]
         rep, lead, distinct = _distinct_terms(phase0, rate, np.where(rectangular, width, d))
+        # the distinct terms' (phase0, rate) first, in lead order (``grid_phasors``)
+        self._leads = [np.take_along_axis(x, lead, axis=1) for x in (phase0, rate)]
+        tau = np.stack([np.zeros(n + 1), np.append(ends, self.duration) - self._starts])
+        z = np.exp(1j * (phase0[:, :d] + tau[:, :, None] * rate[:, :d])).prod(axis=-1)
         self.frames = FrameTables(left=left, right=right, phase0=phase0, rate=rate,
                                   unitarity=unitarity, determinant=determinant,
+                                  determinant_residual=np.abs(determinant * z - 1.0).max(axis=0),
                                   rectangular=rectangular, rep=rep, lead=lead, distinct=distinct)
 
     # -- coordinate queries -------------------------------------------------
@@ -496,24 +482,36 @@ class LocalEvolution:
         times; the K frame terms' phasors are z[rep], with rep =
         ``frames.rep[k, :K]`` (see ``FrameTables``). So U(t) = L diag(z[rep])
         R and dU/dt = L diag(i w z[rep]) R with (L, R, c, w) = ``row_frame(k)``.
-        A row without rates (a hold, or a path held at the identity) takes
-        one exponential per distinct term, broadcast over the times. A call
-        of fewer than ``TABLE_PHASORS`` samples times frame terms takes one
-        exponential per phasor; a larger one needs uniform times t (a slice
-        of a grid) and builds z from O(sqrt(m) G) exponentials
-        (``_table_phasors``). Either way each phasor is the one its terms
-        would have on their own.
+        Each phasor is one exponential of its argument at the float time t,
+        clipped to the path's end; a row without rates (a hold, or a path held
+        at the identity) takes one per distinct term, broadcast over the times.
         """
-        f = self.frames
-        lead = f.lead[k, :f.distinct[k]]
-        phase0, rate = f.phase0[k][lead], f.rate[k][lead]     # the row first: about 2 us less
-        terms = f.rate.shape[1] if f.rectangular[k] else self.d
+        phase0, rate = (x[k, :self.frames.distinct[k]] for x in self._leads)
         if not rate.any():
             return np.broadcast_to(np.exp(1j * phase0)[:, None], (phase0.size, t.size))
         tau = np.minimum(t, self.duration) - self._starts[k]   # past the end is the end
-        if t.size * terms < TABLE_PHASORS or t.size < 16:      # 16: too few to tabulate
-            return np.exp(1j * (phase0[:, None] + tau * rate[:, None]))
-        return _table_phasors(t, tau, phase0, rate, t > self.duration)
+        return np.exp(1j * (phase0[:, None] + tau * rate[:, None]))
+
+    def grid_phasors(self, rows: np.ndarray, index: np.ndarray, dt: float) -> np.ndarray:
+        """Distinct phasors of row rows[s] at the ideal time index[s] dt, per sample s.
+
+        Columns g < G are the row's G distinct terms, as in ``row_phasors``,
+        the rest padding. index dt is exact in double-double, a time past the
+        path's end takes the end, and each phasor is within about 1 ulp of exact.
+        """
+        t, t_lo = _two_prod(np.asarray(index, dtype=float), dt)
+        past = (t > self.duration) | ((t == self.duration) & (t_lo > 0.0))
+        t[past], t_lo[past] = self.duration, 0.0
+        tau, tau_lo = _two_sum(t, -self._starts[rows])
+        tau_lo += t_lo
+        phase0, rate = (x[rows] for x in self._leads)
+        return _exact_phasors(phase0, rate, tau[:, None], tau_lo[:, None])
+
+    def step_phasors(self, rows: np.ndarray, steps: np.ndarray, dt: float) -> np.ndarray:
+        """exp(i w j dt), the advance over j = steps[s] grid steps of row rows[s]'s
+        distinct phasors (rates w), laid out and exact as ``grid_phasors``."""
+        j, j_lo = _two_prod(np.asarray(steps, dtype=float), dt)
+        return _exact_phasors(0.0, self._leads[1][rows], j[:, None], j_lo[:, None])
 
     @property
     def max_phase_rate(self) -> float:

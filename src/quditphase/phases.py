@@ -15,11 +15,11 @@ constant, or on a Bloch row an exact quadratic form in z) are fixed. Both are
 folded once per run onto the rows' distinct phasors y (terms with bit-equal
 phase and rate share one), so only those are evaluated, O(n G_A G_B) in all.
 A row constant w integrates exactly to w (t - t_lo), a Bloch row's form by
-Simpson's rule up to its left limit at the next cut. Each path's phasors of a
-chunk of m samples come as one G x m array (``LocalEvolution.row_phasors``),
-from O(sqrt(m) G) exponentials on chunks of ``paths.TABLE_PHASORS`` or more
-samples times terms. A single qudit runs as its purified pair, B held at the
-identity and alpha = sqrt(rho): Tr[alpha^dag U alpha] = Tr[rho U].
+Simpson's rule up to its left limit at the next cut. Phasors are taken at the
+ideal times i dt, within about 1 ulp of exact (``LocalEvolution.grid_phasors``),
+and a chunk's overlap is one matrix product of its coarse and fine phasor
+tables (``_streamed_trace``). A single qudit runs as its purified pair, B held
+at the identity and alpha = sqrt(rho): Tr[alpha^dag U alpha] = Tr[rho U].
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ TWO_PI = 2.0 * math.pi
 INDETERMINATE_TOL = 1e-12
 TRANSIT_RATIO = 0.25
 NEAR_ORIGIN = 0.05
-# Grid samples per chunk of a run: 1 MiB of phasors at width 8.
+# Grid samples per chunk of a run, one matrix product of about 91 x 91 samples.
 CHUNK_ROWS = 2 ** 13
 # Runs whose folded overlap matrices are built together: 1 MiB at width 8 x 8.
 RUN_BLOCK = 2 ** 10
@@ -105,6 +105,12 @@ def _chord_origin_distance(z0: complex, z1: complex) -> float:
     return abs(z0 + tau * d)
 
 
+def _half_turn(step, mag):
+    """A step of about -pi onto a sample of magnitude mag whose side of the
+    origin, (pi + step) mag, is below the rounding floor: a tie, taken as +pi."""
+    return (math.pi + step) * mag <= INDETERMINATE_TOL
+
+
 def unwrap_phases(z: np.ndarray, dynamical: np.ndarray,
                   mag: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Continuously unwrapped argument of a sampled complex path.
@@ -122,8 +128,9 @@ def unwrap_phases(z: np.ndarray, dynamical: np.ndarray,
     ``INDETERMINATE_TOL`` have no defined argument; the phase steps onto them
     by the local slope of the ``dynamical`` series, and they are flagged in
     the returned mask. The first determinate sample after such a bridged run
-    re-anchors on the branch nearest the bridged phase. ``mag`` is |z| if the
-    caller has it.
+    re-anchors on the branch nearest the bridged phase. A step or anchor jump
+    of about -pi that the rounding cannot place on either side of the origin
+    (``_half_turn``) goes +pi. ``mag`` is |z| if the caller has it.
     """
     z = np.asarray(z, dtype=complex)
     n = z.size
@@ -133,17 +140,22 @@ def unwrap_phases(z: np.ndarray, dynamical: np.ndarray,
     determinate = mag > INDETERMINATE_TOL
     phases = np.angle(z)                  # becomes the total phase, in place
     steps = np.diff(phases)
-    winds = np.rint(steps / TWO_PI)       # branch cuts crossed per step
+    big = np.flatnonzero(np.abs(steps) >= GUARD)   # the branch cuts and guard candidates
+    steps = steps[big]
+    winds = np.rint(steps / TWO_PI)       # branch cuts crossed per big step
     steps -= TWO_PI * winds               # the nearest-branch increments
-    for k in np.flatnonzero(np.abs(steps) >= GUARD).tolist():
-        if not (determinate[k] and determinate[k + 1]) or min(mag[k], mag[k + 1]) <= scale:
-            continue
-        if _chord_origin_distance(z[k], z[k + 1]) > TRANSIT_RATIO * abs(z[k + 1] - z[k]):
+    tie = _half_turn(steps, mag[big + 1])
+    winds[tie] -= 1.0
+    steps[tie] += TWO_PI
+    for k, step in zip(big.tolist(), steps.tolist()):
+        if (abs(step) >= GUARD and determinate[k] and determinate[k + 1]
+                and min(mag[k], mag[k + 1]) > scale and _chord_origin_distance(z[k], z[k + 1])
+                > TRANSIT_RATIO * abs(z[k + 1] - z[k])):
             raise GridTooCoarseError(
-                f"phase increment {steps[k]:.3g} rad between samples {k} and "
+                f"phase increment {step:.3g} rad between samples {k} and "
                 f"{k + 1} exceeds the guard {GUARD:.3f}; refine the grid")
-    del steps
-    np.cumsum(winds, out=winds)           # winds[k - 1]: crossed from sample 0 to k
+    # crossed[k]: the branch cuts crossed from sample 0 to k
+    crossed = np.repeat(np.cumsum(np.append(0.0, winds)), np.diff([0, *(big + 1).tolist(), n]))
     # a step with a bridged end follows the dynamical slope; the first
     # determinate sample after a bridged run is an anchor. Each piece from an
     # anchor is determinate up to its first bridged step (``last``), then bridged.
@@ -154,12 +166,13 @@ def unwrap_phases(z: np.ndarray, dynamical: np.ndarray,
     if not determinate[0]:
         phases[0] = 0.0
     for lo, last, hi in zip(starts, lasts, [*anchors, n]):
-        turns = 0.0                       # n_lo + winds[lo - 1]
+        turns = 0.0                       # n_lo + crossed[lo]
         if lo:
             turns = round((phases[lo - 1] - phases[lo]) / TWO_PI)
+            turns += _half_turn(phases[lo] + TWO_PI * turns - phases[lo - 1], mag[lo])
             phases[lo] += TWO_PI * turns
-            turns += winds[lo - 1]
-        count = winds[lo:last]            # -n_k = winds[k - 1] - turns, in place
+            turns += crossed[lo]
+        count = crossed[lo + 1:last + 1]  # -n_k = crossed[k] - turns, in place
         count -= turns
         count *= TWO_PI
         phases[lo + 1:last + 1] -= count
@@ -175,23 +188,13 @@ class PhaseTrace:
     all phases start at zero and the total phase is continuously unwrapped.
     ``indeterminate`` flags samples where the overlap vanished and the total
     phase was bridged. ``unitarity_residual`` and ``determinant_residual``
-    bound how far the sampled operators are from special unitary, the largest
-    |U^dag U - 1| and |det U - 1|. The kernel samples each path in its frames,
-    U = L diag(z) R, and reports them for the parts it relies on. The
-    unitarity residual is the largest ``FrameTables.unitarity`` over the rows
-    the grid visits together with |conj(z) z - 1| over the samples' distinct
-    phasors, computed as Re(z)^2 + Im(z)^2 - 1: on a row
-    with unitary frames that is |F^dag F - 1| over both frames; on a Bloch row
-    it is |F^dag F - 1| of its factor F = W0 diag(exp(i chi0)) and the
-    construction-time deviation of its 8-term sum from V(theta, phi) F at both
-    ends of the row. The determinant residual is |det L det R prod(z) - 1| per
-    sample on a unitary row, the product over the d terms' phasors in term
-    order, and |det(W0) e^{i sum chi0} z_+ z_- - 1| on a
-    Bloch row, z_+- the e^{+-i theta/2} terms. On an all-diagonal path
-    L = R = 1 exactly, so both equal the residuals of U = diag(z). The
-    per-sample parts are of the phasors the kernel used: on a long chunk the
-    table product of ``paths._table_phasors``, within about 3e-16 of
-    exp(i (c + w tau)).
+    bound how far the path's operators are from special unitary, |U^dag U - 1|
+    and |det U - 1|, over the rows the grid visits: the largest
+    ``FrameTables.unitarity`` (|F^dag F - 1| of the rows' frames and, on a
+    Bloch row, its 8-term sum's deviation from V(theta, phi) F at both ends)
+    and ``FrameTables.determinant_residual`` (|det U - 1| at both ends of each
+    row). On an all-diagonal path L = R = 1 exactly, so the unitarity
+    residual is 0. Neither depends on the grid step or the chunking.
     """
 
     t: np.ndarray
@@ -279,22 +282,28 @@ def _row_form(evo: LocalEvolution, k: int, rho: np.ndarray, constants: list):
     return 0.0, fold.T @ form @ fold
 
 
-def _phasor_residuals(evo: LocalEvolution, k: int, y: np.ndarray) -> tuple[float, float]:
-    """Per-sample residuals of row k's distinct phasors y (see ``PhaseTrace``).
+def _pairs(y_a: np.ndarray, y_b: np.ndarray) -> np.ndarray:
+    """Products y_a[s, g] y_b[s, h] of each sample s, flattened to s x (g, h)."""
+    return (y_a[:, :, None] * y_b[:, None, :]).reshape(len(y_a), -1)
 
-    The unit residual |conj(y) y - 1| takes the distinct phasors, the same
-    set of values as the terms'. det U / ``determinant`` is the product of
-    the first d terms' phasors, in term order. A row without rates has the
-    same phasors at every sample, so its first sample stands for all.
-    """
-    if not y.strides[1]:
-        y = y[:, :1]
-    norm = y.real * y.real
-    norm += y.imag * y.imag
-    rep = evo.frames.rep[k, :evo.d]
-    head = y[:evo.d] if rep[-1] == evo.d - 1 else y[rep]
-    det = np.abs(evo.frames.determinant[k] * head.prod(axis=0) - 1.0).max()
-    return max(norm.max() - 1.0, 1.0 - norm.min()), det
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """0, 1, ..., c - 1 for each count c, concatenated."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _chunks(lo: np.ndarray, end: np.ndarray, past: int) -> tuple:
+    """(run, start, size, block) of every chunk: run r's samples [lo[r], end[r])
+    in chunks of at most ``CHUNK_ROWS`` and blocks of b = ceil(sqrt(size)),
+    or of 1 from ``past`` on, where an ideal time may pass a path's end."""
+    cut = np.clip(past, lo, end)
+    piece_lo, piece_end = np.stack([lo, cut], 1).ravel(), np.stack([cut, end], 1).ravel()
+    count = -(-(piece_end - piece_lo) // CHUNK_ROWS)
+    start = np.repeat(piece_lo, count) + CHUNK_ROWS * _offsets(count)
+    size = np.minimum(start + CHUNK_ROWS, np.repeat(piece_end, count)) - start
+    tail = np.repeat(np.arange(count.size) % 2, count).astype(bool)
+    block = np.where(tail, 1, np.ceil(np.sqrt(size))).astype(int)
+    return np.repeat(np.arange(count.size) // 2, count), start, size, block
 
 
 def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
@@ -309,13 +318,18 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
     offset plus w (t - t_lo), w its unitary rows' constants; a run with a
     Bloch row adds the cumulative Simpson integral of that row's form on its
     samples and, before a cut, its end sample in its rows (the left limit).
-    Phasors come in chunks of at most ``CHUNK_ROWS`` samples. The unitarity
-    residual is the largest of the visited rows' ``unitarity`` and, as the
-    determinant residual, a maximum over the owned samples. The last chunk's
-    phasors are freed on return, before the unwrap runs.
+
+    Phasors are taken at the ideal times i dt. In a chunk of m samples
+    (``_chunks``) in blocks of b, sample i = q b + j (j < b) has the phasors
+    of sample q b times e^{i w j dt}. So its overlap is one matrix product,
+    (X^T Y).ravel()[:m] with X[(g, h), q] = C_gh y_A,g(q b) y_B,h(q b) and
+    Y[(g, h), j] = e^{i (w_A,g + w_B,h) j dt}, and a Bloch row's frequency is
+    Re of the same product over its (g, g') pairs with its form. One call
+    per path gives every chunk's coarse phasors (``grid_phasors``) and one
+    every run's fine ones (``step_phasors``). Residuals: see ``PhaseTrace``.
     """
     _check_rate_guard(evo_a.max_phase_rate + evo_b.max_phase_rate, grid)
-    alpha = alpha0.alpha
+    alpha, dt = alpha0.alpha, grid.dt
     rho_a, rho_b = reduced_densities(alpha0)
     const_a, const_b = _row_constants(evo_a.frames, rho_a), _row_constants(evo_b.frames, rho_b)
     times = grid.times()
@@ -323,41 +337,59 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
     overlap = np.empty(n, dtype=complex)
     dyn = np.empty(n)
     (first_a, rows_a), (first_b, rows_b) = evo_a.row_starts(times), evo_b.row_starts(times)
-    unit = max(evo_a.frames.unitarity[rows_a].max(), evo_b.frames.unitarity[rows_b].max())
-    det = offset = 0.0
+    fa, fb = evo_a.frames, evo_b.frames
+    unit = max(fa.unitarity[rows_a].max(), fb.unitarity[rows_b].max())
+    det = max(fa.determinant_residual[rows_a].max(), fb.determinant_residual[rows_b].max())
     # a set, not np.union1d, which imports numpy.ma (about 1 MiB) on first use
-    starts = np.array(sorted({*first_a.tolist(), *first_b.tolist()}))
-    rows_a = rows_a[np.searchsorted(first_a, starts, side="right") - 1]
-    rows_b = rows_b[np.searchsorted(first_b, starts, side="right") - 1]
-    runs = zip(starts.tolist(), [*starts[1:].tolist(), n], rows_a.tolist(), rows_b.tolist(),
-               evo_a.frames.distinct[rows_a].tolist(), evo_b.frames.distinct[rows_b].tolist())
-    for r, (lo, hi, ka, kb, ga, gb) in enumerate(runs):
+    lo = np.array(sorted({*first_a.tolist(), *first_b.tolist()}))
+    rows_a = rows_a[np.searchsorted(first_a, lo, side="right") - 1]
+    rows_b = rows_b[np.searchsorted(first_b, lo, side="right") - 1]
+    hi = np.append(lo[1:], n)
+    bloch = fa.rectangular[rows_a] | fb.rectangular[rows_b]
+    # past the shorter path's end, and always the last sample: blocks of 1
+    past = min(int(np.searchsorted(times, min(evo_a.duration, evo_b.duration))), n - 1)
+    run, start, size, block = _chunks(lo, np.minimum(hi + bloch, n), past)
+    per = -(-size // block)                       # coarse samples per chunk
+    index = np.repeat(start, per) + np.repeat(block, per) * _offsets(per)
+    coarse_a = evo_a.grid_phasors(rows_a[np.repeat(run, per)], index, dt)
+    coarse_b = evo_b.grid_phasors(rows_b[np.repeat(run, per)], index, dt)
+    chunk = np.searchsorted(run, np.arange(lo.size + 1))
+    wide = np.maximum.reduceat(block, chunk[:-1])  # each run's largest block
+    fine_a = evo_a.step_phasors(np.repeat(rows_a, wide), _offsets(wide), dt)
+    fine_b = evo_b.step_phasors(np.repeat(rows_b, wide), _offsets(wide), dt)
+    q_lo, f_lo = np.cumsum(per) - per, np.cumsum(wide) - wide
+    chunks = list(zip(start.tolist(), size.tolist(), block.tolist(), q_lo.tolist(),
+                      per.tolist()))
+    offset = 0.0
+    runs = zip(lo.tolist(), hi.tolist(), rows_a.tolist(), rows_b.tolist(),
+               fa.distinct[rows_a].tolist(), fb.distinct[rows_b].tolist(),
+               chunk.tolist(), chunk[1:].tolist(), f_lo.tolist(), wide.tolist())
+    for r, (lo_r, hi_r, ka, kb, ga, gb, c0, c1, f0, w) in enumerate(runs):
         if not r % RUN_BLOCK:
-            block = _folded_constants(alpha, evo_a, rows_a[r:r + RUN_BLOCK],
-                                      evo_b, rows_b[r:r + RUN_BLOCK])
-        c = block[r % RUN_BLOCK, :ga, :gb]
+            folded = _folded_constants(alpha, evo_a, rows_a[r:r + RUN_BLOCK],
+                                       evo_b, rows_b[r:r + RUN_BLOCK])
+        c = folded[r % RUN_BLOCK, :ga, :gb].ravel()
         (w_a, form_a), (w_b, form_b) = (_row_form(evo_a, ka, rho_a, const_a),
                                         _row_form(evo_b, kb, rho_b, const_b))
-        bloch = form_a is not None or form_b is not None
-        end = min(hi + 1, n) if bloch else hi   # a Bloch run's end sample: its left limit
-        freq = np.zeros(end - lo) if bloch else None
-        for s in range(lo, end, CHUNK_ROWS):
-            e = min(s + CHUNK_ROWS, end)
-            y_a, y_b = evo_a.row_phasors(ka, times[s:e]), evo_b.row_phasors(kb, times[s:e])
-            for form, y in ((form_a, y_a), (form_b, y_b)):
-                if form is not None:
-                    freq[s - lo:e - lo] += (y.conj() * (form @ y)).sum(axis=0).real
-            owned = min(e, hi) - s
-            if owned:
-                y_a, y_b = y_a[:, :owned], y_b[:, :owned]
-                overlap[s:s + owned] = (c.T @ y_a * y_b).sum(axis=0)
-                (unit_a, det_a), (unit_b, det_b) = (_phasor_residuals(evo_a, ka, y_a),
-                                                    _phasor_residuals(evo_b, kb, y_b))
-                unit, det = max(unit, unit_a, unit_b), max(det, det_a, det_b)
-        dyn[lo:hi + 1] = offset + (w_a + w_b) * (times[lo:hi + 1] - times[lo])
-        if bloch:
-            dyn[lo:hi + 1] += cumulative_simpson(freq, grid.dt)
-        offset = dyn[min(hi, n - 1)]
+        step_a, step_b = fine_a[f0:f0 + w, :ga], fine_b[f0:f0 + w, :gb]
+        fine = _pairs(step_a, step_b).T
+        forms = [(form.ravel(), _pairs(step.conj(), step).T, cols[:, :step.shape[1]])
+                 for form, step, cols in ((form_a, step_a, coarse_a), (form_b, step_b, coarse_b))
+                 if form is not None]
+        freq = np.zeros(min(hi_r + 1, n) - lo_r) if forms else None
+        for s, m, b, q, p in chunks[c0:c1]:
+            x = _pairs(coarse_a[q:q + p, :ga], coarse_b[q:q + p, :gb])
+            x *= c
+            owned = min(s + m, hi_r) - s
+            overlap[s:s + owned] = (x @ fine[:, :b]).ravel()[:owned]
+            for form, pairs, cols in forms:
+                x = _pairs(cols[q:q + p].conj(), cols[q:q + p])
+                x *= form
+                freq[s - lo_r:s - lo_r + m] += (x @ pairs[:, :b]).ravel()[:m].real
+        dyn[lo_r:hi_r + 1] = offset + (w_a + w_b) * (times[lo_r:hi_r + 1] - times[lo_r])
+        if forms:
+            dyn[lo_r:hi_r + 1] += cumulative_simpson(freq, dt)
+        offset = dyn[min(hi_r, n - 1)]
     return times, overlap, dyn, (float(unit), float(det))
 
 

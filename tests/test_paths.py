@@ -1,15 +1,14 @@
 """Path synthesis, Cartan trajectories, solid angles, lattice condition."""
 
 import math
-from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import quditphase as qp
-from quditphase import paths
 
 import dense_reference as dense
 
@@ -343,123 +342,68 @@ def _haar_spectrum(d, rng):
     return (v * (spectrum - spectrum.mean())) @ v.conj().T
 
 
-def _direct_phasors(evo, k, t):
-    """One exponential per phasor, exp(i (c + w (min(t, end) - start))), K x m."""
-    _, _, phase0, rate = evo.row_frame(k)
-    tau = np.minimum(t, evo.duration) - evo._starts[k]
-    return np.exp(1j * (phase0 + tau[:, None] * rate)).T
-
-
-def _tabled_phasors(evo, k, t):
-    """(row k's K terms' phasors z[rep] from row_phasors(k, t), whether it took the
-    table product)."""
-    with mock.patch.object(paths, "_table_phasors", wraps=paths._table_phasors) as table:
-        z = evo.row_phasors(k, t)
-    return z[_assert_distinct_terms(evo, k)], table.called
+def _exact_phasor(phase0, rate, index, dt, start=0.0, end=math.inf):
+    """exp(i (phase0 + rate (min(index dt, end) - start))) rounded from 50
+    digits, the float inputs taken as exact."""
+    with mpmath.workdps(50):
+        tau = min(mpmath.mpf(index) * mpmath.mpf(dt), mpmath.mpf(end)) - mpmath.mpf(start)
+        return complex(mpmath.expj(mpmath.mpf(phase0) + mpmath.mpf(rate) * tau))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_table_phasors_match_direct_exponentials(data):
-    # row 1 of a path, a Cartan ramp, generator or Bloch row at K terms, sampled
-    # on m grid samples with m K just below, at or above the table threshold or
-    # far above it: |arg| up to about 1e3 rad, per-step phase rates up to pi/4
-    # the kind is drawn first, so every kind is drawn whatever d the run draws
+def test_grid_phasors_are_exact(data):
+    # row 1 of a path, a Cartan ramp, generator or Bloch row, at ideal times
+    # i dt inside the row and past the path's end, with |arg| up to about 1e4:
+    # each distinct phasor within 4 eps of exp(i (c + w (min(i dt, end) - start)))
+    # in exact arithmetic; the step phasors exp(i w j dt) likewise
     kind = data.draw(st.sampled_from(["linear", "generator", "bloch"]))
     d = 2 if kind == "bloch" else data.draw(st.integers(2, 8))
-    width = 8 if kind == "bloch" else d
-    least = -(-paths.TABLE_PHASORS // width)              # smallest m that takes the tables
-    m = data.draw(st.sampled_from([least - 1, least, least + 1, 8193]))
-    dt = 2.0 ** -10
-    lead = data.draw(st.integers(1, 4000))
-    # per-step phase rate, largest over the row's terms, and the row's start phases
-    step = data.draw(st.floats(1e-3, math.pi / 4)) / dt
-    start = data.draw(st.floats(-1e3, 1e3))
+    dt = data.draw(st.floats(1e-4, 1.0))
+    lead, m = data.draw(st.integers(1, 4000)), data.draw(st.integers(1, 4000))
+    start = data.draw(st.floats(-5e3, 5e3))
+    rate = data.draw(st.floats(-5e3, 5e3)) / (m * dt)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 16)))
     if kind == "bloch":
-        # phi0 = start; on row 1 theta/2 + 2 |phi_dot| <= step
-        frac = rng.uniform(0.0, 1.0)
         segs = [qp.BlochLoop(theta_end=0.0, phi_rate=start / (lead * dt), duration=lead * dt),
-                qp.BlochLoop(theta_end=2.0 * frac * step * m * dt, phi_rate=(1 - frac) * step / 2,
-                             duration=m * dt)]
+                qp.BlochLoop(theta_end=rng.uniform(0.0, 3.0), phi_rate=rate, duration=m * dt)]
     else:
         unit = rng.normal(size=d)
         unit = (unit - unit.mean()) / np.abs(unit - unit.mean()).max()
         first = qp.CartanLinear(start * unit / (lead * dt), lead * dt)
         if kind == "linear":
-            second = qp.CartanLinear(step * unit[rng.permutation(d)], m * dt)
+            second = qp.CartanLinear(rate * unit[rng.permutation(d)], m * dt)
         else:
             v = qp.random_special_unitary(d, rng)
-            second = qp.GeneratorConst(v @ np.diag(step * unit) @ v.conj().T, m * dt)
+            second = qp.GeneratorConst(v @ np.diag(rate * unit) @ v.conj().T, m * dt)
         segs = [first, second]
-    evo = qp.LocalEvolution(2 if kind == "bloch" else d, segs)
-    assert evo.row_frame(1)[3].size == width
-    t = np.linspace(0.0, (lead + m) * dt, lead + m + 1)[lead:lead + m]
-    z, tabled = _tabled_phasors(evo, 1, t)
-    ref = _direct_phasors(evo, 1, t)
-    assert z.shape == (width, m)
-    assert tabled == (m * width >= paths.TABLE_PHASORS)
-    if tabled:
-        assert np.abs(z - ref).max() <= 2e-15
-    else:
-        np.testing.assert_array_equal(z, ref)
+    evo = qp.LocalEvolution(d, segs)
+    f = evo.frames
+    lead_terms = f.lead[1, :f.distinct[1]]
+    phase0, rates = f.phase0[1][lead_terms], f.rate[1][lead_terms]
+    index = np.array(data.draw(st.lists(st.integers(lead, lead + m + 3), min_size=1,
+                                        max_size=8)))
+    z = evo.grid_phasors(np.ones(index.size, dtype=int), index, dt)
+    eps = np.finfo(float).eps
+    for i, row in zip(index.tolist(), z):
+        ref = [_exact_phasor(c, w, i, dt, evo._starts[1], evo.duration)
+               for c, w in zip(phase0, rates)]
+        assert np.abs(row[:phase0.size] - ref).max() <= 4 * eps
+    steps = np.arange(0, 100, 7)
+    z = evo.step_phasors(np.ones(steps.size, dtype=int), steps, dt)
+    for j, row in zip(steps.tolist(), z):
+        ref = [_exact_phasor(0.0, w, j, dt) for w in rates]
+        assert np.abs(row[:rates.size] - ref).max() <= 4 * eps
 
 
-def test_table_phasors_through_the_argument_origin():
-    # a ramp at the largest per-step rate the guard allows, starting at or
-    # crossing zero: a small start phase with low bits set leaves arg_i - arg_0
-    # inexact in the first block (3.6e-15 off at 1.234567e-11 with the first-order
-    # correction), so blocks near the origin take the direct exponential
-    dt = 2.0 ** -10
-    w = math.pi / 4 / dt
-    for phase in (300.3, -0.25, 0.0, 3.3e-14, 1.234567e-11, 0.1 + 2.0 ** -45):
-        evo = qp.LocalEvolution(2, [qp.CartanLinear(np.array([phase, -phase]) / dt, dt),
-                                    qp.CartanLinear(np.array([-w, w]), 4096 * dt)])
-        t = np.linspace(0.0, 4097 * dt, 4098)[1:]
-        z, tabled = _tabled_phasors(evo, 1, t)
-        assert tabled
-        assert np.abs(z - _direct_phasors(evo, 1, t)).max() <= 2e-15
-
-
-def test_table_phasors_clip_samples_past_the_end():
-    # a path shorter than the grid by less than the boundary tolerance: the last
-    # sample is clipped to the end, off the uniform grid, and takes the direct
-    # exponential; at this rate a first-order correction there is off by ~1e-12
-    dt = 2.0 ** -13
-    w = math.pi / 8 / dt
-    evo = qp.LocalEvolution(3, [qp.CartanLinear(np.array([w, 0.3 * w, -1.3 * w]),
-                                                8192 * dt - 5e-10)])
-    t = np.linspace(0.0, 8192 * dt, 8193)[-4096:]
-    assert t[-1] > evo.duration
-    z, tabled = _tabled_phasors(evo, 0, t)
-    assert tabled
-    assert np.abs(z - _direct_phasors(evo, 0, t)).max() <= 2e-15
-
-
-def test_table_phasors_refuse_nonuniform_times():
-    evo = qp.LocalEvolution(3, [qp.CartanLinear(np.array([1.0, 2.0, -3.0]), 10.0)])
-    t = np.linspace(0.0, 4.0, 2001)
-    nudged = t.copy()
-    nudged[700] += 1e-9
-    for bad in (nudged, np.sort(np.random.default_rng(3).uniform(0.0, 4.0, 2001)),
-                np.concatenate([t[:1000], t[1001:], [4.5]])):
-        with pytest.raises(ValueError, match="uniform"):
-            evo.row_phasors(0, bad)
-    evo.row_phasors(0, t)
-    evo.row_phasors(0, nudged[:1000])                     # short: one exponential each
-
-
-def test_table_phasors_need_sixteen_samples(monkeypatch):
-    # a row wide enough to reach the threshold in one sample (d >= 3072) still
-    # takes one exponential per phasor below 16 samples; m = 1 has no step
-    monkeypatch.setattr(paths, "TABLE_PHASORS", 1)
-    evo = qp.LocalEvolution(3, [qp.CartanLinear(np.array([1.0, 2.0, -3.0]), 10.0)])
-    t = np.linspace(0.0, 1.0, 101)
-    for m in (1, 2, 15):
-        z, tabled = _tabled_phasors(evo, 0, t[:m])
-        assert not tabled
-        np.testing.assert_array_equal(z, _direct_phasors(evo, 0, t[:m]))
-    assert _tabled_phasors(evo, 0, t[:16])[1]
+def test_grid_phasors_past_the_split_range():
+    # times past 2^996 cannot be split exactly: their phasors round as a plain
+    # product would, finite and of unit modulus, without a warning
+    evo = qp.LocalEvolution(2, [qp.CartanLinear(np.array([1e-306, -1e-306]), 1e305)])
+    z = evo.grid_phasors(np.zeros(5, dtype=int), np.arange(5), 2.5e304)
+    np.testing.assert_allclose(np.abs(z[:, :2]), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(z[:, 0], np.exp(1j * 1e-306 * np.arange(5) * 2.5e304),
+                               rtol=0, atol=1e-15)
 
 
 def test_phase_rate_and_solid_angle_on_every_segment_kind():
