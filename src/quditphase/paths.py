@@ -31,11 +31,11 @@ and phi are linear in tau, so V(theta, phi) W0 diag(exp(i chi0)) is an exact
 sum of 8 rank-one terms with exponents +-theta/2 + (i - j) phi: L is 2 x 8 and
 R is 8 x 2 (see ``FrameTables``). A row has K live terms, d or 8 on a Bloch row,
 and G <= K distinct phasors: terms with bit-equal (phase0, rate) share one (6
-on a Bloch row, 1 on the identity hold). ``row_phasors`` gives a row's
-distinct phasors at float times, one exponential each. The trace kernel takes
-them at ideal grid times i dt instead (``grid_phasors``, ``step_phasors``):
+on a Bloch row, 1 on the identity hold). The trace kernel takes a row's
+distinct phasors at ideal grid times i dt (``grid_phasors``, ``step_phasors``):
 the argument is formed in double-double and reduced mod 2 pi, so each phasor
-is within about 1 ulp of exact whatever its argument. Paths are immutable
+is within about 1 ulp of exact whatever its argument. ``TimeGrid.start_samples``
+is the one rule for the grid sample where each row starts. Paths are immutable
 after construction and sampling is pure.
 """
 
@@ -176,10 +176,9 @@ class FrameTables:
     on its segment, left d x K and right K x d at the row's live width K: d,
     or 8 on a ``rectangular`` row. A Cartan, hold or generator row is a
     unitary d-term frame; on a path with a Bloch segment it is padded to 8
-    with zero columns, phases and rates, storage only (``LocalEvolution.
-    row_frame`` drops them), and its left frame carries the row's constant
-    coset factor, left = V(theta_k, phi_k) left. A Bloch row
-    (``rectangular``) is the exact 8-term sum of V(theta, phi) F with
+    with zero columns, phases and rates, storage only, and its left frame
+    carries the row's constant coset factor, left = V(theta_k, phi_k) left. A
+    Bloch row (``rectangular``) is the exact 8-term sum of V(theta, phi) F with
     F = W0 diag(exp(i chi0)): term (s, i, j), s = +-1, has the exponent
     s theta/2 + (i - j) phi, left column e_i and right row coef F[j], coef 1/2
     on i = j and s/2 otherwise; its first two terms are e^{+-i theta/2}.
@@ -192,7 +191,7 @@ class FrameTables:
     Row k has ``distinct[k]`` = G distinct phasors; ``lead[k, g]`` is the
     first term of phasor g (g < G, in term order) and ``rep[k, j]`` the
     phasor of term j, so the K terms' phasors are z[rep[k, :K]] for the G
-    phasors z of ``LocalEvolution.row_phasors``.
+    phasors z of ``LocalEvolution.grid_phasors``.
 
     ``unitarity`` is the row's largest |F^dag F - 1| entry over both frames of
     a unitary row, and on a Bloch row the largest of |F^dag F - 1| for its
@@ -331,7 +330,10 @@ class LocalEvolution:
         self.is_diagonal = all(isinstance(s, (CartanLinear, CartanHold)) for s in self.segments)
         width = _BLOCH_S.size if self.has_bloch else d
         durations = self._durations = np.array([s.duration for s in self.segments] + [0.0])
-        ends = self._ends = np.cumsum(durations[:n])
+        with np.errstate(over="ignore"):
+            ends = self._ends = np.cumsum(durations[:n])
+        if not np.isfinite(ends).all():
+            raise ValueError("the path's total duration must be finite")
         self.duration = float(ends[-1]) if n else 0.0
         self._starts = np.append(ends, self.duration) - durations
         rates = self._rates = np.zeros((n + 1, d))
@@ -425,15 +427,11 @@ class LocalEvolution:
         idx = np.searchsorted(self._ends, t + _BOUNDARY_TOL, side="right")
         return np.minimum(idx, max(len(self.segments) - 1, 0))
 
-    def row_starts(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(first sample, row) of every row that owns samples of ascending times t.
-
-        Each sample has the owner ``_segment_index`` gives it: one within
-        ``_BOUNDARY_TOL`` of a boundary belongs to the later row. One
-        searchsorted of the boundaries into the times finds the cuts.
-        """
-        first = np.concatenate(([0], np.searchsorted(t + _BOUNDARY_TOL, self._ends[:-1])))
-        owns = np.append(first[1:], t.size) > first
+    def row_starts(self, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+        """(first sample, row) of every row that owns samples of the grid: the row
+        that starts at a boundary starts at its ``TimeGrid.start_samples`` sample."""
+        first = np.concatenate(([0], grid.start_samples(self._ends[:-1])[0]))
+        owns = np.append(first[1:], grid.steps + 1) > first
         return first[owns], np.flatnonzero(owns)
 
     def _times(self, times) -> np.ndarray:
@@ -469,33 +467,10 @@ class LocalEvolution:
 
     # -- frame sampling -----------------------------------------------------
 
-    def row_frame(self, k: int) -> tuple:
-        """(left, right, phase0, rate) of row k at its live width (see ``FrameTables``)."""
-        f = self.frames
-        width = f.rate.shape[1] if f.rectangular[k] else self.d
-        return f.left[k, :, :width], f.right[k, :width], f.phase0[k, :width], f.rate[k, :width]
-
-    def row_phasors(self, k: int, t: np.ndarray) -> np.ndarray:
-        """Distinct frame phasors z = exp(i (c + w (t - start))) of row k at times t, G x m.
-
-        Row g of z is the phasor of the row's distinct term g, over the m
-        times; the K frame terms' phasors are z[rep], with rep =
-        ``frames.rep[k, :K]`` (see ``FrameTables``). So U(t) = L diag(z[rep])
-        R and dU/dt = L diag(i w z[rep]) R with (L, R, c, w) = ``row_frame(k)``.
-        Each phasor is one exponential of its argument at the float time t,
-        clipped to the path's end; a row without rates (a hold, or a path held
-        at the identity) takes one per distinct term, broadcast over the times.
-        """
-        phase0, rate = (x[k, :self.frames.distinct[k]] for x in self._leads)
-        if not rate.any():
-            return np.broadcast_to(np.exp(1j * phase0)[:, None], (phase0.size, t.size))
-        tau = np.minimum(t, self.duration) - self._starts[k]   # past the end is the end
-        return np.exp(1j * (phase0[:, None] + tau * rate[:, None]))
-
     def grid_phasors(self, rows: np.ndarray, index: np.ndarray, dt: float) -> np.ndarray:
         """Distinct phasors of row rows[s] at the ideal time index[s] dt, per sample s.
 
-        Columns g < G are the row's G distinct terms, as in ``row_phasors``,
+        Columns g < G are the row's G distinct terms (``FrameTables.lead``),
         the rest padding. index dt is exact in double-double, a time past the
         path's end takes the end, and each phasor is within about 1 ulp of exact.
         """
@@ -541,6 +516,8 @@ class TimeGrid:
         if (isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer))
                 or self.steps < 2 or self.steps % 2):
             raise ValueError("steps must be an even integer >= 2 (Simpson rule)")
+        if not self.dt > 0:
+            raise ValueError(f"t_max / steps underflows to zero (steps = {self.steps})")
 
     @property
     def dt(self) -> float:
@@ -549,18 +526,20 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.steps + 1)
 
+    def start_samples(self, boundaries) -> tuple[np.ndarray, np.ndarray]:
+        """(first, off): the sample where a row that starts at each boundary b
+        starts, and whether b misses the grid before t_max.
 
-def off_grid_boundary(boundaries, t_max: float, steps: int) -> float | None:
-    """First boundary before t_max whose b / dt misses an integer by more than
-    1e-9 max(1, steps) on the uniform grid, or None."""
-    dt = t_max / steps
-    for b in boundaries:
-        if b >= t_max - _BOUNDARY_TOL:
-            continue
-        r = b / dt
-        if abs(r - round(r)) > 1e-9 * max(1.0, steps):
-            return b
-    return None
+        A row starts at the first sample at most 1e-9 steps grid steps (1e-9
+        t_max in time) before b: b within that of sample k starts it at k, any
+        other b at the first sample after it, ``steps + 1`` past the grid. The
+        grid admits an off-grid b only past t_max, where its row owns no samples.
+        """
+        tol = _BOUNDARY_TOL * self.steps
+        # b / dt from b clipped to sample steps + 1, so that it cannot overflow
+        r = np.minimum(boundaries, (self.steps + 1) * self.dt) / self.dt
+        first = np.ceil(r - tol)
+        return first.astype(int), (first - r > tol) & (first <= self.steps)
 
 
 @dataclass(frozen=True)
@@ -577,11 +556,12 @@ class PairEvolution:
                 raise ValueError(
                     f"path {label} is defined on [0, {evo.duration:g}] but the "
                     f"grid extends to {self.grid.t_max:g}")
-            b = off_grid_boundary(evo.boundaries(), self.grid.t_max, self.grid.steps)
-            if b is not None:
+            bounds = evo.boundaries()[:-1]      # the end starts no row that owns samples
+            off = self.grid.start_samples(bounds)[1]
+            if off.any():
                 raise ValueError(
-                    f"segment boundary t = {b:g} of path {label} does not fall on "
-                    f"the grid (steps = {self.grid.steps}); choose a step count "
+                    f"segment boundary t = {bounds[off][0]:g} of path {label} does not "
+                    f"fall on the grid (steps = {self.grid.steps}); choose a step count "
                     "that subdivides every segment")
 
 

@@ -12,8 +12,9 @@ row, at the row's live width K (d, or 8 on a Bloch row; see
 maximal stretch of samples on which each path stays on one row. Over a run
 the matrix C of the overlap z_A C z_B and each path's frequency (an exact row
 constant, or on a Bloch row an exact quadratic form in z) are fixed. Both are
-folded once per run onto the rows' distinct phasors y (terms with bit-equal
-phase and rate share one), so only those are evaluated, O(n G_A G_B) in all.
+folded onto the rows' distinct phasors y (terms with bit-equal phase and rate
+share one), C once per run and the frequencies once per trace for every row,
+so only those phasors are evaluated, O(n G_A G_B) in all.
 A row constant w integrates exactly to w (t - t_lo), a Bloch row's form by
 Simpson's rule up to its left limit at the next cut. Phasors are taken at the
 ideal times i dt, within about 1 ulp of exact (``LocalEvolution.grid_phasors``),
@@ -238,10 +239,30 @@ def _check_rate_guard(rate: float, grid: TimeGrid) -> None:
             f"{GUARD:.3f}; {advice}")
 
 
-def _row_constants(frames, rho: np.ndarray) -> list:
-    """Frequency w @ diag(R rho R^dag) of every row, exact on rows with unitary frames."""
+def _row_forms(frames, rho: np.ndarray) -> tuple:
+    """(w, forms): every row's frequency -i Tr[rho U^dag dU/dt] in its distinct phasors y.
+
+    With U = L diag(z) R, z = P y (P the one-hot term map) and dz/dt = i r z
+    (r the rates) it is Re conj(y) P^T M P y, M = (L^dag L) * (R rho R^dag)^T
+    times r per column. A row with unitary frames has L^dag L = 1: there it
+    is the constant w = r @ diag(R rho R^dag) (<G> on a generator row) and its
+    form is None. A Bloch row has w = 0 and the form P^T M P, G x G, raveled.
+    """
     levels = np.einsum("kij,kij->ki", frames.right @ rho, frames.right.conj()).real
-    return (frames.rate * levels).sum(axis=1).tolist()
+    w = (frames.rate * levels).sum(axis=1)
+    forms = [None] * w.size
+    bloch = np.flatnonzero(frames.rectangular)
+    if bloch.size:
+        w[bloch] = 0.0
+        left, right = frames.left[bloch], frames.right[bloch]
+        form = ((left.conj().transpose(0, 2, 1) @ left)
+                * (right @ rho @ right.conj().transpose(0, 2, 1)).transpose(0, 2, 1)
+                * frames.rate[bloch, None, :])
+        fold = np.eye(frames.rate.shape[1])[frames.rep[bloch]]
+        for k, g, folded in zip(bloch.tolist(), frames.distinct[bloch].tolist(),
+                                fold.transpose(0, 2, 1) @ form @ fold):
+            forms[k] = folded[:g, :g].ravel()
+    return w.tolist(), forms
 
 
 def _folded_constants(alpha: np.ndarray, evo_a: LocalEvolution, rows_a: np.ndarray,
@@ -262,24 +283,6 @@ def _folded_constants(alpha: np.ndarray, evo_a: LocalEvolution, rows_a: np.ndarr
     fold_a = np.eye(fa.rep.shape[1])[fa.rep[rows_a]]
     fold_b = np.eye(fb.rep.shape[1])[fb.rep[rows_b]]
     return fold_a.transpose(0, 2, 1) @ c @ fold_b
-
-
-def _row_form(evo: LocalEvolution, k: int, rho: np.ndarray, constants: list):
-    """(w, form): row k's frequency -i Tr[rho U^dag dU/dt] in its distinct phasors y.
-
-    With U = L diag(z) R, z = P y (P the one-hot term map) and dz/dt = i r z
-    (r the rates) it is Re conj(y) P^T M P y, M = (L^dag L) * (R rho R^dag)^T
-    times r per column. A row with unitary frames has L^dag L = 1: there it
-    is the constant w = r @ diag(R rho R^dag) (``_row_constants``; <G> on a
-    generator row) and form is None. A Bloch row gives w = 0 and P^T M P.
-    """
-    f = evo.frames
-    if not f.rectangular[k]:
-        return constants[k], None
-    left, right, _, rate = evo.row_frame(k)
-    fold = np.eye(f.distinct[k])[f.rep[k]]
-    form = (left.conj().T @ left) * (right @ rho @ right.conj().T).T * rate
-    return 0.0, fold.T @ form @ fold
 
 
 def _pairs(y_a: np.ndarray, y_b: np.ndarray) -> np.ndarray:
@@ -312,12 +315,13 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
     one run of grid samples at a time, for ``_finalize_trace``.
 
     A run is a maximal stretch of samples on which each path stays on one
-    row. Its rows give the overlap's matrix C, folded onto their distinct
-    phasors (``_folded_constants``, for ``RUN_BLOCK`` runs at a time), and
-    each path's frequency (``_row_form``). Its dynamical phase is the running
-    offset plus w (t - t_lo), w its unitary rows' constants; a run with a
-    Bloch row adds the cumulative Simpson integral of that row's form on its
-    samples and, before a cut, its end sample in its rows (the left limit).
+    row (``LocalEvolution.row_starts``). Its rows give the overlap's matrix
+    C, folded onto their distinct phasors (``_folded_constants``, for
+    ``RUN_BLOCK`` runs at a time), and each path's frequency, read from the
+    path's table built once per trace (``_row_forms``). Its dynamical phase
+    is the running offset plus w (t - t_lo), w its unitary rows' constants; a
+    run with a Bloch row adds the cumulative Simpson integral of that row's
+    form on its samples and, before a cut, its end sample in its rows.
 
     Phasors are taken at the ideal times i dt. In a chunk of m samples
     (``_chunks``) in blocks of b, sample i = q b + j (j < b) has the phasors
@@ -331,12 +335,13 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
     _check_rate_guard(evo_a.max_phase_rate + evo_b.max_phase_rate, grid)
     alpha, dt = alpha0.alpha, grid.dt
     rho_a, rho_b = reduced_densities(alpha0)
-    const_a, const_b = _row_constants(evo_a.frames, rho_a), _row_constants(evo_b.frames, rho_b)
+    w_a, forms_a = _row_forms(evo_a.frames, rho_a)
+    w_b, forms_b = _row_forms(evo_b.frames, rho_b)
     times = grid.times()
     n = times.size
     overlap = np.empty(n, dtype=complex)
     dyn = np.empty(n)
-    (first_a, rows_a), (first_b, rows_b) = evo_a.row_starts(times), evo_b.row_starts(times)
+    (first_a, rows_a), (first_b, rows_b) = evo_a.row_starts(grid), evo_b.row_starts(grid)
     fa, fb = evo_a.frames, evo_b.frames
     unit = max(fa.unitarity[rows_a].max(), fb.unitarity[rows_b].max())
     det = max(fa.determinant_residual[rows_a].max(), fb.determinant_residual[rows_b].max())
@@ -369,12 +374,11 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
             folded = _folded_constants(alpha, evo_a, rows_a[r:r + RUN_BLOCK],
                                        evo_b, rows_b[r:r + RUN_BLOCK])
         c = folded[r % RUN_BLOCK, :ga, :gb].ravel()
-        (w_a, form_a), (w_b, form_b) = (_row_form(evo_a, ka, rho_a, const_a),
-                                        _row_form(evo_b, kb, rho_b, const_b))
         step_a, step_b = fine_a[f0:f0 + w, :ga], fine_b[f0:f0 + w, :gb]
         fine = _pairs(step_a, step_b).T
-        forms = [(form.ravel(), _pairs(step.conj(), step).T, cols[:, :step.shape[1]])
-                 for form, step, cols in ((form_a, step_a, coarse_a), (form_b, step_b, coarse_b))
+        forms = [(form, _pairs(step.conj(), step).T, cols[:, :step.shape[1]])
+                 for form, step, cols in ((forms_a[ka], step_a, coarse_a),
+                                          (forms_b[kb], step_b, coarse_b))
                  if form is not None]
         freq = np.zeros(min(hi_r + 1, n) - lo_r) if forms else None
         for s, m, b, q, p in chunks[c0:c1]:
@@ -386,7 +390,7 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
                 x = _pairs(cols[q:q + p].conj(), cols[q:q + p])
                 x *= form
                 freq[s - lo_r:s - lo_r + m] += (x @ pairs[:, :b]).ravel()[:m].real
-        dyn[lo_r:hi_r + 1] = offset + (w_a + w_b) * (times[lo_r:hi_r + 1] - times[lo_r])
+        dyn[lo_r:hi_r + 1] = offset + (w_a[ka] + w_b[kb]) * (times[lo_r:hi_r + 1] - times[lo_r])
         if forms:
             dyn[lo_r:hi_r + 1] += cumulative_simpson(freq, dt)
         offset = dyn[min(hi_r, n - 1)]

@@ -193,11 +193,18 @@ def test_derivative_consistency_second_order(name):
         assert np.abs(derivs["left"] - derivs["right"]).max() > 0.1
 
 
+def _row_frame(evo, k):
+    """(left, right, phase0, rate) of row k at its live width (see ``FrameTables``)."""
+    f = evo.frames
+    width = f.rate.shape[1] if f.rectangular[k] else evo.d
+    return f.left[k, :, :width], f.right[k, :width], f.phase0[k, :width], f.rate[k, :width]
+
+
 def _assert_distinct_terms(evo, k):
     """Row k's terms share a phasor exactly when their (phase0, rate) are
     bit-equal, and each phasor is its first term's; returns the term map rep."""
     f = evo.frames
-    _, _, phase0, rate = evo.row_frame(k)
+    _, _, phase0, rate = _row_frame(evo, k)
     rep, lead = f.rep[k, :rate.size], f.lead[k, :f.distinct[k]]
     bits = np.stack([phase0, rate], axis=-1).view(np.int64)
     same = (bits[:, None] == bits[None, :]).all(axis=-1)
@@ -206,20 +213,22 @@ def _assert_distinct_terms(evo, k):
     return rep
 
 
-def _assert_row_sampler_matches_sample(evo, t):
+def _assert_row_sampler_matches_sample(evo, grid):
     """Row by row, U = L diag(z[rep]) R and dU/dt = L diag(i w z[rep]) R from
-    the row's distinct phasors z match the dense reference on the row's own
-    samples and, at the cut that ends the row, its left limit (``side="left"``)."""
-    first, rows = evo.row_starts(t)
+    the row's distinct phasors z at the grid samples (``grid_phasors``) match
+    the dense reference on the row's own samples and, at the cut that ends
+    the row, its left limit (``side="left"``); a sample past the path's end
+    takes the end."""
+    t = np.minimum(grid.times(), evo.duration)
+    first, rows = evo.row_starts(grid)
     ends = [*first[1:].tolist(), t.size]
     owner = np.repeat(rows, np.diff([*first.tolist(), t.size]))
     np.testing.assert_array_equal(owner, evo._segment_index(t))
     for lo, hi, k in zip(first.tolist(), ends, rows.tolist()):
-        left, right, _, rate = evo.row_frame(k)
+        left, right, _, rate = _row_frame(evo, k)
         rep = _assert_distinct_terms(evo, k)
-        z = evo.row_phasors(k, t[lo:hi + 1])
-        assert z.shape == (evo.frames.distinct[k], min(hi + 1, t.size) - lo)
-        z = z[rep].T
+        index = np.arange(lo, min(hi + 1, t.size))
+        z = evo.grid_phasors(np.full(index.size, k), index, grid.dt)[:, rep]
         u = (left * z[:, None, :]) @ right
         u_dot = (left * (1j * rate * z)[:, None, :]) @ right
         ref_u, ref_dot = dense.sample(evo, t[lo:hi])
@@ -238,9 +247,9 @@ def test_frame_phasors_reproduce_sampled_operators():
                                 qp.GeneratorConst(QUTRIT_GEN.T, 1.0),
                                 qp.CartanLinear(np.array([-1.0, 0.4, 0.6]), 1.0)])
     f = evo.frames
-    t = np.linspace(0.0, evo.duration, 451)           # every cut on a sample
-    assert evo.row_starts(t)[0].tolist() == [0, 100, 200, 250, 350]
-    _assert_row_sampler_matches_sample(evo, t)
+    grid = qp.TimeGrid(evo.duration, 450)             # every cut on a sample
+    assert evo.row_starts(grid)[0].tolist() == [0, 100, 200, 250, 350]
+    _assert_row_sampler_matches_sample(evo, grid)
     assert f.unitarity.max() < 1e-14
     np.testing.assert_allclose(f.determinant, 1.0, rtol=0, atol=1e-14)
     # an all-diagonal path has identity frames
@@ -248,21 +257,20 @@ def test_frame_phasors_reproduce_sampled_operators():
                                  qp.CartanHold(1.0)])
     assert (diag.frames.left == np.eye(3)).all() and (diag.frames.right == np.eye(3)).all()
     assert (diag.frames.unitarity == 0.0).all() and (diag.frames.determinant == 1.0).all()
-    # a row without rates takes one exponential per distinct phasor, broadcast
-    # over its times: one phasor of ones on a path that holds the identity, the
-    # arrival phases on a later hold
+    # a row without rates has constant phasors: one phasor of ones on a path
+    # that holds the identity, the arrival phases on a later hold
     held = qp.LocalEvolution(3, [qp.CartanHold(0.5), qp.CartanHold(0.5)])
-    t = np.linspace(0.0, 1.0, 11)
-    first, rows = held.row_starts(t)
+    grid = qp.TimeGrid(1.0, 10)
+    first, rows = held.row_starts(grid)
     assert first.tolist() == [0, 5] and rows.tolist() == [0, 1]
-    for k, times in ((0, t[:5]), (1, t[5:])):
-        z = held.row_phasors(k, times)
-        assert z.shape == (1, times.size) and z.strides[1] == 0 and (z == 1.0).all()
-    z = diag.row_phasors(1, np.linspace(1.0, 2.0, 5))
-    assert z.strides[1] == 0
-    np.testing.assert_array_equal(z[:, 0], np.exp(1j * np.array([1.0, 0.0, -1.0])))
-    assert diag.row_phasors(0, t).strides[1] != 0
-    _assert_row_sampler_matches_sample(diag, np.linspace(0.0, 2.0, 21))
+    assert held.frames.distinct[:2].tolist() == [1, 1]
+    for k, index in ((0, np.arange(5)), (1, np.arange(5, 11))):
+        assert (held.grid_phasors(np.full(index.size, k), index, grid.dt)[:, 0] == 1.0).all()
+    grid = qp.TimeGrid(2.0, 20)
+    z = diag.grid_phasors(np.full(11, 1), np.arange(10, 21), grid.dt)
+    np.testing.assert_array_equal(z, np.broadcast_to(np.exp(1j * np.array([1.0, 0.0, -1.0])),
+                                                     z.shape))
+    _assert_row_sampler_matches_sample(diag, grid)
     # a Bloch path is stored 8 terms wide: a Bloch row is its 8-term sum with 6
     # distinct phasors, the other rows are unitary 2-term frames whose zero
     # padding is storage only
@@ -275,9 +283,8 @@ def test_frame_phasors_reproduce_sampled_operators():
     unitary = ~fb.rectangular
     assert not fb.left[unitary][:, :, 2:].any() and not fb.right[unitary][:, 2:].any()
     assert not fb.phase0[unitary][:, 2:].any() and not fb.rate[unitary][:, 2:].any()
-    assert [bloch.row_frame(k)[0].shape for k in range(4)] == [(2, 2), (2, 8), (2, 2), (2, 2)]
-    assert [bloch.row_phasors(k, t[:3]).shape for k in range(3)] == [(2, 3), (6, 3), (2, 3)]
-    _assert_row_sampler_matches_sample(bloch, np.linspace(0.0, bloch.duration, 401))
+    assert fb.distinct[:3].tolist() == [2, 6, 2]
+    _assert_row_sampler_matches_sample(bloch, qp.TimeGrid(bloch.duration, 400))
     assert fb.unitarity.max() < 1e-14
     np.testing.assert_allclose(fb.determinant, 1.0, rtol=0, atol=1e-14)
 
@@ -328,8 +335,9 @@ def test_lowering_matches_dense_reference_on_random_segment_lists(data):
                                   for kind, seg in zip(kinds, segs) if seg.duration > 0)
     np.testing.assert_allclose(evo._chi0[-1], chi, rtol=0, atol=1e-12)
     np.testing.assert_allclose(evo._bloch0[-1], (theta, phi), rtol=0, atol=1e-12)
-    t = np.linspace(0.0, evo.duration, int(round(40 * evo.duration)) + 1)
-    _assert_row_sampler_matches_sample(evo, t)
+    # an empty path is sampled at its end, t = 0
+    _assert_row_sampler_matches_sample(
+        evo, qp.TimeGrid(evo.duration or 1.0, max(int(round(40 * evo.duration)), 2)))
     f = evo.frames
     assert f.unitarity.max() < 1e-13
     assert np.abs(f.determinant - 1.0).max() < 1e-13
@@ -605,11 +613,8 @@ def test_rows_evaluate_their_distinct_phasors():
     assert haar.frames.distinct[0] == 8
     np.testing.assert_array_equal(bloch.frames.rep[0], [0, 1, 0, 1, 2, 3, 4, 5])
     np.testing.assert_array_equal(ramp.frames.rep[0], [0, 0, 1])
-    t = np.linspace(0.0, 1.0, 4001)
     for evo in (bloch, ramp, haar):
-        z = evo.row_phasors(0, t)
-        assert z.shape == (evo.frames.distinct[0], t.size)
-        _assert_row_sampler_matches_sample(evo, t)
+        _assert_row_sampler_matches_sample(evo, qp.TimeGrid(1.0, 4000))
 
 
 def test_bloch_start_continuity_enforced():
@@ -650,6 +655,8 @@ def test_time_grid_validation():
         qp.TimeGrid(1.0, 3)  # odd
     with pytest.raises(ValueError):
         qp.TimeGrid(0.0, 4)
+    with pytest.raises(ValueError, match="underflows"):
+        qp.TimeGrid(1e-323, 4)                              # dt rounds to 0
     for steps in (10.0, np.float64(4.0), True, "4"):   # not an integer step count
         with pytest.raises(ValueError, match="integer"):
             qp.TimeGrid(1.0, steps)
@@ -657,6 +664,21 @@ def test_time_grid_validation():
                                   [0, 0.25, 0.5, 0.75, 1.0])
     grid = qp.TimeGrid(2.0, 4)
     np.testing.assert_allclose(grid.times(), [0, 0.5, 1.0, 1.5, 2.0])
+
+
+def test_time_grid_starts_each_row_by_one_rule():
+    # a boundary within 1e-9 steps steps of sample k starts its row at k (here
+    # 1e-6 steps, 1e-7 in time); any other one at the first sample after it,
+    # and the grid refuses it unless it lies past t_max, where its row owns no
+    # samples (steps + 1 = 1001, also where b / dt is past the largest float)
+    grid = qp.TimeGrid(100.0, 1000)
+    boundaries = [10.000000005, 10.00000011, 10.05, 99.99999995, 100.03, 100.1, 1e305]
+    first, off = grid.start_samples(boundaries)
+    assert first.tolist() == [100, 101, 101, 1000, 1001, 1001, 1001]
+    assert off.tolist() == [False, True, True, False, False, False, False]
+    evo = qp.LocalEvolution(2, [qp.CartanLinear(np.array([1.0, -1.0]), 10.000000005),
+                                qp.CartanHold(90.02), qp.CartanHold(1.0)])
+    assert [x.tolist() for x in evo.row_starts(grid)] == [[0, 100], [0, 1]]
 
 
 def test_pair_evolution_validation():
@@ -670,3 +692,7 @@ def test_pair_evolution_validation():
     with pytest.raises(ValueError):
         qp.PairEvolution(c, b, qp.TimeGrid(2.0, 10))
     qp.PairEvolution(c, b, qp.TimeGrid(2.0, 200))  # 0.37 = 37 * dt
+    # a path may end off the grid within 1e-9 of t_max: its end starts no row
+    # that owns samples
+    short = qp.LocalEvolution(2, [qp.CartanLinear(np.array([1.0, -1.0]), 1e-3 - 5e-10)])
+    qp.PairEvolution(short, qp.identity_evolution(2, 1e-3), qp.TimeGrid(1e-3, 2))

@@ -610,7 +610,7 @@ def test_streamed_pair_trace_matches_dense_stacks(monkeypatch):
     pair = qp.PairEvolution(a, b, qp.TimeGrid(t_max, steps))
     state = qp.random_state(2, 3, np.random.default_rng(5))
     assert steps + 1 > 2 * rows and (steps + 1) % rows
-    assert rows in a.row_starts(pair.grid.times())[0]
+    assert rows in a.row_starts(pair.grid)[0]
 
     streamed = qp.run_trace(state, pair)
     times = pair.grid.times()
@@ -649,7 +649,7 @@ def test_streamed_single_trace_matches_dense_stacks(monkeypatch):
     q_hat[0] = 1.0
     rho = qp.density_from_purity(d, 0.4, q_hat)
     assert (steps + 1) % rows
-    assert evo.row_starts(grid.times())[0].tolist() == [0, 2 * rows]
+    assert evo.row_starts(grid)[0].tolist() == [0, 2 * rows]
 
     streamed = qp.single_qudit_trace(rho, evo, grid)
     times = grid.times()
@@ -715,6 +715,33 @@ def test_samples_past_the_end_take_the_end():
     assert trace.unitarity_residual == unit == 0.0
     assert trace.determinant_residual == pytest.approx(det, abs=1e-15)
     _assert_matches_dense(trace, (a, b), state, grid)
+
+
+def test_cut_past_the_grid_end_keeps_the_last_sample_in_its_row():
+    # a cut 0.3 steps past t_max starts a row that owns no samples, so the last
+    # sample stays in the first ramp; rounding the cut to its nearest sample
+    # would move it into the second ramp, 0.016 off the exact overlap
+    a = qp.LocalEvolution(2, [qp.CartanLinear(np.array([1.0, -1.0]), 1.003),
+                              qp.CartanLinear(np.array([-5.0, 5.0]), 1.0)])
+    grid = qp.TimeGrid(1.0, 100)
+    state = qp.two_qubit_schmidt(0.3)
+    trace = qp.run_trace(state, qp.PairEvolution(a, qp.identity_evolution(2, 1.0), grid))
+    assert a.row_starts(grid)[0].tolist() == [0]
+    p = (np.abs(state.alpha) ** 2).sum(axis=1)
+    assert abs(trace.overlap[-1] - p @ np.exp(1j * np.array([1.0, -1.0]))) <= 1e-15
+
+
+def test_cut_far_past_a_tiny_grid_runs_without_overflow():
+    # b / dt = 1e310 is past the largest float: the cut is past the grid and
+    # its row owns no samples, without an overflow warning
+    a = qp.LocalEvolution(2, [qp.CartanLinear(np.array([1.0, -1.0]), 1e10),
+                              qp.CartanHold(1.0)])
+    grid = qp.TimeGrid(2e-300, 2)
+    trace = qp.run_trace(qp.two_qubit_schmidt(0.3),
+                         qp.PairEvolution(a, qp.identity_evolution(2, 2e-300), grid))
+    assert a.row_starts(grid)[0].tolist() == [0]
+    np.testing.assert_allclose(trace.overlap, 1.0, rtol=0, atol=1e-15)
+    assert np.abs(trace.dynamical_phase).max() <= 1e-15
 
 
 def _record_chunks(monkeypatch):
@@ -802,18 +829,19 @@ def test_run_scenario_samples_each_row_once(monkeypatch, raw):
         assert built.evo_a.frames.rectangular.any()
 
 
-def _row_constant_integral(state, evos, times):
-    """Integral of each path's row constants (``phases._row_constants``),
+def _row_constant_integral(state, evos, grid):
+    """Integral of each path's row constants (``phases._row_forms``),
     summed over the paths, and the largest deviation of those constants from
     the dense frequency -i Tr[rho U^dag dU/dt] at each row's first sample.
 
     The integral at sample j of row k is S_k + w_k (t_j - t_k), with the rows
     before it summed exactly into S_k (``math.fsum``).
     """
+    times = grid.times()
     ref, dev = np.zeros(times.size), 0.0
     for evo, rho in zip(evos, qp.reduced_densities(state)):
-        first, rows = evo.row_starts(times)
-        w = np.array(phases._row_constants(evo.frames, rho))[rows]
+        first, rows = evo.row_starts(grid)
+        w = np.array(phases._row_forms(evo.frames, rho)[0])[rows]
         dev = max(dev, np.abs(w - dense.frequency(rho, *dense.sample(evo, times[first]))).max())
         spans = np.diff(times[np.append(first, times.size - 1)])
         starts = [math.fsum(w[:k] * spans[:k]) for k in range(first.size)]
@@ -855,11 +883,11 @@ def test_unitary_dynamical_phase_is_the_exact_integral(monkeypatch, name):
     state, a, b, grid = _unitary_pair(name)
     if name == "segments":
         monkeypatch.setattr(phases, "CHUNK_ROWS", 256)
-        cuts = b.row_starts(grid.times())[0]
+        cuts = b.row_starts(grid)[0]
         assert (cuts[1:] % 256).all() and np.diff(cuts).max() > 256   # cuts inside chunks
     assert not (a.has_bloch or b.has_bloch)
     trace = qp.run_trace(state, qp.PairEvolution(a, b, grid))
-    ref, dev = _row_constant_integral(state, (a, b), grid.times())
+    ref, dev = _row_constant_integral(state, (a, b), grid)
     assert dev <= 2e-15
     scale = np.abs(ref).max()
     assert scale > 1.0

@@ -358,6 +358,7 @@ def test_cli_zero_duration_segment_is_checked_on_arrival(tmp_path, capsys, kind,
     (('t_max: "2*pi"', "t_max: .inf"), ["run"]),
     (('t_max: "2*pi"', "t_max: .nan"), ["run"]),
     (('t_max: "2*pi"', "t_max: 1" + "0" * 400), ["run"]),
+    (('t_max: "2*pi"', "t_max: 1.0e-323"), ["run"]),     # t_max / steps underflows to 0
     (('cartan_hold, duration: "2*pi"', "cartan_hold, duration: .nan"), ["run"]),
     (("rates: [1.0, 1.0, -2.0]", "rates: [.inf, -.inf, 0.0]"), ["run"]),
     (None, ["run", "--tolerance", "nan"]),
@@ -373,13 +374,20 @@ def test_cli_zero_duration_segment_is_checked_on_arrival(tmp_path, capsys, kind,
       "    - {kind: bloch_loop, theta_end: 1.0, phi_rate: 0.0, duration: 0}"), ["run"]),
     (('cartan_hold, duration: "2*pi"}', 'cartan_hold, duration: "2*pi"}\n'
       "    - {kind: generator_const, generator: [[0, 1], [1, 0]], duration: 0}"), ["verify"]),
+    # a total duration past the largest float
+    (('duration: "2*pi"}\n  b:', 'duration: 1.0e308}\n    - {kind: cartan_linear, '
+      'rates: [1.0, 1.0, -2.0], duration: 1.0e308}\n  b:'), ["run"]),
+    (('duration: "2*pi"}\n  b:', 'duration: 1.0e308}\n    - {kind: cartan_linear, '
+      'rates: [1.0, 1.0, -2.0], duration: 1.0e308}\n  b:'), ["verify"]),
 ], ids=["dims-string", "dims-fraction", "dims-float", "tolerance-string",
         "tolerance-list", "t_max-negative", "t_max-zero", "run-steps-0",
         "verify-steps-0", "run-steps-negative", "verify-steps-negative",
-        "t_max-inf", "t_max-nan", "t_max-401-digits", "duration-nan", "rates-inf",
-        "run-tolerance-nan", "verify-tolerance-nan", "verify-tolerance-inf",
+        "t_max-inf", "t_max-nan", "t_max-401-digits", "t_max-dt-underflow",
+        "duration-nan", "rates-inf", "run-tolerance-nan", "verify-tolerance-nan",
+        "verify-tolerance-inf",
         "amplitudes-scalar", "amplitudes-vector", "preset-list", "purity-string",
-        "schmidt-list", "zero-duration-bloch-d3", "zero-duration-generator-2x2"])
+        "schmidt-list", "zero-duration-bloch-d3", "zero-duration-generator-2x2",
+        "run-duration-overflow", "verify-duration-overflow"])
 def test_cli_hostile_input_exits_config_error(tmp_path, capsys, edit, argv):
     # an edit applies to the pair config, or to the single-qudit one holding its target
     text = GOOD_YAML if edit is None else next(
@@ -619,6 +627,31 @@ def test_verify_cut_on_the_last_sample_keeps_the_left_rate(tmp_path, capsys):
     path.write_text(config.to_yaml())
     assert main(["verify", str(path)]) == 0
     capsys.readouterr()
+
+
+NEAR_CUT_YAML = """
+name: near-cut
+dims: [2, 2]
+initial_state: {preset: two_qubit_schmidt, q: 0.6}
+evolution:
+  a:
+    - {kind: cartan_linear, rates: [1.0, -1.0], duration: 10.000000005}
+    - {kind: cartan_linear, rates: [-1.0, 1.0], duration: 89.999999995}
+  b: [{kind: cartan_hold, duration: 100.0}]
+grid: {t_max: 100.0, steps: 1000}
+"""
+
+
+def test_verify_cut_within_the_grid_tolerance_starts_its_row_on_the_sample(tmp_path, capsys):
+    # a cut 5e-9 after sample 100 (5e-8 steps) is on the grid, so the second
+    # ramp starts on sample 100; starting it a sample later would integrate
+    # one step at the first ramp's rate, 0.12 rad off
+    path = tmp_path / "near_cut.yaml"
+    path.write_text(NEAR_CUT_YAML)
+    assert main(["verify", str(path)]) == 0
+    capsys.readouterr()
+    report = qp.verify_scenario(qp.ScenarioConfig.from_file(str(path)))
+    assert report.max_dynamical_dev <= 1e-8, report.lines()
 
 
 def test_verify_two_qubit_preset_scenario():
