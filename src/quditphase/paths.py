@@ -17,9 +17,9 @@ Construction checks every segment's type and dimension against the path and
 every segment, zero-duration ones too, against the coordinates it arrives at;
 it drops zero-duration segments and lowers the rest in one pass, one branch
 per kind that writes its row of tables (start coordinates, right Cartan rates,
-(theta, phi) rates and frames) and advances the coordinates. Every query reads
-those rows; U(t) has one evaluator, the frame rows, which both the trace kernel
-and ``coset_factor`` (V W = U diag(e^{-i chi})) read.
+(theta, phi) rates and frames) and advances the coordinates; a last row n holds
+the end. Every query reads those rows; U(t) has one evaluator, the frame rows,
+which both the trace kernel and ``coset_factor`` (V W = U diag(e^{-i chi})) read.
 
 Every row is also one fixed-frame sum of exponentials,
 ``U(t) = L_k diag(exp(i (c_k + w_k tau))) R_k`` with tau = t - start_k: a
@@ -35,8 +35,8 @@ on a Bloch row, 1 on the identity hold). The trace kernel takes a row's
 distinct phasors at ideal grid times i dt (``grid_phasors``, ``step_phasors``):
 the argument is formed in double-double and reduced mod 2 pi, so each phasor
 is within about 1 ulp of exact whatever its argument. ``TimeGrid.start_samples``
-is the one rule for the grid sample where each row starts. Paths are immutable
-after construction and sampling is pure.
+is the one rule for the grid sample where each row starts, row n at the end.
+Paths are immutable after construction and sampling is pure.
 """
 
 from __future__ import annotations
@@ -184,6 +184,8 @@ class FrameTables:
     on i = j and s/2 otherwise; its first two terms are e^{+-i theta/2}.
 
     Rows are written per segment kind, in one pass (``LocalEvolution._build_tables``).
+    Row n holds the end: row n - 1's frames and residuals, rates 0, and each
+    phase advanced exactly to the end (an empty path's row 0: the identity).
 
     Live terms with bit-equal (phase0, rate) have one phasor: a Bloch row's
     8 terms have 6 (the i = j terms share +-theta/2), the identity hold has
@@ -271,9 +273,9 @@ def _two_prod(a, b) -> tuple:
     return p, np.where(np.isnan(e), 0.0, e)
 
 
-def _exact_phasors(phase0, rate, tau, tau_lo) -> np.ndarray:
-    """exp(i (phase0 + rate (tau + tau_lo))), the argument in double-double and
-    reduced mod 2 pi before one rounding: within about 1 ulp of exact at any size."""
+def _exact_argument(phase0, rate, tau, tau_lo) -> np.ndarray:
+    """phase0 + rate (tau + tau_lo) mod 2 pi, formed in double-double and reduced
+    before one rounding: its exponential is within about 1 ulp of exact at any size."""
     arg, err = _two_prod(rate, tau)
     err += rate * tau_lo
     arg, e = _two_sum(phase0, arg)
@@ -282,7 +284,7 @@ def _exact_phasors(phase0, rate, tau, tau_lo) -> np.ndarray:
     whole, lost = _two_prod(turns, _TWO_PI)
     arg, e = _two_sum(arg, -whole)
     err += e - lost - turns * _TWO_PI_LO
-    return np.exp(1j * (arg + err))
+    return arg + err
 
 
 class LocalEvolution:
@@ -310,7 +312,7 @@ class LocalEvolution:
         self._build_tables(segs)
 
     def _build_tables(self, authored):
-        """Lower every segment to one table row in one pass; row n is a trailing hold.
+        """Lower every segment to one table row in one pass; row n holds the end.
 
         Row k holds the coordinates at the segment start (``chi0`` and the
         (theta, phi) pair ``bloch0``), the right Cartan rates, the (theta, phi)
@@ -337,11 +339,10 @@ class LocalEvolution:
         self.duration = float(ends[-1]) if n else 0.0
         self._starts = np.append(ends, self.duration) - durations
         rates = self._rates = np.zeros((n + 1, d))
-        chi0 = self._chi0 = np.empty((n + 1, d))
+        chi0 = self._chi0 = np.zeros((n + 1, d))
         bloch_rate = self._bloch_rate = np.zeros((n + 1, 2))
         bloch0 = self._bloch0 = np.empty((n + 1, 2))
-        square = np.zeros((2, n + 1, d, d), dtype=complex)       # the unitary d-term frames
-        square[1] = np.eye(d)
+        square = np.tile(np.eye(d, dtype=complex), (2, n + 1, 1, 1))  # unitary d-term frames
         left = np.zeros((n + 1, d, width), dtype=complex)
         right = np.zeros((n + 1, width, d), dtype=complex)
         phase0 = np.zeros((n + 1, width))
@@ -394,7 +395,13 @@ class LocalEvolution:
                 determinant[k] = np.linalg.det(w) * np.exp(1j * chi.sum())
                 theta, phi = theta_end, phi_end
             k += 1
-        chi0[n], bloch0[n], square[0, n], phase0[n, :d] = chi, (theta, phi), w, chi
+        bloch0[n] = theta, phi
+        if n:       # row n: row n - 1 at the end, as ``_advance`` and ``grid_phasors`` take it
+            last, (tau, tau_lo) = n - 1, _two_sum(self.duration, -self._starts[n - 1])
+            chi0[n] = chi0[last] + tau * rates[last]
+            phase0[n] = _exact_argument(phase0[last], rate[last], tau, tau_lo)
+            for table in (square[0], square[1], left, right, rectangular, unitarity, determinant):
+                table[n] = table[last]
         if self.has_bloch:
             square[0] = _bloch_matrix(*bloch0.T) @ square[0]
         both = square.reshape(2 * (n + 1), d, d)
@@ -409,37 +416,37 @@ class LocalEvolution:
         self._leads = [np.take_along_axis(x, lead, axis=1) for x in (phase0, rate)]
         tau = np.stack([np.zeros(n + 1), np.append(ends, self.duration) - self._starts])
         z = np.exp(1j * (phase0[:, :d] + tau[:, :, None] * rate[:, :d])).prod(axis=-1)
+        residual = np.abs(determinant * z - 1.0).max(axis=0)
+        residual[n] = residual[n - 1]           # row n has row n - 1's, as its other tables
         self.frames = FrameTables(left=left, right=right, phase0=phase0, rate=rate,
                                   unitarity=unitarity, determinant=determinant,
-                                  determinant_residual=np.abs(determinant * z - 1.0).max(axis=0),
-                                  rectangular=rectangular, rep=rep, lead=lead, distinct=distinct)
+                                  determinant_residual=residual, rectangular=rectangular,
+                                  rep=rep, lead=lead, distinct=distinct)
 
     # -- coordinate queries -------------------------------------------------
 
     def _segment_index(self, t: np.ndarray) -> np.ndarray:
-        """Owning table row per sample: a boundary belongs to the segment it starts.
+        """Owning table row per sample: a boundary belongs to the row it starts.
 
         Times within a small absolute tolerance of a segment boundary count
         as exactly on it, so linspace grids that differ from the accumulated
-        boundary by rounding still resolve deterministically. An empty path
-        maps every sample to its trailing hold row.
+        boundary by rounding still resolve deterministically. The end starts
+        row n, which holds it, so a time at or past the end reads row n.
         """
-        idx = np.searchsorted(self._ends, t + _BOUNDARY_TOL, side="right")
-        return np.minimum(idx, max(len(self.segments) - 1, 0))
+        return np.searchsorted(self._ends, t + _BOUNDARY_TOL, side="right")
 
     def row_starts(self, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-        """(first sample, row) of every row that owns samples of the grid: the row
-        that starts at a boundary starts at its ``TimeGrid.start_samples`` sample."""
-        first = np.concatenate(([0], grid.start_samples(self._ends[:-1])[0]))
+        """(first sample, row) of every row that owns samples of the grid: a row
+        starts at its boundary's ``TimeGrid.start_samples`` sample, row n at the end's."""
+        first = np.concatenate(([0], grid.start_samples(self._ends)[0]))
         owns = np.append(first[1:], grid.steps + 1) > first
         return first[owns], np.flatnonzero(owns)
 
     def _times(self, times) -> np.ndarray:
         t = np.atleast_1d(np.asarray(times, dtype=float))
-        if t.size and (t.min() < -_BOUNDARY_TOL or t.max() > self.duration + _BOUNDARY_TOL):
-            raise ValueError(
-                f"time outside [0, {self.duration:g}]: range [{t.min():g}, {t.max():g}]")
-        return np.clip(t, 0.0, self.duration)
+        if t.size and t.min() < -_BOUNDARY_TOL:
+            raise ValueError(f"negative time {t.min():g}")
+        return t
 
     def _advance(self, start: np.ndarray, rate: np.ndarray, t: np.ndarray,
                  idx: np.ndarray) -> np.ndarray:
@@ -471,22 +478,20 @@ class LocalEvolution:
         """Distinct phasors of row rows[s] at the ideal time index[s] dt, per sample s.
 
         Columns g < G are the row's G distinct terms (``FrameTables.lead``),
-        the rest padding. index dt is exact in double-double, a time past the
-        path's end takes the end, and each phasor is within about 1 ulp of exact.
+        the rest padding. index dt is exact in double-double and each phasor is
+        within about 1 ulp of exact; row n, with rates 0, holds the end.
         """
         t, t_lo = _two_prod(np.asarray(index, dtype=float), dt)
-        past = (t > self.duration) | ((t == self.duration) & (t_lo > 0.0))
-        t[past], t_lo[past] = self.duration, 0.0
         tau, tau_lo = _two_sum(t, -self._starts[rows])
         tau_lo += t_lo
         phase0, rate = (x[rows] for x in self._leads)
-        return _exact_phasors(phase0, rate, tau[:, None], tau_lo[:, None])
+        return np.exp(1j * _exact_argument(phase0, rate, tau[:, None], tau_lo[:, None]))
 
     def step_phasors(self, rows: np.ndarray, steps: np.ndarray, dt: float) -> np.ndarray:
         """exp(i w j dt), the advance over j = steps[s] grid steps of row rows[s]'s
         distinct phasors (rates w), laid out and exact as ``grid_phasors``."""
         j, j_lo = _two_prod(np.asarray(steps, dtype=float), dt)
-        return _exact_phasors(0.0, self._leads[1][rows], j[:, None], j_lo[:, None])
+        return np.exp(1j * _exact_argument(0.0, self._leads[1][rows], j[:, None], j_lo[:, None]))
 
     @property
     def max_phase_rate(self) -> float:
@@ -527,24 +532,31 @@ class TimeGrid:
         return np.linspace(0.0, self.t_max, self.steps + 1)
 
     def start_samples(self, boundaries) -> tuple[np.ndarray, np.ndarray]:
-        """(first, off): the sample where a row that starts at each boundary b
-        starts, and whether b misses the grid before t_max.
+        return start_samples(self.t_max, self.steps, boundaries)
 
-        A row starts at the first sample at most 1e-9 steps grid steps (1e-9
-        t_max in time) before b: b within that of sample k starts it at k, any
-        other b at the first sample after it, ``steps + 1`` past the grid. The
-        grid admits an off-grid b only past t_max, where its row owns no samples.
-        """
-        tol = _BOUNDARY_TOL * self.steps
-        # b / dt from b clipped to sample steps + 1, so that it cannot overflow
-        r = np.minimum(boundaries, (self.steps + 1) * self.dt) / self.dt
-        first = np.ceil(r - tol)
-        return first.astype(int), (first - r > tol) & (first <= self.steps)
+
+def start_samples(t_max: float, steps, boundaries) -> tuple[np.ndarray, np.ndarray]:
+    """(first, off): the sample where a row that starts at each boundary b starts,
+    and whether b misses the grid before t_max, on the grid of ``steps`` steps on
+    [0, t_max], or of each of a column of step counts, one grid per row.
+
+    A row starts at the first sample at most 1e-9 steps grid steps (1e-9 t_max
+    in time) before b: b within that of sample k starts it at k, any other b at
+    the first sample after it, ``steps + 1`` past the grid. A grid admits an
+    off-grid b only past t_max, where its row owns no samples.
+    """
+    dt = t_max / steps
+    tol = _BOUNDARY_TOL * steps
+    # b / dt from b clipped to sample steps + 1, so that it cannot overflow
+    r = np.minimum(boundaries, (steps + 1) * dt) / dt
+    first = np.ceil(r - tol)
+    return first.astype(int), (first - r > tol) & (first <= steps)
 
 
 @dataclass(frozen=True)
 class PairEvolution:
-    """Local evolutions for qudits A and B on a shared uniform time grid."""
+    """Local evolutions for qudits A and B on a shared uniform time grid: every
+    boundary, each path's end included, falls on the grid or past t_max."""
 
     a: LocalEvolution
     b: LocalEvolution
@@ -552,15 +564,10 @@ class PairEvolution:
 
     def __post_init__(self):
         for label, evo in (("A", self.a), ("B", self.b)):
-            if evo.duration < self.grid.t_max - _BOUNDARY_TOL:
-                raise ValueError(
-                    f"path {label} is defined on [0, {evo.duration:g}] but the "
-                    f"grid extends to {self.grid.t_max:g}")
-            bounds = evo.boundaries()[:-1]      # the end starts no row that owns samples
-            off = self.grid.start_samples(bounds)[1]
+            off = self.grid.start_samples(evo.boundaries())[1]
             if off.any():
                 raise ValueError(
-                    f"segment boundary t = {bounds[off][0]:g} of path {label} does not "
+                    f"segment boundary t = {evo.boundaries()[off][0]:g} of path {label} does not "
                     f"fall on the grid (steps = {self.grid.steps}); choose a step count "
                     "that subdivides every segment")
 
@@ -596,8 +603,7 @@ def cartan_trajectory(evo: LocalEvolution, times) -> CartanTrajectory:
     t = np.atleast_1d(np.asarray(times, dtype=float))
     w = evo.coset_factor(t)
     if evo.has_bloch:
-        tc = evo._times(t)
-        theta, phi = evo._advance(evo._bloch0, evo._bloch_rate, tc, evo._segment_index(tc)).T
+        theta, phi = evo._advance(evo._bloch0, evo._bloch_rate, t, evo._segment_index(t)).T
         w = _bloch_matrix(theta, phi).conj().transpose(0, 2, 1) @ w
     m, dev = center_power(w)
     bad = np.flatnonzero(dev > CLOSURE_TOL)

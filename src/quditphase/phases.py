@@ -295,18 +295,13 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _chunks(lo: np.ndarray, end: np.ndarray, past: int) -> tuple:
+def _chunks(lo: np.ndarray, end: np.ndarray) -> tuple:
     """(run, start, size, block) of every chunk: run r's samples [lo[r], end[r])
-    in chunks of at most ``CHUNK_ROWS`` and blocks of b = ceil(sqrt(size)),
-    or of 1 from ``past`` on, where an ideal time may pass a path's end."""
-    cut = np.clip(past, lo, end)
-    piece_lo, piece_end = np.stack([lo, cut], 1).ravel(), np.stack([cut, end], 1).ravel()
-    count = -(-(piece_end - piece_lo) // CHUNK_ROWS)
-    start = np.repeat(piece_lo, count) + CHUNK_ROWS * _offsets(count)
-    size = np.minimum(start + CHUNK_ROWS, np.repeat(piece_end, count)) - start
-    tail = np.repeat(np.arange(count.size) % 2, count).astype(bool)
-    block = np.where(tail, 1, np.ceil(np.sqrt(size))).astype(int)
-    return np.repeat(np.arange(count.size) // 2, count), start, size, block
+    in chunks of at most ``CHUNK_ROWS`` and blocks of b = ceil(sqrt(size))."""
+    count = -(-(end - lo) // CHUNK_ROWS)
+    start = np.repeat(lo, count) + CHUNK_ROWS * _offsets(count)
+    size = np.minimum(start + CHUNK_ROWS, np.repeat(end, count)) - start
+    return np.repeat(np.arange(count.size), count), start, size, np.ceil(np.sqrt(size)).astype(int)
 
 
 def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
@@ -315,13 +310,14 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
     one run of grid samples at a time, for ``_finalize_trace``.
 
     A run is a maximal stretch of samples on which each path stays on one
-    row (``LocalEvolution.row_starts``). Its rows give the overlap's matrix
-    C, folded onto their distinct phasors (``_folded_constants``, for
-    ``RUN_BLOCK`` runs at a time), and each path's frequency, read from the
-    path's table built once per trace (``_row_forms``). Its dynamical phase
-    is the running offset plus w (t - t_lo), w its unitary rows' constants; a
-    run with a Bloch row adds the cumulative Simpson integral of that row's
-    form on its samples and, before a cut, its end sample in its rows.
+    row (``LocalEvolution.row_starts``), from its end on its row n. Its rows
+    give the overlap's matrix C, folded onto their distinct phasors
+    (``_folded_constants``, for ``RUN_BLOCK`` runs at a time), and each
+    path's frequency, read from the path's table built once per trace
+    (``_row_forms``). Its dynamical phase is the running offset plus
+    w (t - t_lo), w its unitary rows' constants; a run with a Bloch row adds
+    the cumulative Simpson integral of that row's form on its samples and,
+    before a cut, its end sample in its rows.
 
     Phasors are taken at the ideal times i dt. In a chunk of m samples
     (``_chunks``) in blocks of b, sample i = q b + j (j < b) has the phasors
@@ -351,9 +347,7 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
     rows_b = rows_b[np.searchsorted(first_b, lo, side="right") - 1]
     hi = np.append(lo[1:], n)
     bloch = fa.rectangular[rows_a] | fb.rectangular[rows_b]
-    # past the shorter path's end, and always the last sample: blocks of 1
-    past = min(int(np.searchsorted(times, min(evo_a.duration, evo_b.duration))), n - 1)
-    run, start, size, block = _chunks(lo, np.minimum(hi + bloch, n), past)
+    run, start, size, block = _chunks(lo, np.minimum(hi + bloch, n))
     per = -(-size // block)                       # coarse samples per chunk
     index = np.repeat(start, per) + np.repeat(block, per) * _offsets(per)
     coarse_a = evo_a.grid_phasors(rows_a[np.repeat(run, per)], index, dt)
@@ -415,7 +409,7 @@ def single_qudit_trace(rho0: QuditDensity, evo: LocalEvolution, grid: TimeGrid) 
 
     The qudit runs as its purified pair: alpha = sqrt(rho0) with qudit B held
     at the identity, so Tr[alpha^dag U alpha] = Tr[rho0 U]. The pair's grid
-    checks apply: the path covers the grid and its segment boundaries fall on it.
+    checks apply: the path's boundaries, its end too, fall on the grid or past it.
     """
     if evo.d != rho0.d:
         raise ValueError("path dimension does not match the state")

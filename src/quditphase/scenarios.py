@@ -24,7 +24,7 @@ import yaml
 
 from . import closed_form as cf
 from .paths import (BlochLoop, CartanHold, CartanLinear, GeneratorConst,
-                    LocalEvolution, PairEvolution, TimeGrid, identity_evolution)
+                    LocalEvolution, PairEvolution, TimeGrid, identity_evolution, start_samples)
 # single_qudit_trace is unused here but stays importable: perfbench/spans.py wraps it
 from .phases import (CHUNK_ROWS, CycleScan, CyclicEvent, PhaseTrace, detect_cycles,
                      run_trace, single_qudit_trace)  # noqa: F401
@@ -259,18 +259,12 @@ def _build_segment(spec: dict, d: int, where: str):
     raise ConfigError(f"{where}: unknown segment kind {kind!r}")
 
 
-def _build_evolution(specs, d: int, t_max: float, where: str) -> LocalEvolution:
+def _build_evolution(specs, d: int, where: str) -> LocalEvolution:
     if specs is None:
         specs = []
     if not isinstance(specs, list):
         raise ConfigError(f"{where}: expected a list of segments")
     segments = [_build_segment(s, d, f"{where}[{i}]") for i, s in enumerate(specs)]
-    duration = 0.0
-    for seg in segments:        # summed in path order, as LocalEvolution sums it
-        duration += seg.duration
-    if duration < t_max - 1e-9:
-        # pad with a hold so every path covers the grid window
-        segments.append(CartanHold(t_max - duration))
     try:
         evo = LocalEvolution(d, segments)
     except ValueError as exc:
@@ -362,16 +356,18 @@ def _build_single_state(state: dict, d: int, where: str) -> QuditDensity:
 
 def _adjust_steps(steps: int, t_max: float, boundaries: np.ndarray,
                   name: str) -> int:
-    def fits(s: int) -> bool:
-        return s % 2 == 0 and not TimeGrid(t_max, s).start_samples(boundaries)[1].any()
-
-    if fits(steps):
-        return steps
-    for s in range(steps + (steps % 2), steps + 100001, 2):
-        if fits(s):
-            log.warning("scenario %s: steps adjusted %d -> %d (even count and "
-                        "segment-boundary snapping)", name, steps, s)
-            return s
+    """The first even step count from ``steps`` on whose grid every boundary falls."""
+    TimeGrid(t_max, steps + steps % 2)          # refuses a step that underflows to 0
+    lo, stop, size = steps + steps % 2, steps + 100001, 1
+    while lo < stop:                # blocks of candidates double up to 4096 x boundaries
+        tried = np.arange(lo, min(lo + 2 * size, stop), 2)
+        fits = np.flatnonzero(~start_samples(t_max, tried[:, None], boundaries)[1].any(axis=1))
+        if fits.size:
+            if tried[fits[0]] != steps:
+                log.warning("scenario %s: steps adjusted %d -> %d (even count and "
+                            "segment-boundary snapping)", name, steps, tried[fits[0]])
+            return int(tried[fits[0]])
+        lo, size = lo + 2 * size, min(2 * size, max(1, 4096 // max(boundaries.size, 1)))
     raise ConfigError("grid.steps: no nearby even step count subdivides every "
                       "segment; adjust the segment durations")
 
@@ -388,7 +384,7 @@ _BYTES_PER_CHUNK_PHASOR = 80
 def _check_size(steps: int, dims: tuple, rows: tuple) -> None:
     """Refuse, before anything is allocated, a grid and dimensions whose arrays
     cannot fit in physical memory: ``rows`` segments per path of dimension
-    ``dims`` (a path's tables have one row more, its trailing hold)."""
+    ``dims`` (a path's tables have one row more, row n, which holds its end)."""
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):      # no sysconf: no policy
@@ -426,15 +422,15 @@ def _build(config: ScenarioConfig, steps_override: int | None = None) -> BuiltSc
         kind, d = "single", config.dims[0]
         rho0 = _build_single_state(config.initial_state, d, "initial_state")
         alpha0 = purify(rho0)
-        evo_a = _build_evolution(specs[0], d, config.t_max, "evolution.path")
+        evo_a = _build_evolution(specs[0], d, "evolution.path")
         evo_b = identity_evolution(d, config.t_max)
     else:
         kind, rho0 = "pair", None
         d_a, d_b = config.dims
         alpha0 = _build_pair_state(config.initial_state, (d_a, d_b), "initial_state")
-        evo_a = _build_evolution(specs[0], d_a, config.t_max, "evolution.a")
-        evo_b = _build_evolution(specs[1], d_b, config.t_max, "evolution.b")
-    bounds = np.concatenate([evo_a.boundaries()[:-1], evo_b.boundaries()[:-1]])
+        evo_a = _build_evolution(specs[0], d_a, "evolution.a")
+        evo_b = _build_evolution(specs[1], d_b, "evolution.b")
+    bounds = np.concatenate([evo_a.boundaries(), evo_b.boundaries()])
     try:
         steps = _adjust_steps(steps, config.t_max, bounds, config.name)
         grid = TimeGrid(t_max=config.t_max, steps=steps)

@@ -46,12 +46,14 @@ def test_zero_duration_path_is_identity():
 
 
 def test_sample_rejects_out_of_range():
-    evo = qp.LocalEvolution(2, [qp.CartanHold(1.0)])
-    for query in (lambda t: dense.sample(evo, t), evo.cartan_levels, evo.coset_factor):
-        with pytest.raises(ValueError):
-            query([1.5])
+    # a negative time is refused; past its end a path holds its end (row n)
+    evo = qp.LocalEvolution(2, [qp.CartanLinear(np.array([1.0, -1.0]), 0.7),
+                                qp.GeneratorConst(QUBIT_GEN, 0.3)])
+    for query in (lambda t: dense.sample(evo, t), evo.cartan_levels, evo.coset_factor,
+                  evo.cartan_rates):
         with pytest.raises(ValueError):
             query([-0.5])
+        np.testing.assert_array_equal(query([1.5, 1e3]), query([1.0, 1.0]))
 
 
 def test_cartan_trajectory_qubit_h_convention():
@@ -218,8 +220,8 @@ def _assert_row_sampler_matches_sample(evo, grid):
     the row's distinct phasors z at the grid samples (``grid_phasors``) match
     the dense reference on the row's own samples and, at the cut that ends
     the row, its left limit (``side="left"``); a sample past the path's end
-    takes the end."""
-    t = np.minimum(grid.times(), evo.duration)
+    is in row n, which holds the end."""
+    t = grid.times()
     first, rows = evo.row_starts(grid)
     ends = [*first[1:].tolist(), t.size]
     owner = np.repeat(rows, np.diff([*first.tolist(), t.size]))
@@ -248,7 +250,7 @@ def test_frame_phasors_reproduce_sampled_operators():
                                 qp.CartanLinear(np.array([-1.0, 0.4, 0.6]), 1.0)])
     f = evo.frames
     grid = qp.TimeGrid(evo.duration, 450)             # every cut on a sample
-    assert evo.row_starts(grid)[0].tolist() == [0, 100, 200, 250, 350]
+    assert evo.row_starts(grid)[0].tolist() == [0, 100, 200, 250, 350, 450]
     _assert_row_sampler_matches_sample(evo, grid)
     assert f.unitarity.max() < 1e-14
     np.testing.assert_allclose(f.determinant, 1.0, rtol=0, atol=1e-14)
@@ -262,7 +264,7 @@ def test_frame_phasors_reproduce_sampled_operators():
     held = qp.LocalEvolution(3, [qp.CartanHold(0.5), qp.CartanHold(0.5)])
     grid = qp.TimeGrid(1.0, 10)
     first, rows = held.row_starts(grid)
-    assert first.tolist() == [0, 5] and rows.tolist() == [0, 1]
+    assert first.tolist() == [0, 5, 10] and rows.tolist() == [0, 1, 2]
     assert held.frames.distinct[:2].tolist() == [1, 1]
     for k, index in ((0, np.arange(5)), (1, np.arange(5, 11))):
         assert (held.grid_phasors(np.full(index.size, k), index, grid.dt)[:, 0] == 1.0).all()
@@ -350,11 +352,11 @@ def _haar_spectrum(d, rng):
     return (v * (spectrum - spectrum.mean())) @ v.conj().T
 
 
-def _exact_phasor(phase0, rate, index, dt, start=0.0, end=math.inf):
-    """exp(i (phase0 + rate (min(index dt, end) - start))) rounded from 50
-    digits, the float inputs taken as exact."""
+def _exact_phasor(phase0, rate, index, dt, start=0.0):
+    """exp(i (phase0 + rate (index dt - start))) rounded from 50 digits, the
+    float inputs taken as exact."""
     with mpmath.workdps(50):
-        tau = min(mpmath.mpf(index) * mpmath.mpf(dt), mpmath.mpf(end)) - mpmath.mpf(start)
+        tau = mpmath.mpf(index) * mpmath.mpf(dt) - mpmath.mpf(start)
         return complex(mpmath.expj(mpmath.mpf(phase0) + mpmath.mpf(rate) * tau))
 
 
@@ -362,9 +364,10 @@ def _exact_phasor(phase0, rate, index, dt, start=0.0, end=math.inf):
 @given(st.data())
 def test_grid_phasors_are_exact(data):
     # row 1 of a path, a Cartan ramp, generator or Bloch row, at ideal times
-    # i dt inside the row and past the path's end, with |arg| up to about 1e4:
-    # each distinct phasor within 4 eps of exp(i (c + w (min(i dt, end) - start)))
-    # in exact arithmetic; the step phasors exp(i w j dt) likewise
+    # i dt inside the row, and from the end's sample on row 2, which holds the
+    # end, with |arg| up to about 1e4: each term's phasor within 4 eps of
+    # exp(i (c + w (t - start))) in exact arithmetic, t = i dt on row 1 and the
+    # end on row 2; the step phasors exp(i w j dt) likewise
     kind = data.draw(st.sampled_from(["linear", "generator", "bloch"]))
     d = 2 if kind == "bloch" else data.draw(st.integers(2, 8))
     dt = data.draw(st.floats(1e-4, 1.0))
@@ -387,16 +390,19 @@ def test_grid_phasors_are_exact(data):
         segs = [first, second]
     evo = qp.LocalEvolution(d, segs)
     f = evo.frames
-    lead_terms = f.lead[1, :f.distinct[1]]
-    phase0, rates = f.phase0[1][lead_terms], f.rate[1][lead_terms]
+    width = 8 if kind == "bloch" else d
+    phase0, rates = f.phase0[1, :width], f.rate[1, :width]
     index = np.array(data.draw(st.lists(st.integers(lead, lead + m + 3), min_size=1,
                                         max_size=8)))
-    z = evo.grid_phasors(np.ones(index.size, dtype=int), index, dt)
+    rows = np.where(index < lead + m, 1, 2)
+    z = evo.grid_phasors(rows, index, dt)
     eps = np.finfo(float).eps
-    for i, row in zip(index.tolist(), z):
-        ref = [_exact_phasor(c, w, i, dt, evo._starts[1], evo.duration)
-               for c, w in zip(phase0, rates)]
-        assert np.abs(row[:phase0.size] - ref).max() <= 4 * eps
+    for i, k, row in zip(index.tolist(), rows.tolist(), z):
+        at = (i, dt) if k == 1 else (1, evo.duration)
+        ref = [_exact_phasor(c, w, *at, evo._starts[1]) for c, w in zip(phase0, rates)]
+        assert np.abs(row[f.rep[k, :width]] - ref).max() <= 4 * eps
+    lead_terms = f.lead[1, :f.distinct[1]]
+    rates = f.rate[1][lead_terms]
     steps = np.arange(0, 100, 7)
     z = evo.step_phasors(np.ones(steps.size, dtype=int), steps, dt)
     for j, row in zip(steps.tolist(), z):
@@ -684,15 +690,17 @@ def test_time_grid_starts_each_row_by_one_rule():
 def test_pair_evolution_validation():
     a = qp.LocalEvolution(2, [qp.CartanHold(1.0)])
     b = qp.LocalEvolution(2, [qp.CartanHold(2.0)])
-    with pytest.raises(ValueError):
-        qp.PairEvolution(a, b, qp.TimeGrid(2.0, 10))  # A too short
+    qp.PairEvolution(a, b, qp.TimeGrid(2.0, 10))  # A ends on the grid and holds its end
+    with pytest.raises(ValueError, match="does not fall on the grid"):
+        qp.PairEvolution(qp.LocalEvolution(2, [qp.CartanHold(1.05)]), b, qp.TimeGrid(2.0, 10))
     # boundary off the grid
     c = qp.LocalEvolution(2, [qp.CartanLinear(np.array([1.0, -1.0]), 0.37),
                               qp.CartanHold(1.63)])
     with pytest.raises(ValueError):
         qp.PairEvolution(c, b, qp.TimeGrid(2.0, 10))
     qp.PairEvolution(c, b, qp.TimeGrid(2.0, 200))  # 0.37 = 37 * dt
-    # a path may end off the grid within 1e-9 of t_max: its end starts no row
-    # that owns samples
+    # the end is a boundary like any other: 5e-10 before t_max = 1e-3 is more
+    # than 1e-9 t_max off the grid
     short = qp.LocalEvolution(2, [qp.CartanLinear(np.array([1.0, -1.0]), 1e-3 - 5e-10)])
-    qp.PairEvolution(short, qp.identity_evolution(2, 1e-3), qp.TimeGrid(1e-3, 2))
+    with pytest.raises(ValueError, match="does not fall on the grid"):
+        qp.PairEvolution(short, qp.identity_evolution(2, 1e-3), qp.TimeGrid(1e-3, 2))

@@ -425,20 +425,42 @@ def test_run_trace_dimension_mismatch():
 
 def test_single_qudit_trace_makes_the_pair_grid_checks():
     # a cut off the grid is refused, as run_trace refuses it, instead of being
-    # integrated at the wrong rate; on the grid the dynamical phase is exact
+    # integrated at the wrong rate; on the grid the dynamical phase is exact,
+    # and on a longer grid the path holds its end
     rho = qp.density_from_purity(3, 0.5, np.eye(8)[0])
     first, second = np.array([1.0, 1.0, -2.0]), np.array([-3.0, 1.0, 2.0])
     grid = qp.TimeGrid(3.0, 3000)
     off = qp.LocalEvolution(3, [qp.CartanLinear(first, 1.0003),
                                 qp.CartanLinear(second, 1.9997)])
-    with pytest.raises(ValueError, match="does not fall on the grid"):
-        qp.single_qudit_trace(rho, off, grid)
-    with pytest.raises(ValueError, match="grid extends to"):
-        qp.single_qudit_trace(rho, off, qp.TimeGrid(3.5, 3500))
+    for g in (grid, qp.TimeGrid(3.5, 3500)):
+        with pytest.raises(ValueError, match="does not fall on the grid"):
+            qp.single_qudit_trace(rho, off, g)
     on = qp.LocalEvolution(3, [qp.CartanLinear(first, 1.0), qp.CartanLinear(second, 2.0)])
     p = np.diagonal(rho.rho).real
     expected = p @ first + 2.0 * p @ second
-    assert abs(qp.single_qudit_trace(rho, on, grid).dynamical_phase[-1] - expected) < 1e-13
+    trace = qp.single_qudit_trace(rho, on, grid)
+    assert abs(trace.dynamical_phase[-1] - expected) < 1e-13
+    longer = qp.single_qudit_trace(rho, on, qp.TimeGrid(3.5, 3500))
+    for name in ("overlap", "dynamical_phase", "total_phase"):
+        np.testing.assert_allclose(getattr(longer, name)[:3001], getattr(trace, name),
+                                   rtol=0, atol=1e-14, err_msg=name)
+        np.testing.assert_allclose(getattr(longer, name)[3000:], getattr(trace, name)[-1],
+                                   rtol=0, atol=1e-14, err_msg=name)
+
+
+def test_short_library_path_holds_its_end():
+    # path A ends on the grid before t_max: the pair runs, as A padded with an
+    # explicit hold does
+    ramp = qp.CartanLinear(np.array([1.0, 1.0, -2.0]), 1.0)
+    b = qp.LocalEvolution(3, [qp.GeneratorConst(_mixed_generator(3, 4), 3.0)])
+    grid = qp.TimeGrid(3.0, 3000)
+    state = qp.random_state(3, 3, np.random.default_rng(8))
+    short = qp.run_trace(state, qp.PairEvolution(qp.LocalEvolution(3, [ramp]), b, grid))
+    padded = qp.run_trace(state, qp.PairEvolution(
+        qp.LocalEvolution(3, [ramp, qp.CartanHold(2.0)]), b, grid))
+    for name in ("overlap", "total_phase", "dynamical_phase", "geometric_phase"):
+        np.testing.assert_allclose(getattr(short, name), getattr(padded, name),
+                                   rtol=0, atol=1e-14, err_msg=name)
 
 
 def test_trace_rejects_paths_not_starting_at_identity():
@@ -515,7 +537,8 @@ def _row_end_residuals(evos, times):
     """The trace's residuals (``PhaseTrace``) over the rows the times visit,
     maximized over the paths, by the frame definition at both ends of each
     row, checked against the dense reference's U there (at a row's end its
-    left limit, ``side="left"``).
+    left limit, ``side="left"``). Row n, which holds the end, has row n - 1's
+    residuals, so a time at or past the end visits row n - 1.
 
     The unitarity residual is the largest |F^dag F - 1| over a unitary row's
     two frames; on a Bloch row, over F = W0 diag(exp(i chi0)), and the
@@ -528,7 +551,7 @@ def _row_end_residuals(evos, times):
     for evo in evos:
         f, d = evo.frames, evo.d
         w0 = dense.generator_tables(evo)[2]
-        rows = np.unique(evo._segment_index(times))
+        rows = np.unique(np.minimum(evo._segment_index(times), max(len(evo.segments) - 1, 0)))
         ends = np.stack([evo._starts[rows], np.append(evo._ends, evo.duration)[rows]])
         u = np.stack([dense.sample(evo, ends[0])[0], dense.sample(evo, ends[1], "left")[0]])
         tau = (ends - ends[0])[:, :, None]
@@ -554,13 +577,15 @@ def _row_end_residuals(evos, times):
 def _exact_overlap(alpha, evos, index, dt):
     """Tr[alpha^dag U_A alpha U_B^T] of all-diagonal paths at the ideal times
     i dt, each clipped to its path's end, from 50 digits: U = diag(exp(i chi))
-    with chi = chi0 + rates (t - start) in the row that owns the grid sample."""
+    with chi = chi0 + rates (t - start) in the row that owns the grid sample,
+    or past the end in the path's last segment, at its end."""
     out = []
     with mpmath.workdps(50):
         for i in index.tolist():
             levels = []
             for evo in evos:
-                k = int(evo._segment_index(np.array([i * dt]))[0])
+                k = min(int(evo._segment_index(np.array([i * dt]))[0]),
+                        max(len(evo.segments) - 1, 0))
                 t = min(mpmath.mpf(i) * mpmath.mpf(dt), mpmath.mpf(evo.duration))
                 tau = t - mpmath.mpf(evo._starts[k])
                 levels.append([mpmath.expj(mpmath.mpf(c) + mpmath.mpf(w) * tau)
@@ -649,7 +674,7 @@ def test_streamed_single_trace_matches_dense_stacks(monkeypatch):
     q_hat[0] = 1.0
     rho = qp.density_from_purity(d, 0.4, q_hat)
     assert (steps + 1) % rows
-    assert evo.row_starts(grid)[0].tolist() == [0, 2 * rows]
+    assert evo.row_starts(grid)[0].tolist() == [0, 2 * rows, steps]
 
     streamed = qp.single_qudit_trace(rho, evo, grid)
     times = grid.times()
@@ -696,9 +721,9 @@ def test_residuals_do_not_depend_on_the_grid_or_the_chunks(monkeypatch):
 
 
 def test_samples_past_the_end_take_the_end():
-    # a rate-100 ramp ending 5e-10 before the grid: the last sample's ideal
-    # time passes the path's end and takes it; an unclipped phasor would be
-    # 5e-8 rad off
+    # a rate-100 ramp ending 5e-10 before the grid: its end is on the grid's
+    # last sample, which row n, holding the end, owns; the ramp continued to
+    # the sample's ideal time would be 5e-8 rad off
     steps, t_max = 2000, 1.0
     a = qp.LocalEvolution(2, [qp.CartanLinear(np.array([100.0, -100.0]), t_max - 5e-10)])
     b = qp.LocalEvolution(2, [qp.CartanLinear(np.array([30.0, -30.0]), t_max)])

@@ -4,6 +4,8 @@ import importlib
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -56,8 +58,9 @@ def test_config_error_names_segment():
         qp.ScenarioConfig.from_yaml(BAD_RATES_YAML).build()
 
 
-def test_short_path_is_padded_before_it_is_lowered(monkeypatch):
-    # a path shorter than the grid gets its padding hold first: one lowering per path
+def test_short_path_is_lowered_once_and_holds_its_end(monkeypatch):
+    # a path shorter than the grid is lowered once, from its authored segments,
+    # and the run holds its end
     lowered = []
 
     class Counted(qp.LocalEvolution):
@@ -66,12 +69,17 @@ def test_short_path_is_padded_before_it_is_lowered(monkeypatch):
             super().__init__(d, segments)
 
     monkeypatch.setattr(qp.scenarios, "LocalEvolution", Counted)
-    built = qp.ScenarioConfig.from_yaml(
-        GOOD_YAML.replace('-2.0], duration: "2*pi"', '-2.0], duration: "pi"')).build()
-    assert lowered == [2, 1]
-    hold = built.evo_a.segments[-1]
-    assert isinstance(hold, qp.CartanHold) and hold.duration == pytest.approx(math.pi)
-    assert built.evo_a.duration == pytest.approx(TWO_PI)
+    config = qp.ScenarioConfig.from_yaml(
+        GOOD_YAML.replace('-2.0], duration: "2*pi"', '-2.0], duration: "pi"'))
+    built = config.build()
+    assert lowered == [1, 1]
+    assert isinstance(built.evo_a.segments[-1], qp.CartanLinear)
+    assert built.evo_a.duration == pytest.approx(math.pi)
+    trace = qp.run_scenario(config).trace
+    assert trace.t.size == 601 and trace.t[300] == pytest.approx(math.pi)
+    for name in ("overlap", "dynamical_phase", "total_phase"):
+        np.testing.assert_allclose(getattr(trace, name)[300:], getattr(trace, name)[300],
+                                   rtol=0, atol=1e-14, err_msg=name)
 
 
 def test_number_fields_reject_powers_at_once():
@@ -448,9 +456,35 @@ def test_cli_lattice_output(capsys):
     assert main(["lattice", "2", "3"]) == 0
     out = capsys.readouterr().out
     assert "0, pi/3, 2pi/3, pi, 4pi/3, 5pi/3" in out
+    # every value from integers, 2 m / lcm: past a denominator of 720 too
+    assert main(["lattice", "29", "31"]) == 0
+    out = capsys.readouterr().out
+    assert "0, 2pi/899, 4pi/899, 6pi/899" in out and "1796pi/899\n" in out
     assert main(["lattice", "1", "3"]) == 2
     assert main(["lattice", "0", "0"]) == 2
     assert "config error" in capsys.readouterr().err
+    # more than 10^6 values is refused before anything is allocated
+    for sizes in (["100003", "100019"], ["3000", "3001"]):
+        start = time.perf_counter()
+        assert main(["lattice", *sizes]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "10^6" in capsys.readouterr().err
+
+
+def test_module_entry_point_exits_with_main_code():
+    # ``python -m quditphase`` in a fresh interpreter: __main__ passes main's code on
+    src = os.path.dirname(os.path.dirname(os.path.abspath(qp.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "quditphase", *argv], capture_output=True,
+                              text=True, env=env, timeout=120)
+
+    lattice = run("lattice", "29", "31")
+    assert lattice.returncode == 0 and "2pi/899" in lattice.stdout
+    verify = run("verify", "fig6a")
+    assert verify.returncode == 4 and "no oracle" in verify.stderr
 
 
 def test_cli_verify_generator_path_reports_no_oracle(tmp_path, capsys):
@@ -508,6 +542,23 @@ def test_split_flag_equivalence_and_rejection(tmp_path):
     rec_h = TraceRecord.from_csv(h_csv.read_text())
     for col in COLUMNS:
         assert np.abs(rec_a.columns[col] - rec_h.columns[col]).max() < 1e-9
+    # a path that ends before t_max holds its end on both sides of the split
+    cfg = tmp_path / "short.yaml"
+    cfg.write_text(GOOD_YAML.replace("q: 0.2", "q: 0.3").replace(
+        '-2.0], duration: "2*pi"', '-2.0], duration: "pi"').replace(
+        '{kind: cartan_hold, duration: "2*pi"}',
+        '{kind: cartan_linear, rates: [2.0, -1.0, -1.0], duration: "2*pi"}').replace(
+        "steps: 600", "steps: 4002"))
+    runs = {}
+    for split in (None, "half", "a-only"):
+        dest = tmp_path / f"short-{split}.csv"
+        assert main(["run", str(cfg), "--output", str(dest),
+                     *(["--split", split] if split else [])]) == 0
+        runs[split] = TraceRecord.from_csv(dest.read_text())
+    assert runs[None].columns["t"].size == 4003
+    for split in ("half", "a-only"):
+        for col in COLUMNS:
+            assert np.abs(runs[split].columns[col] - runs[None].columns[col]).max() < 1e-14
     # non-diagonal initial state: the reassignment would change the physics
     assert main(["run", "fig6a", "--split", "half"]) == 2
     assert main(["run", "frac34", "--split", "half"]) == 2
