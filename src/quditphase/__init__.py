@@ -27,7 +27,7 @@ from .paths import (CartanLinear, CartanHold, BlochLoop, GeneratorConst,
                     identity_evolution, cartan_trajectory, solid_angle,
                     lattice_condition_check)
 from .phases import (GridTooCoarseError, PhaseTrace, CyclicEvent, CycleScan,
-                     FractionalLattice, cumulative_simpson, unwrap_phases,
+                     FractionalLattice, unwrap_phases,
                      run_trace, single_qudit_trace, detect_cycles,
                      fractional_lattice, circular_distance)
 from . import closed_form

@@ -34,9 +34,11 @@ and G <= K distinct phasors: terms with bit-equal (phase0, rate) share one (6
 on a Bloch row, 1 on the identity hold). The trace kernel takes a row's
 distinct phasors at ideal grid times i dt (``grid_phasors``, ``step_phasors``):
 the argument is formed in double-double and reduced mod 2 pi, so each phasor
-is within about 1 ulp of exact whatever its argument. ``TimeGrid.start_samples``
-is the one rule for the grid sample where each row starts, row n at the end.
-Paths are immutable after construction and sampling is pure.
+is within about 1 ulp of exact whatever its argument. A boundary may fall
+anywhere: a row owns the grid samples with i dt >= its start, decided exactly
+(``TimeGrid.start_samples``), and the float times t >= its start
+(``_segment_index``); row n holds the end. Paths are immutable after
+construction and sampling is pure.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ __all__ = [
     "lattice_condition_check",
 ]
 
-_BOUNDARY_TOL = 1e-9
 # Largest entry of |W - e^{2 pi i m/d} 1| at which a coset factor W counts as
 # closed to the center (cycle labels and Cartan trajectories).
 CLOSURE_TOL = 1e-8
@@ -426,25 +427,20 @@ class LocalEvolution:
     # -- coordinate queries -------------------------------------------------
 
     def _segment_index(self, t: np.ndarray) -> np.ndarray:
-        """Owning table row per sample: a boundary belongs to the row it starts.
-
-        Times within a small absolute tolerance of a segment boundary count
-        as exactly on it, so linspace grids that differ from the accumulated
-        boundary by rounding still resolve deterministically. The end starts
-        row n, which holds it, so a time at or past the end reads row n.
-        """
-        return np.searchsorted(self._ends, t + _BOUNDARY_TOL, side="right")
+        """Owning table row per time: the last row whose start is at or before t.
+        A boundary belongs to the row it starts, the end to row n, which holds it."""
+        return np.searchsorted(self._ends, t, side="right")
 
     def row_starts(self, grid: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
         """(first sample, row) of every row that owns samples of the grid: a row
         starts at its boundary's ``TimeGrid.start_samples`` sample, row n at the end's."""
-        first = np.concatenate(([0], grid.start_samples(self._ends)[0]))
+        first = np.concatenate(([0], grid.start_samples(self._ends)))
         owns = np.append(first[1:], grid.steps + 1) > first
         return first[owns], np.flatnonzero(owns)
 
     def _times(self, times) -> np.ndarray:
         t = np.atleast_1d(np.asarray(times, dtype=float))
-        if t.size and t.min() < -_BOUNDARY_TOL:
+        if t.size and t.min() < 0.0:
             raise ValueError(f"negative time {t.min():g}")
         return t
 
@@ -474,6 +470,13 @@ class LocalEvolution:
 
     # -- frame sampling -----------------------------------------------------
 
+    def row_times(self, rows: np.ndarray, index: np.ndarray, dt: float) -> tuple:
+        """(tau, tau_lo): the ideal time index[s] dt less the start of row rows[s],
+        exact as tau + tau_lo in double-double."""
+        t, t_lo = _two_prod(np.asarray(index, dtype=float), dt)
+        tau, tau_lo = _two_sum(t, -self._starts[rows])
+        return tau, tau_lo + t_lo
+
     def grid_phasors(self, rows: np.ndarray, index: np.ndarray, dt: float) -> np.ndarray:
         """Distinct phasors of row rows[s] at the ideal time index[s] dt, per sample s.
 
@@ -481,9 +484,7 @@ class LocalEvolution:
         the rest padding. index dt is exact in double-double and each phasor is
         within about 1 ulp of exact; row n, with rates 0, holds the end.
         """
-        t, t_lo = _two_prod(np.asarray(index, dtype=float), dt)
-        tau, tau_lo = _two_sum(t, -self._starts[rows])
-        tau_lo += t_lo
+        tau, tau_lo = self.row_times(rows, index, dt)
         phase0, rate = (x[rows] for x in self._leads)
         return np.exp(1j * _exact_argument(phase0, rate, tau[:, None], tau_lo[:, None]))
 
@@ -510,7 +511,8 @@ def identity_evolution(d: int, duration: float) -> LocalEvolution:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid on [0, t_max] with an even number of steps."""
+    """Uniform grid on [0, t_max]: ``steps`` steps of dt = t_max / steps, any
+    integer count >= 2. The engine takes sample i at the ideal time i dt."""
 
     t_max: float
     steps: int
@@ -519,8 +521,8 @@ class TimeGrid:
         if not 0 < self.t_max < math.inf:
             raise ValueError("t_max must be positive and finite")
         if (isinstance(self.steps, bool) or not isinstance(self.steps, (int, np.integer))
-                or self.steps < 2 or self.steps % 2):
-            raise ValueError("steps must be an even integer >= 2 (Simpson rule)")
+                or self.steps < 2):
+            raise ValueError("steps must be an integer >= 2")
         if not self.dt > 0:
             raise ValueError(f"t_max / steps underflows to zero (steps = {self.steps})")
 
@@ -531,45 +533,30 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_max, self.steps + 1)
 
-    def start_samples(self, boundaries) -> tuple[np.ndarray, np.ndarray]:
-        return start_samples(self.t_max, self.steps, boundaries)
-
-
-def start_samples(t_max: float, steps, boundaries) -> tuple[np.ndarray, np.ndarray]:
-    """(first, off): the sample where a row that starts at each boundary b starts,
-    and whether b misses the grid before t_max, on the grid of ``steps`` steps on
-    [0, t_max], or of each of a column of step counts, one grid per row.
-
-    A row starts at the first sample at most 1e-9 steps grid steps (1e-9 t_max
-    in time) before b: b within that of sample k starts it at k, any other b at
-    the first sample after it, ``steps + 1`` past the grid. A grid admits an
-    off-grid b only past t_max, where its row owns no samples.
-    """
-    dt = t_max / steps
-    tol = _BOUNDARY_TOL * steps
-    # b / dt from b clipped to sample steps + 1, so that it cannot overflow
-    r = np.minimum(boundaries, (steps + 1) * dt) / dt
-    first = np.ceil(r - tol)
-    return first.astype(int), (first - r > tol) & (first <= steps)
+    def start_samples(self, boundaries) -> np.ndarray:
+        """The first sample i with i dt >= b for each boundary b, ``steps + 1``
+        past the grid: a row that starts at b owns the samples from there.
+        i dt is compared with b exactly, in double-double."""
+        dt = self.dt
+        # b / dt from b clipped to sample steps + 1, so that it cannot overflow
+        b = np.minimum(boundaries, (self.steps + 1) * dt)
+        first = np.ceil(b / dt)
+        # the quotient's rounding moves ceil by at most one sample either way
+        p, e = _two_prod(first - 1.0, dt)
+        first -= (p - b) + e >= 0.0
+        p, e = _two_prod(first, dt)
+        first += (p - b) + e < 0.0
+        return np.minimum(first, self.steps + 1).astype(int)
 
 
 @dataclass(frozen=True)
 class PairEvolution:
-    """Local evolutions for qudits A and B on a shared uniform time grid: every
-    boundary, each path's end included, falls on the grid or past t_max."""
+    """Local evolutions for qudits A and B on a shared uniform time grid. A
+    boundary may fall anywhere; a path shorter than the grid holds its end."""
 
     a: LocalEvolution
     b: LocalEvolution
     grid: TimeGrid
-
-    def __post_init__(self):
-        for label, evo in (("A", self.a), ("B", self.b)):
-            off = self.grid.start_samples(evo.boundaries())[1]
-            if off.any():
-                raise ValueError(
-                    f"segment boundary t = {evo.boundaries()[off][0]:g} of path {label} does not "
-                    f"fall on the grid (steps = {self.grid.steps}); choose a step count "
-                    "that subdivides every segment")
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,14 @@ constant, or on a Bloch row an exact quadratic form in z) are fixed. Both are
 folded onto the rows' distinct phasors y (terms with bit-equal phase and rate
 share one), C once per run and the frequencies once per trace for every row,
 so only those phasors are evaluated, O(n G_A G_B) in all.
-A row constant w integrates exactly to w (t - t_lo), a Bloch row's form by
-Simpson's rule up to its left limit at the next cut. Phasors are taken at the
-ideal times i dt, within about 1 ulp of exact (``LocalEvolution.grid_phasors``),
-and a chunk's overlap is one matrix product of its coarse and fine phasor
-tables (``_streamed_trace``). A single qudit runs as its purified pair, B held
-at the identity and alpha = sqrt(rho): Tr[alpha^dag U alpha] = Tr[rho U].
+The dynamical phase is exact at every sample: a row constant w integrates to
+w tau, and a Bloch row's form term by term to a closed form in its phasors,
+from the row's start, which may lie between samples (``_row_integrals``).
+Phasors are taken at the ideal times i dt, within about 1 ulp of exact
+(``LocalEvolution.grid_phasors``), and a chunk's overlap and Bloch integral
+are each one matrix product of its coarse and fine tables
+(``_streamed_trace``). A single qudit runs as its purified pair, B held at
+the identity and alpha = sqrt(rho): Tr[alpha^dag U alpha] = Tr[rho U].
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ __all__ = [
     "CyclicEvent",
     "CycleScan",
     "FractionalLattice",
-    "cumulative_simpson",
     "unwrap_phases",
     "run_trace",
     "single_qudit_trace",
@@ -68,31 +69,6 @@ LATTICE_TOL = 1e-6
 
 class GridTooCoarseError(RuntimeError):
     """Per-step phase increment exceeded the unwrap guard."""
-
-
-def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
-    """Cumulative composite Simpson integral on a uniform grid, of either parity.
-
-    Simpson pairs end on the last point and are exact at every other point;
-    the points between integrate the local interpolating parabola over its
-    first half. With an odd number of intervals the first interval takes the
-    forward parabola through the first three points, so the rule stays fourth
-    order. Two points have only their chord, the trapezoid.
-    """
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    out = np.zeros(n)
-    if n == 2:
-        out[1] = 0.5 * dx * (y[0] + y[1])
-    if n < 3:
-        return out
-    s = (n - 1) % 2                       # 1 on an odd interval count: pairs start at 1
-    lo, mid, hi = y[s:-1:2], y[s + 1::2], y[s + 2::2]
-    out[s + 2::2] = np.cumsum((lo + 4.0 * mid + hi) * (dx / 3.0))
-    out[s + 1::2] = out[s:-1:2] + (5.0 * lo + 8.0 * mid - hi) * (dx / 12.0)
-    if s:
-        out[1:] += dx * (5.0 * y[0] + 8.0 * y[1] - y[2]) / 12.0
-    return out
 
 
 def _chord_origin_distance(z0: complex, z1: complex) -> float:
@@ -230,8 +206,7 @@ def _check_rate_guard(rate: float, grid: TimeGrid) -> None:
     if step >= GUARD:
         need = 2.0 * rate * grid.t_max / GUARD
         if math.isfinite(need):
-            need = math.ceil(need)
-            advice = f"use at least {need + need % 2} steps"
+            advice = f"use at least {math.floor(need) + 1} steps"
         else:
             advice = "no step count resolves a phase that large"
         raise GridTooCoarseError(
@@ -239,30 +214,72 @@ def _check_rate_guard(rate: float, grid: TimeGrid) -> None:
             f"{GUARD:.3f}; {advice}")
 
 
-def _row_forms(frames, rho: np.ndarray) -> tuple:
-    """(w, forms): every row's frequency -i Tr[rho U^dag dU/dt] in its distinct phasors y.
+def _phi(delta, s):
+    """The integral of e^{i delta t} over t in [0, s], (e^{i delta s} - 1) / (i delta),
+    as s e^{i delta s/2} sinc(delta s/2): no cancellation as delta s -> 0, s at delta = 0."""
+    half = 0.5 * delta * s
+    return s * np.exp(1j * half) * np.sinc(half / math.pi)
+
+
+def _row_integrals(evo: LocalEvolution, rho: np.ndarray) -> tuple:
+    """(w, forms, bases): every row's frequency -i Tr[rho U^dag dU/dt] in its
+    distinct phasors y, and its exact integral I(tau) from the row's start.
 
     With U = L diag(z) R, z = P y (P the one-hot term map) and dz/dt = i r z
     (r the rates) it is Re conj(y) P^T M P y, M = (L^dag L) * (R rho R^dag)^T
     times r per column. A row with unitary frames has L^dag L = 1: there it
-    is the constant w = r @ diag(R rho R^dag) (<G> on a generator row) and its
-    form is None. A Bloch row has w = 0 and the form P^T M P, G x G, raveled.
+    is the constant w = r @ diag(R rho R^dag) (<G> on a generator row), so
+    I(tau) = w tau, and its form is None. On a Bloch row the term
+    F_gh conj(y_g) y_h of the form F = P^T M P (G x G) has the frequency
+    Delta_gh = r_h - r_g. Its integral over [0, tau] is x0_gh phi(Delta_gh, tau)
+    (``_phi``), x0_gh = F_gh conj(y_g(0)) y_h(0), taken as one of three forms:
+    - Delta = 0: x0 tau, which joins the row's w;
+    - |Delta| D >= 1, D the row's duration: the antiderivative
+      F_gh conj(y_g(tau)) y_h(tau) / (i Delta) less its value x0 / (i Delta)
+      at 0, which joins the row's base; its rounding, eps |x0| / |Delta|, is at
+      most eps |x0| D;
+    - 0 < |Delta| D < 1: x0 phi(Delta, tau) itself, with |Delta tau| < 1.
+    The row's form is (F, inv, small), raveled: inv_gh = 1 / (i Delta_gh) on the
+    antiderivative terms and 0 elsewhere, and small = None or (terms, Delta, x0)
+    of the last kind. ``bases[k]`` is I at the row's start as the kernel sums it:
+    the whole integrals over each row's duration of the rows before row k,
+    less the antiderivatives' value at 0.
     """
+    frames = evo.frames
     levels = np.einsum("kij,kij->ki", frames.right @ rho, frames.right.conj()).real
     w = (frames.rate * levels).sum(axis=1)
-    forms = [None] * w.size
     bloch = np.flatnonzero(frames.rectangular)
+    durations = evo._durations
+    forms = [None] * w.size
+    zero = np.zeros(w.size)                     # the antiderivatives' value at 0
+    whole = np.zeros(w.size)                    # each row's integral over its duration
     if bloch.size:
-        w[bloch] = 0.0
         left, right = frames.left[bloch], frames.right[bloch]
         form = ((left.conj().transpose(0, 2, 1) @ left)
                 * (right @ rho @ right.conj().transpose(0, 2, 1)).transpose(0, 2, 1)
                 * frames.rate[bloch, None, :])
         fold = np.eye(frames.rate.shape[1])[frames.rep[bloch]]
-        for k, g, folded in zip(bloch.tolist(), frames.distinct[bloch].tolist(),
-                                fold.transpose(0, 2, 1) @ form @ fold):
-            forms[k] = folded[:g, :g].ravel()
-    return w.tolist(), forms
+        phase0, rate = (x[bloch] for x in evo._leads)       # the distinct phasors'
+        ends = evo.step_phasors(bloch, durations[bloch], 1.0)     # e^{i r D}
+        for k, g, folded, c, r, e in zip(bloch.tolist(), frames.distinct[bloch].tolist(),
+                                         fold.transpose(0, 2, 1) @ form @ fold, phase0, rate,
+                                         ends):
+            f = folded[:g, :g].ravel()
+            y0 = np.exp(1j * c[:g])
+            x0 = f * np.outer(y0.conj(), y0).ravel()
+            delta = (r[None, :g] - r[:g, None]).ravel()
+            d = durations[k]
+            anti = np.abs(delta) * d >= 1.0
+            small = np.flatnonzero((delta != 0.0) & ~anti)
+            inv = np.zeros(delta.size, dtype=complex)
+            inv[anti] = 1.0 / (1j * delta[anti])
+            forms[k] = f, inv, (small, delta[small], x0[small]) if small.size else None
+            w[k] = x0[delta == 0.0].sum().real
+            zero[k] = (x0 @ inv).real
+            whole[k] = ((x0 * np.outer(e[:g].conj(), e[:g]).ravel()) @ inv).real - zero[k]
+            whole[k] += (_phi(delta[small], d) @ x0[small]).real
+    whole += w * durations
+    return w, forms, np.concatenate(([0.0], np.cumsum(whole[:-1]))) - zero
 
 
 def _folded_constants(alpha: np.ndarray, evo_a: LocalEvolution, rows_a: np.ndarray,
@@ -313,26 +330,29 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
     row (``LocalEvolution.row_starts``), from its end on its row n. Its rows
     give the overlap's matrix C, folded onto their distinct phasors
     (``_folded_constants``, for ``RUN_BLOCK`` runs at a time), and each
-    path's frequency, read from the path's table built once per trace
-    (``_row_forms``). Its dynamical phase is the running offset plus
-    w (t - t_lo), w its unitary rows' constants; a run with a Bloch row adds
-    the cumulative Simpson integral of that row's form on its samples and,
-    before a cut, its end sample in its rows.
+    path's frequency, read from the path's tables built once per trace
+    (``_row_integrals``). The dynamical phase is exact at every sample: per
+    path, the integral up to the owning row's start, which may lie between
+    samples, plus the row's own integral to tau = t - start, w tau and on a
+    Bloch row the sum of its form's antiderivative and small-Delta terms.
 
     Phasors are taken at the ideal times i dt. In a chunk of m samples
     (``_chunks``) in blocks of b, sample i = q b + j (j < b) has the phasors
     of sample q b times e^{i w j dt}. So its overlap is one matrix product,
     (X^T Y).ravel()[:m] with X[(g, h), q] = C_gh y_A,g(q b) y_B,h(q b) and
-    Y[(g, h), j] = e^{i (w_A,g + w_B,h) j dt}, and a Bloch row's frequency is
-    Re of the same product over its (g, g') pairs with its form. One call
-    per path gives every chunk's coarse phasors (``grid_phasors``) and one
-    every run's fine ones (``step_phasors``). Residuals: see ``PhaseTrace``.
+    Y[(g, h), j] = e^{i (w_A,g + w_B,h) j dt}, and so is a Bloch row's
+    integral: Re of the same product over its (g, g') pairs, with its form in
+    X and e^{i Delta j dt} / (i Delta) in Y, or on a small-Delta pair
+    phi(Delta, j dt), to which each coarse sample adds its own
+    x0 phi(Delta, tau). One call per path gives every chunk's coarse phasors
+    (``grid_phasors``) and one every run's fine ones (``step_phasors``).
+    Residuals: see ``PhaseTrace``.
     """
     _check_rate_guard(evo_a.max_phase_rate + evo_b.max_phase_rate, grid)
     alpha, dt = alpha0.alpha, grid.dt
     rho_a, rho_b = reduced_densities(alpha0)
-    w_a, forms_a = _row_forms(evo_a.frames, rho_a)
-    w_b, forms_b = _row_forms(evo_b.frames, rho_b)
+    w_a, forms_a, bases_a = _row_integrals(evo_a, rho_a)
+    w_b, forms_b, bases_b = _row_integrals(evo_b, rho_b)
     times = grid.times()
     n = times.size
     overlap = np.empty(n, dtype=complex)
@@ -346,56 +366,66 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
     rows_a = rows_a[np.searchsorted(first_a, lo, side="right") - 1]
     rows_b = rows_b[np.searchsorted(first_b, lo, side="right") - 1]
     hi = np.append(lo[1:], n)
-    bloch = fa.rectangular[rows_a] | fb.rectangular[rows_b]
-    run, start, size, block = _chunks(lo, np.minimum(hi + bloch, n))
+    # each run's integral up to its first sample, and its unitary rows' slope
+    base = (bases_a[rows_a] + w_a[rows_a] * sum(evo_a.row_times(rows_a, lo, dt))
+            + bases_b[rows_b] + w_b[rows_b] * sum(evo_b.row_times(rows_b, lo, dt)))
+    slope = w_a[rows_a] + w_b[rows_b]
+    run, start, size, block = _chunks(lo, hi)
     per = -(-size // block)                       # coarse samples per chunk
     index = np.repeat(start, per) + np.repeat(block, per) * _offsets(per)
-    coarse_a = evo_a.grid_phasors(rows_a[np.repeat(run, per)], index, dt)
-    coarse_b = evo_b.grid_phasors(rows_b[np.repeat(run, per)], index, dt)
+    coarse_rows_a, coarse_rows_b = rows_a[np.repeat(run, per)], rows_b[np.repeat(run, per)]
+    coarse_a = evo_a.grid_phasors(coarse_rows_a, index, dt)
+    coarse_b = evo_b.grid_phasors(coarse_rows_b, index, dt)
+    tau_a = sum(evo_a.row_times(coarse_rows_a, index, dt))
+    tau_b = sum(evo_b.row_times(coarse_rows_b, index, dt))
     chunk = np.searchsorted(run, np.arange(lo.size + 1))
     wide = np.maximum.reduceat(block, chunk[:-1])  # each run's largest block
     fine_a = evo_a.step_phasors(np.repeat(rows_a, wide), _offsets(wide), dt)
     fine_b = evo_b.step_phasors(np.repeat(rows_b, wide), _offsets(wide), dt)
+    step_times = np.arange(wide.max(initial=0)) * dt
     q_lo, f_lo = np.cumsum(per) - per, np.cumsum(wide) - wide
     chunks = list(zip(start.tolist(), size.tolist(), block.tolist(), q_lo.tolist(),
                       per.tolist()))
-    offset = 0.0
     runs = zip(lo.tolist(), hi.tolist(), rows_a.tolist(), rows_b.tolist(),
                fa.distinct[rows_a].tolist(), fb.distinct[rows_b].tolist(),
-               chunk.tolist(), chunk[1:].tolist(), f_lo.tolist(), wide.tolist())
-    for r, (lo_r, hi_r, ka, kb, ga, gb, c0, c1, f0, w) in enumerate(runs):
+               chunk.tolist(), chunk[1:].tolist(), f_lo.tolist(), wide.tolist(),
+               base.tolist(), slope.tolist())
+    for r, (lo_r, hi_r, ka, kb, ga, gb, c0, c1, f0, w, base_r, slope_r) in enumerate(runs):
         if not r % RUN_BLOCK:
             folded = _folded_constants(alpha, evo_a, rows_a[r:r + RUN_BLOCK],
                                        evo_b, rows_b[r:r + RUN_BLOCK])
         c = folded[r % RUN_BLOCK, :ga, :gb].ravel()
         step_a, step_b = fine_a[f0:f0 + w, :ga], fine_b[f0:f0 + w, :gb]
         fine = _pairs(step_a, step_b).T
-        forms = [(form, _pairs(step.conj(), step).T, cols[:, :step.shape[1]])
-                 for form, step, cols in ((forms_a[ka], step_a, coarse_a),
-                                          (forms_b[kb], step_b, coarse_b))
-                 if form is not None]
-        freq = np.zeros(min(hi_r + 1, n) - lo_r) if forms else None
+        forms = []                                # the run's Bloch rows
+        for form, g, cols, tau, step in ((forms_a[ka], ga, coarse_a, tau_a, step_a),
+                                         (forms_b[kb], gb, coarse_b, tau_b, step_b)):
+            if form is not None:
+                f, inv, small = form
+                y = _pairs(step.conj(), step).T * inv[:, None]
+                if small is not None:
+                    y[small[0]] = _phi(small[1][:, None], step_times[:w])
+                forms.append((f, y, small, cols[:, :g], tau))
+        dyn[lo_r:hi_r] = base_r + slope_r * (times[lo_r:hi_r] - times[lo_r])
         for s, m, b, q, p in chunks[c0:c1]:
             x = _pairs(coarse_a[q:q + p, :ga], coarse_b[q:q + p, :gb])
             x *= c
-            owned = min(s + m, hi_r) - s
-            overlap[s:s + owned] = (x @ fine[:, :b]).ravel()[:owned]
-            for form, pairs, cols in forms:
+            overlap[s:s + m] = (x @ fine[:, :b]).ravel()[:m]
+            for f, y, small, cols, tau in forms:
                 x = _pairs(cols[q:q + p].conj(), cols[q:q + p])
-                x *= form
-                freq[s - lo_r:s - lo_r + m] += (x @ pairs[:, :b]).ravel()[:m].real
-        dyn[lo_r:hi_r + 1] = offset + (w_a[ka] + w_b[kb]) * (times[lo_r:hi_r + 1] - times[lo_r])
-        if forms:
-            dyn[lo_r:hi_r + 1] += cumulative_simpson(freq, dt)
-        offset = dyn[min(hi_r, n - 1)]
+                x *= f
+                x = (x @ y[:, :b]).real
+                if small is not None:
+                    x += (_phi(small[1], tau[q:q + p, None]) @ small[2]).real[:, None]
+                dyn[s:s + m] += x.ravel()[:m]
     return times, overlap, dyn, (float(unit), float(det))
 
 
 def run_trace(alpha0: CoefficientMatrix, pair: PairEvolution) -> PhaseTrace:
     """Run a two-qudit trace over the pair's time grid.
 
-    The dynamical phase is exact on rows with unitary frames; on Bloch rows it
-    is Simpson's rule, stitched at segment cuts with the left-limit integrand.
+    The dynamical phase is the exact integral of the frequency on every row,
+    unitary or Bloch, whether or not a segment boundary falls on a sample.
     """
     if pair.a.d != alpha0.d_a or pair.b.d != alpha0.d_b:
         raise ValueError(
@@ -408,8 +438,8 @@ def single_qudit_trace(rho0: QuditDensity, evo: LocalEvolution, grid: TimeGrid) 
     """Run a single-qudit trace, overlap Tr[rho0 U(t)], over a uniform grid.
 
     The qudit runs as its purified pair: alpha = sqrt(rho0) with qudit B held
-    at the identity, so Tr[alpha^dag U alpha] = Tr[rho0 U]. The pair's grid
-    checks apply: the path's boundaries, its end too, fall on the grid or past it.
+    at the identity, so Tr[alpha^dag U alpha] = Tr[rho0 U]. As in a pair, the
+    path's boundaries may fall anywhere, and a path shorter than the grid holds its end.
     """
     if evo.d != rho0.d:
         raise ValueError("path dimension does not match the state")

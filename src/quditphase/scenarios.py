@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import ast
 import json
-import logging
 import math
 import operator
 import os
@@ -24,7 +23,7 @@ import yaml
 
 from . import closed_form as cf
 from .paths import (BlochLoop, CartanHold, CartanLinear, GeneratorConst,
-                    LocalEvolution, PairEvolution, TimeGrid, identity_evolution, start_samples)
+                    LocalEvolution, PairEvolution, TimeGrid, identity_evolution)
 # single_qudit_trace is unused here but stays importable: perfbench/spans.py wraps it
 from .phases import (CHUNK_ROWS, CycleScan, CyclicEvent, PhaseTrace, detect_cycles,
                      run_trace, single_qudit_trace)  # noqa: F401
@@ -49,8 +48,6 @@ __all__ = [
     "COLUMNS",
     "write_atomic",
 ]
-
-log = logging.getLogger(__name__)
 
 COLUMNS = ("t", "overlap_re", "overlap_im", "overlap_abs",
            "total_phase", "dynamical_phase", "geometric_phase")
@@ -354,24 +351,6 @@ def _build_single_state(state: dict, d: int, where: str) -> QuditDensity:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _adjust_steps(steps: int, t_max: float, boundaries: np.ndarray,
-                  name: str) -> int:
-    """The first even step count from ``steps`` on whose grid every boundary falls."""
-    TimeGrid(t_max, steps + steps % 2)          # refuses a step that underflows to 0
-    lo, stop, size = steps + steps % 2, steps + 100001, 1
-    while lo < stop:                # blocks of candidates double up to 4096 x boundaries
-        tried = np.arange(lo, min(lo + 2 * size, stop), 2)
-        fits = np.flatnonzero(~start_samples(t_max, tried[:, None], boundaries)[1].any(axis=1))
-        if fits.size:
-            if tried[fits[0]] != steps:
-                log.warning("scenario %s: steps adjusted %d -> %d (even count and "
-                            "segment-boundary snapping)", name, steps, tried[fits[0]])
-            return int(tried[fits[0]])
-        lo, size = lo + 2 * size, min(2 * size, max(1, 4096 // max(boundaries.size, 1)))
-    raise ConfigError("grid.steps: no nearby even step count subdivides every "
-                      "segment; adjust the segment durations")
-
-
 # Peak memory of ``quditphase run`` with CSV output, measured as peak-RSS slopes
 # (2-vCPU x86 Linux host, numpy 2.4): bytes per grid sample (steps 2e5 -> 1e6),
 # per table-row entry, a row's d^2 (d 64 and 128, 40 -> 200 rows), and per
@@ -430,12 +409,8 @@ def _build(config: ScenarioConfig, steps_override: int | None = None) -> BuiltSc
         alpha0 = _build_pair_state(config.initial_state, (d_a, d_b), "initial_state")
         evo_a = _build_evolution(specs[0], d_a, "evolution.a")
         evo_b = _build_evolution(specs[1], d_b, "evolution.b")
-    bounds = np.concatenate([evo_a.boundaries(), evo_b.boundaries()])
     try:
-        steps = _adjust_steps(steps, config.t_max, bounds, config.name)
         grid = TimeGrid(t_max=config.t_max, steps=steps)
-    except ConfigError:
-        raise
     except ValueError as exc:                   # t_max / steps underflows to 0
         raise ConfigError(f"grid: {exc}") from exc
     return BuiltScenario(config=config, kind=kind, alpha0=alpha0, rho0=rho0,

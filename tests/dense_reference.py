@@ -7,12 +7,39 @@ densely, as an independent reference: the generator product W(t) from each
 ``GeneratorConst``'s eigendecomposition and the ordered product of the
 generators before it, V(theta, phi) from the Bloch coordinates, chi from
 ``cartan_levels``, and dU/dt from the segments. It reads none of the frames.
+Its dynamical phase is a quadrature of the dense frequency (``cumulative_simpson``,
+``dynamical_phase``), not the engine's closed form.
 """
 
 import numpy as np
 
 import quditphase as qp
 from quditphase import paths, phases
+
+
+def cumulative_simpson(y: np.ndarray, dx: float) -> np.ndarray:
+    """Cumulative composite Simpson integral on a uniform grid, of either parity.
+
+    Simpson pairs end on the last point and are exact at every other point;
+    the points between integrate the local interpolating parabola over its
+    first half. With an odd number of intervals the first interval takes the
+    forward parabola through the first three points, so the rule stays fourth
+    order. Two points have only their chord, the trapezoid.
+    """
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    out = np.zeros(n)
+    if n == 2:
+        out[1] = 0.5 * dx * (y[0] + y[1])
+    if n < 3:
+        return out
+    s = (n - 1) % 2                       # 1 on an odd interval count: pairs start at 1
+    lo, mid, hi = y[s:-1:2], y[s + 1::2], y[s + 2::2]
+    out[s + 2::2] = np.cumsum((lo + 4.0 * mid + hi) * (dx / 3.0))
+    out[s + 1::2] = out[s:-1:2] + (5.0 * lo + 8.0 * mid - hi) * (dx / 12.0)
+    if s:
+        out[1:] += dx * (5.0 * y[0] + 8.0 * y[1] - y[2]) / 12.0
+    return out
 
 
 def bloch_generator(theta, phi, theta_dot, phi_dot) -> np.ndarray:
@@ -49,11 +76,12 @@ def generator_tables(evo) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return evals, evecs, w0
 
 
-def coset(evo, times) -> np.ndarray:
+def coset(evo, times, idx=None) -> np.ndarray:
     """Coset factor V(theta, phi) W(t) from the segments, stacked over the
-    samples: W(t) = E diag(exp(i lambda tau)) E^dag W0 in each sample's row."""
+    samples: W(t) = E diag(exp(i lambda tau)) E^dag W0 in each sample's row,
+    the row that owns t unless ``idx`` gives it."""
     t = evo._times(times)
-    idx = evo._segment_index(t)
+    idx = evo._segment_index(t) if idx is None else np.asarray(idx)
     evals, evecs, w0 = generator_tables(evo)
     e = evecs[idx]
     phase = np.exp(1j * evals[idx] * (t - evo._starts[idx])[:, None])
@@ -78,22 +106,18 @@ def left_generators(evo) -> np.ndarray:
     return left
 
 
-def sample(evo, times, side: str = "right") -> tuple[np.ndarray, np.ndarray]:
+def sample(evo, times, idx=None) -> tuple[np.ndarray, np.ndarray]:
     """Synthesize (U, dU/dt) stacks on the given times.
 
-    U = coset(t) diag(exp(i cartan_levels(t))) is special unitary by
-    construction and always sampled from the segment that starts at t.
+    U = coset(t) diag(exp(i chi(t))) is special unitary by construction.
     dU/dt = i (L U + U diag(rates)) with the row's right Cartan rates and left
-    generator L, plus the closed-form Bloch generator on a ``BlochLoop`` row;
-    at interior segment boundaries ``side`` picks which row owns the
-    (one-sided) derivative.
+    generator L, plus the closed-form Bloch generator on a ``BlochLoop`` row.
+    Each sample is taken in the row that owns its time, or in row ``idx[s]``
+    if given, which at a row's end gives its one-sided derivative.
     """
     t = evo._times(times)
-    U = coset(evo, t) * np.exp(1j * evo.cartan_levels(t))[:, None, :]
-    idx = evo._segment_index(t)
-    if side == "left":                  # a boundary belongs to the segment it ends
-        idx = np.minimum(np.searchsorted(evo._ends, t - paths._BOUNDARY_TOL, side="left"),
-                         max(len(evo.segments) - 1, 0))
+    idx = evo._segment_index(t) if idx is None else np.asarray(idx)
+    U = coset(evo, t, idx) * np.exp(1j * evo._advance(evo._chi0, evo._rates, t, idx))[:, None, :]
     Ud = U * (1j * evo._rates[idx])[:, None, :]
     left = left_generators(evo)
     moving = (left.any(axis=(1, 2)) | evo._bloch_rate.any(axis=1))[idx]
@@ -162,5 +186,52 @@ def trace_from_samples(alpha0, t, u_a, u_a_dot, u_b, u_b_dot) -> qp.PhaseTrace:
     overlap = pair_overlap(alpha0.alpha, u_a, u_b)
     freq = frequency(rho_a, u_a, u_a_dot) + frequency(rho_b, u_b, u_b_dot)
     dt = float(t[1] - t[0]) if n > 1 else 1.0
-    return phases._finalize_trace(t, overlap, qp.cumulative_simpson(freq, dt),
+    return phases._finalize_trace(t, overlap, cumulative_simpson(freq, dt),
                                   operator_residuals([u_a, u_b]))
+
+
+# Boole's rule per unit length: Simpson's rule on 4 and on 2 subintervals,
+# Richardson-extrapolated, (16 S_4 - S_2) / 15; sixth order
+_BOOLE = np.array([7.0, 32.0, 12.0, 32.0, 7.0]) / 90.0
+
+
+def dynamical_phase(evo, rho, grid) -> np.ndarray:
+    """Integral of the dense frequency of one path at the grid samples.
+
+    Each row's piece runs from its start, which may lie between samples,
+    through the samples the row owns (``LocalEvolution.row_starts``) to its
+    end, all of it sampled in that row. Each interval between those points is
+    integrated by Boole's rule, the Richardson extrapolation of Simpson's rule
+    on 4 and 2 subintervals; row n holds the end and adds nothing.
+    """
+    times = grid.times()
+    first, rows = evo.row_starts(grid)
+    owner = rows[np.searchsorted(first, np.arange(times.size), side="right") - 1]
+    cuts = np.concatenate(([0.0], evo._ends))
+    out = np.empty(times.size)
+    offset = 0.0
+    for k in range(len(evo.segments)):
+        mine = np.flatnonzero(owner == k)
+        nodes = np.concatenate(([cuts[k]], times[mine], [cuts[k + 1]]))
+        width = np.diff(nodes)
+        points = np.append((nodes[:-1, None] + width[:, None] * np.arange(4) / 4.0).ravel(),
+                           nodes[-1])
+        freq = frequency(rho, *sample(evo, points, np.full(points.size, k)))
+        steps = np.lib.stride_tricks.sliding_window_view(freq, 5)[::4] @ _BOOLE * width
+        steps = _prefix_sums(offset, steps)
+        out[mine] = steps[:-1]
+        offset = steps[-1]
+    out[owner == len(evo.segments)] = offset
+    return out
+
+
+def _prefix_sums(start: float, values: np.ndarray) -> np.ndarray:
+    """start + values[0] + ... + values[k] for each k, compensated (Neumaier), so
+    thousands of equal steps add no rounding drift."""
+    out, total, lost = np.empty(values.size), start, 0.0
+    for k, v in enumerate(values.tolist()):
+        s = total + v
+        lost += (total - s) + v if abs(total) >= abs(v) else (v - s) + total
+        total = s
+        out[k] = total + lost
+    return out

@@ -12,6 +12,8 @@ import quditphase as qp
 from quditphase import closed_form as cf
 from quditphase.scenarios import COLUMNS
 
+import dense_reference as dense
+
 TWO_PI = 2.0 * math.pi
 
 
@@ -176,7 +178,8 @@ def test_criterion_6_local_unitary_invariance():
 
 
 def test_criterion_7_structural_properties():
-    """Orthonormality, velocity Pythagoras, SVD residual, Simpson order."""
+    """Orthonormality, velocity Pythagoras, SVD residual, Simpson order, exact
+    dynamical phase."""
     # generator orthonormality for d <= 6
     gram_dev = 0.0
     for d in range(2, 7):
@@ -216,7 +219,8 @@ def test_criterion_7_structural_properties():
                                 np.random.default_rng(seed))
         form = qp.schmidt_decompose(state)
         svd_dev = max(svd_dev, float(np.abs(form.reconstruct() - state.alpha).max()))
-    # Simpson convergence order on an analytic dynamical phase
+    # Simpson convergence order on an analytic dynamical phase, from the dense
+    # frequency, and the engine's closed form on the same loop
     q_hat = np.zeros(3)
     q_hat[0] = 1.0
     rho = qp.density_from_purity(2, 0.7, q_hat)
@@ -224,16 +228,19 @@ def test_criterion_7_structural_properties():
                                              duration=3.0)])
     bslope = 2.0 / 3.0
     exact = 0.7 * 1.1 * (0.5 * 3.0 - math.sin(bslope * 3.0) / (2 * bslope))
-    errs = []
+    errs, engine = [], []
     for n in (300, 600):
-        tr = qp.single_qudit_trace(rho, evo, qp.TimeGrid(3.0, n))
-        errs.append(abs(tr.dynamical_phase[-1] - exact))
+        grid = qp.TimeGrid(3.0, n)
+        t = grid.times()                # all in the loop's row, the end too
+        freq = dense.frequency(rho.rho, *dense.sample(evo, t, np.zeros(t.size, int)))
+        errs.append(abs(dense.cumulative_simpson(freq, grid.dt)[-1] - exact))
+        engine.append(abs(qp.single_qudit_trace(rho, evo, grid).dynamical_phase[-1] - exact))
     order = math.log2(errs[0] / errs[1])
     ok = (gram_dev <= 1e-12 and pyth_dev <= 1e-10 and svd_dev <= 1e-10
-          and order >= 3.5)
-    _report(7, "structural properties (orthonormality, Pythagoras, SVD, Simpson)",
-            ok, f"gram {gram_dev:.1e}, pyth {pyth_dev:.1e}, svd {svd_dev:.1e}, "
-                f"order {order:.2f}")
+          and order >= 3.5 and max(engine) <= 1e-14)
+    _report(7, "structural properties (orthonormality, Pythagoras, SVD, Simpson, exact "
+            "dynamical phase)", ok, f"gram {gram_dev:.1e}, pyth {pyth_dev:.1e}, "
+            f"svd {svd_dev:.1e}, order {order:.2f}, engine {max(engine):.1e}")
 
 
 def test_criterion_8_split_independence():

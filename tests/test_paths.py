@@ -187,8 +187,9 @@ def test_derivative_consistency_second_order(name):
     # at an interior boundary each side owns its one-sided derivative
     for b in cuts:
         derivs = {}
-        for side, sign in (("left", -1), ("right", 1)):
-            _, u_dot = dense.sample(evo, [b], side=side)
+        k = int(evo._segment_index(np.array([b]))[0])
+        for side, sign, row in (("left", -1, k - 1), ("right", 1, k)):
+            _, u_dot = dense.sample(evo, [b], [row])
             derivs[side] = u_dot[0]
             fd = _one_sided_derivative(evo, b, 1e-4, sign)
             assert np.abs(fd - u_dot[0]).max() < 1e-6, (b, side)
@@ -219,7 +220,7 @@ def _assert_row_sampler_matches_sample(evo, grid):
     """Row by row, U = L diag(z[rep]) R and dU/dt = L diag(i w z[rep]) R from
     the row's distinct phasors z at the grid samples (``grid_phasors``) match
     the dense reference on the row's own samples and, at the cut that ends
-    the row, its left limit (``side="left"``); a sample past the path's end
+    the row, its left limit (sampled in the row); a sample past the path's end
     is in row n, which holds the end."""
     t = grid.times()
     first, rows = evo.row_starts(grid)
@@ -235,7 +236,7 @@ def _assert_row_sampler_matches_sample(evo, grid):
         u_dot = (left * (1j * rate * z)[:, None, :]) @ right
         ref_u, ref_dot = dense.sample(evo, t[lo:hi])
         if hi < t.size:
-            cut_u, cut_dot = dense.sample(evo, t[hi:hi + 1], "left")
+            cut_u, cut_dot = dense.sample(evo, t[hi:hi + 1], [k])
             ref_u, ref_dot = np.concatenate([ref_u, cut_u]), np.concatenate([ref_dot, cut_dot])
         np.testing.assert_allclose(u, ref_u, rtol=0, atol=1e-13)
         np.testing.assert_allclose(u_dot, ref_dot, rtol=0, atol=1e-12)
@@ -657,8 +658,9 @@ def test_constructors_refuse_nonfinite_numbers(build, value):
 
 
 def test_time_grid_validation():
-    with pytest.raises(ValueError):
-        qp.TimeGrid(1.0, 3)  # odd
+    np.testing.assert_allclose(qp.TimeGrid(1.0, 3).times(), [0, 1 / 3, 2 / 3, 1.0])  # odd
+    with pytest.raises(ValueError, match="integer >= 2"):
+        qp.TimeGrid(1.0, 1)
     with pytest.raises(ValueError):
         qp.TimeGrid(0.0, 4)
     with pytest.raises(ValueError, match="underflows"):
@@ -673,34 +675,32 @@ def test_time_grid_validation():
 
 
 def test_time_grid_starts_each_row_by_one_rule():
-    # a boundary within 1e-9 steps steps of sample k starts its row at k (here
-    # 1e-6 steps, 1e-7 in time); any other one at the first sample after it,
-    # and the grid refuses it unless it lies past t_max, where its row owns no
-    # samples (steps + 1 = 1001, also where b / dt is past the largest float)
+    # a row starts at the first sample i with i dt >= b, compared exactly: 5e-9
+    # after sample 100 is sample 101; past t_max is steps + 1 = 1001, also where
+    # b / dt is past the largest float
     grid = qp.TimeGrid(100.0, 1000)
     boundaries = [10.000000005, 10.00000011, 10.05, 99.99999995, 100.03, 100.1, 1e305]
-    first, off = grid.start_samples(boundaries)
-    assert first.tolist() == [100, 101, 101, 1000, 1001, 1001, 1001]
-    assert off.tolist() == [False, True, True, False, False, False, False]
+    assert grid.start_samples(boundaries).tolist() == [101, 101, 101, 1000, 1001, 1001, 1001]
     evo = qp.LocalEvolution(2, [qp.CartanLinear(np.array([1.0, -1.0]), 10.000000005),
                                 qp.CartanHold(90.02), qp.CartanHold(1.0)])
-    assert [x.tolist() for x in evo.row_starts(grid)] == [[0, 100], [0, 1]]
+    assert [x.tolist() for x in evo.row_starts(grid)] == [[0, 101], [0, 1]]
+    # dt = fl(0.1) is above 0.1: 3 dt is past fl(0.3), but short of fl(3 fl(0.1)),
+    # 2.8e-17 after it; 5 dt is past 0.5 and 10 dt past t_max
+    grid = qp.TimeGrid(1.0, 10)
+    assert grid.start_samples([0.3, 3 * 0.1, 0.5, 1.0]).tolist() == [3, 4, 5, 10]
 
 
 def test_pair_evolution_validation():
-    a = qp.LocalEvolution(2, [qp.CartanHold(1.0)])
+    # any boundary is accepted: on the grid, between samples, or 5e-10 before
+    # the grid's end; a path shorter than the grid holds its end
     b = qp.LocalEvolution(2, [qp.CartanHold(2.0)])
-    qp.PairEvolution(a, b, qp.TimeGrid(2.0, 10))  # A ends on the grid and holds its end
-    with pytest.raises(ValueError, match="does not fall on the grid"):
-        qp.PairEvolution(qp.LocalEvolution(2, [qp.CartanHold(1.05)]), b, qp.TimeGrid(2.0, 10))
-    # boundary off the grid
     c = qp.LocalEvolution(2, [qp.CartanLinear(np.array([1.0, -1.0]), 0.37),
                               qp.CartanHold(1.63)])
-    with pytest.raises(ValueError):
-        qp.PairEvolution(c, b, qp.TimeGrid(2.0, 10))
-    qp.PairEvolution(c, b, qp.TimeGrid(2.0, 200))  # 0.37 = 37 * dt
-    # the end is a boundary like any other: 5e-10 before t_max = 1e-3 is more
-    # than 1e-9 t_max off the grid
     short = qp.LocalEvolution(2, [qp.CartanLinear(np.array([1.0, -1.0]), 1e-3 - 5e-10)])
-    with pytest.raises(ValueError, match="does not fall on the grid"):
-        qp.PairEvolution(short, qp.identity_evolution(2, 1e-3), qp.TimeGrid(1e-3, 2))
+    for a, grid in ((qp.LocalEvolution(2, [qp.CartanHold(1.0)]), qp.TimeGrid(2.0, 10)),
+                    (qp.LocalEvolution(2, [qp.CartanHold(1.05)]), qp.TimeGrid(2.0, 10)),
+                    (c, qp.TimeGrid(2.0, 10)), (c, qp.TimeGrid(2.0, 200)),
+                    (short, qp.TimeGrid(1e-3, 2))):
+        assert qp.PairEvolution(a, b, grid).grid is grid
+    assert c.row_starts(qp.TimeGrid(2.0, 10))[0].tolist() == [0, 2, 10]   # 0.37 -> 0.4
+    assert short.row_starts(qp.TimeGrid(1e-3, 2))[0].tolist() == [0, 2]

@@ -119,7 +119,9 @@ def test_config_rejects_unknown_keys_and_shapes():
                                      "bogus": 1})
 
 
-def test_steps_auto_adjust_for_segment_snapping():
+def test_steps_are_kept_for_cuts_between_samples(caplog):
+    # the cut at 2 pi/3 lies between samples 33 and 34 of the 100-step grid: the
+    # grid keeps its steps, nothing is logged, and the trace is exact there
     raw = {
         "name": "snap",
         "dims": [3, 3],
@@ -132,9 +134,38 @@ def test_steps_auto_adjust_for_segment_snapping():
         },
         "grid": {"t_max": TWO_PI, "steps": 100},
     }
-    built = qp.ScenarioConfig.from_dict(raw).build()
-    assert built.grid.steps == 102  # smallest even multiple of 3 at or above 100
-    qp.run_scenario(qp.ScenarioConfig.from_dict(raw))
+    cfg = qp.ScenarioConfig.from_dict(raw)
+    with caplog.at_level("DEBUG"):
+        built = cfg.build()
+        report = qp.verify_scenario(cfg)
+    assert built.grid.steps == 100 and not caplog.records
+    assert built.evo_a.row_starts(built.grid)[0].tolist()[:2] == [0, 34]
+    assert max(report.max_total_dev, report.max_dynamical_dev,
+               report.max_geometric_dev) <= 1e-12
+
+
+def test_incommensurate_cuts_run_the_requested_steps(tmp_path):
+    # ramps of 1.0 and 1.2360679775: no nearby step count puts the cut on a
+    # sample (the step search once raised 2000 to 66968); an odd count runs too
+    raw = {
+        "name": "ramps", "dims": [3, 3],
+        "initial_state": {"preset": "two_qutrit_schmidt", "q": 0.3},
+        "evolution": {"a": [{"kind": "cartan_linear", "rates": [1.0, 1.0, -2.0],
+                             "duration": 1.0},
+                            {"kind": "cartan_linear", "rates": [-1.0, 2.0, -1.0],
+                             "duration": 1.2360679775}],
+                      "b": [{"kind": "cartan_linear", "rates": [0.5, -1.0, 0.5],
+                             "duration": 2.2360679775}]},
+        "grid": {"t_max": 2.2360679775, "steps": 2000},
+    }
+    for steps in (2000, 2001):
+        raw["grid"]["steps"] = steps
+        path = tmp_path / f"ramps{steps}.yaml"
+        path.write_text(qp.ScenarioConfig.from_dict(raw).to_yaml())
+        dest = tmp_path / f"ramps{steps}.csv"
+        assert main(["run", str(path), "--output", str(dest)]) == 0
+        assert TraceRecord.from_csv(dest.read_text()).columns["t"].size == steps + 1
+        assert main(["verify", str(path), "--tolerance", "1e-12"]) == 0
 
 
 def test_all_presets_validate_and_run_quickly():
