@@ -646,16 +646,13 @@ def lattice_condition_check(angles, d: int | None = None, tol: float = 1e-8) -> 
     """Integer n with exp(i h.H) = exp(2 pi i n / d) * identity, if any.
 
     ``angles`` is a per-level phase vector (or CartanAngles). Returns n mod d
-    when all per-level phasors coincide within ``tol``; otherwise None.
+    when diag(e^{i angles}) is within ``tol`` of that center element
+    (``center_power``); otherwise None, also when the phasors agree off the center.
     """
-    levels = getattr(angles, "levels", angles)
-    levels = np.asarray(levels, dtype=float)
+    levels = np.asarray(getattr(angles, "levels", angles), dtype=float)
     if d is None:
         d = levels.shape[-1]
     elif levels.shape[-1] != d:
         raise ValueError(f"expected {d} per-level phases")
-    z = np.exp(1j * levels)
-    if np.abs(z - z[0]).max() > tol:
-        return None
-    n = int(round(d * np.angle(z[0]) / (2.0 * math.pi))) % d
-    return n
+    n, dev = center_power(np.diag(np.exp(1j * levels)))
+    return int(n) % d if dev <= tol else None

@@ -34,7 +34,7 @@ import numpy as np
 
 from .states import CoefficientMatrix, QuditDensity, purify, reduced_densities
 from .paths import (CLOSURE_TOL, LocalEvolution, PairEvolution, TimeGrid, center_power,
-                    identity_evolution, lattice_condition_check)
+                    identity_evolution)
 
 __all__ = [
     "GridTooCoarseError",
@@ -62,9 +62,6 @@ NEAR_ORIGIN = 0.05
 CHUNK_ROWS = 2 ** 13
 # Runs whose folded overlap matrices are built together: 1 MiB at width 8 x 8.
 RUN_BLOCK = 2 ** 10
-# Largest per-level phasor spread at which a closed path's levels count as on
-# the fractional lattice (cycle labels).
-LATTICE_TOL = 1e-6
 
 
 class GridTooCoarseError(RuntimeError):
@@ -191,8 +188,8 @@ def _finalize_trace(t, overlap, dyn, residuals) -> PhaseTrace:
         raise ValueError(
             f"overlap at t = 0 is {overlap[0]:.6g}, not 1; the evolution must "
             "start at the identity and the state must be normalized")
-    if mag.max() > 1.0 + 1e-9:
-        raise ValueError("overlap magnitude exceeds 1; inputs are inconsistent")
+    if not mag.max() <= 1.0 + 1e-9:        # NaN too: the cycle scan needs finite magnitudes
+        raise ValueError("overlap magnitude exceeds 1 or is not finite; inputs are inconsistent")
     total, indet = unwrap_phases(overlap, dynamical=dyn, mag=mag)
     total -= total[0]
     return PhaseTrace(t=t, overlap=overlap, overlap_mag=mag, total_phase=total,
@@ -490,19 +487,15 @@ def _refine_peak(t: np.ndarray, mag: np.ndarray, total: np.ndarray,
 
 
 def _lattice_labels(evo: LocalEvolution, times: list) -> list:
-    """Fractional index n per event time where the path is Cartan-closed.
+    """Fractional index n per event time where the path's U(t) is a center
+    element e^{2 pi i n/d} 1 within ``CLOSURE_TOL``, else None.
 
-    The coset factor and the Cartan levels are read once for all events. A
-    coset factor in the center, W = e^{2 pi i m/d} 1, is closed and adds m
-    to the index of the levels; an event whose coset factor is open (or whose
-    levels miss the lattice) gets None.
+    U = coset factor times diag(e^{i chi}), both read once for all events.
     """
-    d = evo.d
-    m, dev = center_power(evo.coset_factor(times))
-    closed = dev <= CLOSURE_TOL
-    labels = [lattice_condition_check(lv, d, tol=LATTICE_TOL) if ok else None
-              for ok, lv in zip(closed.tolist(), evo.cartan_levels(times))]
-    return [None if n is None else (n + shift) % d for n, shift in zip(labels, m.tolist())]
+    u = evo.coset_factor(times) * np.exp(1j * evo.cartan_levels(times))[:, None, :]
+    n, dev = center_power(u)
+    return [int(k) % evo.d if ok else None
+            for k, ok in zip(n.tolist(), (dev <= CLOSURE_TOL).tolist())]
 
 
 def detect_cycles(trace: PhaseTrace, pair: PairEvolution | None = None,
@@ -520,16 +513,12 @@ def detect_cycles(trace: PhaseTrace, pair: PairEvolution | None = None,
     if continuum:
         peaks = [(float(t[0]), float(trace.total_phase[0]), float(mag[0]))]
     else:
-        n = mag.size
-        peaks = []
-        # runs of hits as [start, stop) pairs: the rising and falling edges
+        # runs of hits as [start, stop) pairs: the rising and falling edges. A
+        # run's largest sample is a local maximum: its neighbours outside the
+        # run are below 1 - eps (magnitudes are finite, ``_finalize_trace``).
         edges = np.flatnonzero(np.diff(hits, prepend=False, append=False))
-        for k, stop in zip(edges[0::2].tolist(), edges[1::2].tolist()):
-            kk = k + int(np.argmax(mag[k:stop]))
-            left_ok = kk == 0 or mag[kk] >= mag[kk - 1]
-            right_ok = kk == n - 1 or mag[kk] >= mag[kk + 1]
-            if left_ok and right_ok:
-                peaks.append(_refine_peak(t, mag, trace.total_phase, kk))
+        peaks = [_refine_peak(t, mag, trace.total_phase, k + int(np.argmax(mag[k:stop])))
+                 for k, stop in zip(edges[0::2].tolist(), edges[1::2].tolist())]
     labels_a = labels_b = [None] * len(peaks)
     if pair is not None and peaks:
         times = [tc for tc, _, _ in peaks]
@@ -554,7 +543,7 @@ class FractionalLattice:
 
     def nearest(self, phase: float) -> tuple[int, float]:
         """(index m, circular distance) of the nearest lattice value."""
-        dist = np.abs(np.remainder(phase - self.values + math.pi, 2.0 * math.pi) - math.pi)
+        dist = circular_distance(phase, self.values)
         m = int(np.argmin(dist))
         return m, float(dist[m])
 

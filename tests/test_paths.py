@@ -523,6 +523,9 @@ def test_lattice_condition_check():
     assert qp.lattice_condition_check(chi) == 1
     assert qp.lattice_condition_check(np.array([math.pi / 2, -math.pi / 2])) is None
     assert qp.lattice_condition_check(np.array([math.pi, -math.pi])) == 1
+    # equal phasors are not enough: e^{2i} 1 is no center element of SU(3)
+    assert qp.lattice_condition_check([2.0, 2.0, 2.0]) is None
+    assert qp.lattice_condition_check([TWO_PI / 3] * 3) == 1
 
 
 def test_cartan_trajectory_gated_by_open_coset():

@@ -1406,24 +1406,17 @@ def test_generator_pair_dynamical_phase_is_sum_of_generator_means():
     assert abs(trace.dynamical_phase[-1] - expected) < 1e-13
 
 
-def _labels_per_event(scan, pair, lattice_tol=1e-6):
-    """Reference annotation: one reference coset factor (built from the
-    segments) and cartan_levels call per event and path. A coset factor
-    e^{2 pi i m/d} 1 in the center is closed and adds m to the index of the
-    levels."""
+def _labels_per_event(scan, pair):
+    """Reference annotation: U(t) synthesized from the segments, one call per
+    event and path, labelled n where U is within 1e-8 of e^{2 pi i n/d} 1."""
     labels = []
     for ev in scan.events:
         per_path = []
         for evo in (pair.a, pair.b):
-            n = None
-            w = dense.coset(evo, [ev.t_cycle])[0]
-            for m in range(evo.d):
-                center = np.exp(2j * np.pi * m / evo.d) * np.eye(evo.d)
-                if np.abs(w - center).max() <= 1e-8:
-                    n = qp.lattice_condition_check(evo.cartan_levels([ev.t_cycle])[0],
-                                                   evo.d, tol=lattice_tol)
-                    n = None if n is None else (n + m) % evo.d
-            per_path.append(n)
+            u = dense.synthesize(evo, ev.t_cycle)[0]
+            hits = [m for m in range(evo.d)
+                    if np.abs(u - np.exp(2j * np.pi * m / evo.d) * np.eye(evo.d)).max() <= 1e-8]
+            per_path.append(hits[0] if hits else None)
         labels.append(tuple(per_path))
     return labels
 
@@ -1473,6 +1466,19 @@ def test_detect_cycles_labels_all_events_at_once(monkeypatch):
     assert len(labels[0]) >= 10 and (None, None) in labels[0] and (1, 2) in labels[0]
     assert (1, 0) in labels[1] and (0, 0) in labels[1] and (None, 0) not in labels[1]
     assert (None, 0) in labels[2]
+
+
+def test_cycle_labels_hold_u_itself_to_the_closure_tolerance():
+    # the ramp (1, 1, -2) is the center element e^{2 pi i/3} 1 at t = 2 pi/3;
+    # 1e-7 later its phasors still agree to 3e-7, but U is 1e-7 off the center
+    evo = qp.LocalEvolution(3, [qp.CartanLinear(np.array([1.0, 1.0, -2.0]), TWO_PI)])
+    assert phases._lattice_labels(evo, [0.0, TWO_PI / 3, TWO_PI / 3 + 1e-7]) == [0, 1, None]
+
+
+def test_finalize_trace_refuses_non_finite_magnitudes():
+    overlap = np.array([1.0, np.nan, 0.5], dtype=complex)
+    with pytest.raises(ValueError, match="not finite"):
+        phases._finalize_trace(np.arange(3.0), overlap, np.zeros(3), (0.0, 0.0))
 
 
 def test_detect_cycles_labels_center_coset_factors():
