@@ -468,9 +468,13 @@ class CycleScan:
     continuum: bool
 
 
-def _refine_peak(t: np.ndarray, mag: np.ndarray, total: np.ndarray,
-                 k: int) -> tuple[float, float, float]:
-    if k == 0 or k == t.size - 1:
+def _refine_peak(t: np.ndarray, mag: np.ndarray, total: np.ndarray, k: int,
+                 cuts=()) -> tuple[float, float, float]:
+    """(time, phase, magnitude) of the peak at sample k by a three-point quadratic
+    fit; the sample itself at either end of the grid or when one of the sorted
+    ``cuts`` lies strictly between t[k - 1] and t[k + 1], where |f| has a kink."""
+    if (k == 0 or k == t.size - 1
+            or np.searchsorted(cuts, t[k - 1], side="right") < np.searchsorted(cuts, t[k + 1])):
         return float(t[k]), float(total[k]), float(mag[k])
     denom = mag[k - 1] - 2.0 * mag[k] + mag[k + 1]
     if abs(denom) < 1e-30:
@@ -503,11 +507,15 @@ def detect_cycles(trace: PhaseTrace, pair: PairEvolution | None = None,
     """Locate overlap-magnitude maxima exceeding 1 - eps.
 
     Peaks are refined by a three-point quadratic fit. When a pair evolution is
-    supplied, each event is annotated with the fractional indices (n_a, n_b)
-    whenever both local paths are Cartan-closed there.
+    supplied, a peak beside a segment boundary of either path is not fitted
+    (|f| has a kink at the cut; ``_refine_peak``), and each event is annotated
+    with the fractional index of each path whose U(t) is a center element
+    e^{2 pi i n/d} 1 there (``_lattice_labels``), else None.
     """
     mag = trace.overlap_mag
     t = trace.t
+    cuts = () if pair is None else np.sort(np.concatenate([pair.a.boundaries(),
+                                                          pair.b.boundaries()]))
     hits = mag >= 1.0 - eps
     continuum = bool(hits.all())
     if continuum:
@@ -517,7 +525,7 @@ def detect_cycles(trace: PhaseTrace, pair: PairEvolution | None = None,
         # run's largest sample is a local maximum: its neighbours outside the
         # run are below 1 - eps (magnitudes are finite, ``_finalize_trace``).
         edges = np.flatnonzero(np.diff(hits, prepend=False, append=False))
-        peaks = [_refine_peak(t, mag, trace.total_phase, k + int(np.argmax(mag[k:stop])))
+        peaks = [_refine_peak(t, mag, trace.total_phase, k + int(np.argmax(mag[k:stop])), cuts)
                  for k, stop in zip(edges[0::2].tolist(), edges[1::2].tolist())]
     labels_a = labels_b = [None] * len(peaks)
     if pair is not None and peaks:

@@ -612,19 +612,25 @@ def test_marginal_presets_contact_structure():
 
 
 def test_stepped_preset_overlap_at_branch_joints():
-    # the maximally entangled stepped run alternates between vanishing and
-    # unit overlap at the branch joints
-    out = qp.run_scenario(qp.figure_preset("fig2a"))
-    t = out.trace.t
+    # the stepped runs have a segment boundary on a grid sample at each branch
+    # joint k 2 pi/3; the maximally entangled run (fig2a) alternates between
+    # vanishing and unit overlap there
     joints = np.array([1, 2, 3, 4, 5, 6]) * TWO_PI / 3.0
-    idx = np.searchsorted(t, joints - 1e-9)
-    mags = out.trace.overlap_mag[idx]
-    np.testing.assert_allclose(mags, [0, 1, 0, 1, 0, 1], atol=1e-9)
-    # phases at the unit-overlap joints walk the qutrit fractions
-    contacts = [e for e in out.record.cycles if e.t_cycle > 1e-9]
-    np.testing.assert_allclose(
-        qp.circular_distance([e.phase for e in contacts],
-                             [TWO_PI / 3, 2 * TWO_PI / 3, 0.0]), 0.0, atol=1e-9)
+    for name in ("fig2a", "fig2b", "fig2c"):
+        out = qp.run_scenario(qp.figure_preset(name))
+        t = out.trace.t
+        idx = np.searchsorted(t, joints - 1e-9)
+        if name == "fig2a":
+            np.testing.assert_allclose(out.trace.overlap_mag[idx], [0, 1, 0, 1, 0, 1],
+                                       atol=1e-9)
+        # |f| has a kink at the cuts 4 pi/3 and 8 pi/3: the events are those
+        # samples, unfitted, and walk the qutrit fractions
+        contacts = [e for e in out.record.cycles if e.t_cycle > 1e-9]
+        assert [e.t_cycle for e in contacts] == t[idx[[1, 3, 5]]].tolist(), name
+        assert all(e.overlap_mag <= 1.0 for e in out.record.cycles), name
+        assert [(e.n_a, e.n_b) for e in contacts] == [(1, 0), (2, 0), (0, 0)], name
+        np.testing.assert_allclose([e.phase for e in contacts],
+                                   [TWO_PI / 3, 2 * TWO_PI / 3, TWO_PI], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("rates_a, rates_b", [([2.5, -2.5], [0.5, 1.5, -2.0]),
