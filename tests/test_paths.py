@@ -517,6 +517,27 @@ def test_solid_angle_open_path_raises():
         qp.solid_angle(truly_open)
 
 
+def test_solid_angle_needs_a_qubit_and_is_zero_without_bloch_rows():
+    with pytest.raises(ValueError, match="d = 2"):
+        qp.solid_angle(qp.LocalEvolution(3, [qp.CartanHold(1.0)]))
+    ramp = qp.LocalEvolution(2, [qp.CartanLinear(np.array([1.0, -1.0]), TWO_PI)])
+    assert qp.solid_angle(ramp) == 0.0
+
+
+def test_cartan_trajectory_strips_the_bloch_factor():
+    # out from the pole and back, then a ramp: mid-loop the coset factor
+    # V(theta, phi) W is far from the center, but V is the coset coordinate, so
+    # the trajectory is defined throughout and its levels are the Cartan levels
+    evo = qp.LocalEvolution(2, [qp.BlochLoop(theta_end=1.0, phi_rate=0.8, duration=1.0),
+                                qp.BlochLoop(theta_end=0.0, phi_rate=0.3, duration=1.0),
+                                qp.CartanLinear(np.array([1.5, -1.5]), 2.0)])
+    times = np.linspace(0.0, 4.0, 17)
+    assert np.abs(evo.coset_factor([0.5])[0] - np.eye(2)).max() > 0.1
+    traj = qp.cartan_trajectory(evo, times)
+    np.testing.assert_array_equal(traj.levels, evo.cartan_levels(times))
+    np.testing.assert_array_equal(traj.h, qp.make_generators(2).h_from_levels(traj.levels))
+
+
 def test_lattice_condition_check():
     assert qp.lattice_condition_check(np.zeros(3)) == 0
     chi = np.array([TWO_PI / 3, TWO_PI / 3, TWO_PI / 3 - TWO_PI])

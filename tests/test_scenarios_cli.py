@@ -418,6 +418,23 @@ def test_cli_zero_duration_segment_is_checked_on_arrival(tmp_path, capsys, kind,
       'rates: [1.0, 1.0, -2.0], duration: 1.0e308}\n  b:'), ["run"]),
     (('duration: "2*pi"}\n  b:', 'duration: 1.0e308}\n    - {kind: cartan_linear, '
       'rates: [1.0, 1.0, -2.0], duration: 1.0e308}\n  b:'), ["verify"]),
+    (("dims: [3, 3]", "dims: [3, 3"), ["run"]),
+    ((GOOD_YAML, "- 1\n- 2\n"), ["run"]),                 # a list, not a mapping
+    (('grid: {t_max: "2*pi", steps: 600}', 'grid: {t_max: "2*pi"}'), ["run"]),
+    (("grid:", "tolerances: [1]\ngrid:"), ["run"]),
+    (('  a:\n    - {kind: cartan_linear, rates: [1.0, 1.0, -2.0], duration: "2*pi"}',
+      "  a: {kind: cartan_linear}"), ["run"]),
+    (('    - {kind: cartan_hold, duration: "2*pi"}', "    - 5"), ["run"]),
+    (("kind: cartan_hold", "kind: cartan_spin"), ["run"]),
+    (("rates: [1.0, 1.0, -2.0]", "rates: [1.0, -1.0]"), ["run"]),
+    (("  preset: two_qutrit_schmidt",
+      "  amplitudes: [[[1, 0, 0], 0, 0], [0, 0, 0], [0, 0, 0]]"), ["run"]),
+    (("preset: two_qutrit_schmidt", "preset: two_qutrit_bogus"), ["run"]),
+    (("preset: two_qutrit_schmidt", "preset: two_qubit_schmidt"), ["run"]),
+    (("  preset: two_qutrit_schmidt\n", ""), ["run"]),
+    (("dims: 3\ninitial_state: {purity: {q: 0.5}}",
+      "dims: 2\ninitial_state: {purity: {q: 0.5, theta: 1.0}}"), ["run"]),
+    (("{purity: {q: 0.5}}", "{purity: {q: 0.5, direction: [1.0, 0.0]}}"), ["run"]),
 ], ids=["dims-string", "dims-fraction", "dims-float", "tolerance-string",
         "tolerance-list", "t_max-negative", "t_max-zero", "run-steps-0",
         "verify-steps-0", "run-steps-negative", "verify-steps-negative",
@@ -426,7 +443,11 @@ def test_cli_zero_duration_segment_is_checked_on_arrival(tmp_path, capsys, kind,
         "verify-tolerance-inf",
         "amplitudes-scalar", "amplitudes-vector", "preset-list", "purity-string",
         "schmidt-list", "zero-duration-bloch-d3", "zero-duration-generator-2x2",
-        "run-duration-overflow", "verify-duration-overflow"])
+        "run-duration-overflow", "verify-duration-overflow",
+        "yaml-invalid", "scenario-list", "grid-no-steps", "tolerances-list",
+        "evolution-a-mapping", "segment-scalar", "segment-kind-unknown", "rates-length",
+        "amplitude-entry-length-3", "state-preset-unknown", "state-preset-dims",
+        "state-empty", "purity-theta-d2", "purity-direction-length"])
 def test_cli_hostile_input_exits_config_error(tmp_path, capsys, edit, argv):
     # an edit applies to the pair config, or to the single-qudit one holding its target
     text = GOOD_YAML if edit is None else next(
@@ -547,6 +568,13 @@ def test_cli_batch_runs_directory(tmp_path):
         (confdir / f"{name}.yaml").write_text(qp.figure_preset(name).to_yaml())
     assert main(["batch", str(confdir), "--output", str(outdir)]) == 0
     assert sorted(os.listdir(outdir)) == ["fig1a.csv", "frac22.csv"]
+
+
+def test_cli_batch_refuses_a_directory_without_configs(tmp_path, capsys):
+    (tmp_path / "notes.txt").write_text("no configs here")
+    assert main(["batch", str(tmp_path), "--output", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "no .yaml configs" in err
 
 
 def test_cli_batch_rejects_bad_jobs_and_names_bad_file(tmp_path, capsys):
