@@ -1,12 +1,12 @@
 """Analytic phase expressions: the oracles of ``verify`` and the master formula.
 
-The series forms return the (total, dynamical) phase of a phasor sum
-``sum_n w_n e^{i chi_n}``, or of the qubit-qutrit dual formula, along sampled
-per-level phases; ``verify`` only picks one and passes it the levels. They
-unwrap as the engine does, bridging vanishing samples with the dynamical
-slope. The scalar forms evaluate the same series on the ramp ``s chi``, s in
-[0, 1], so the pi jumps of arctan-style shorthands at sign changes of the
-real part are kept, and report the principal value with its winding count.
+The series form returns the (total, dynamical) phase of a phasor sum
+``sum_n w_n e^{i chi_n}`` along sampled per-level phases; ``verify`` passes it
+one term per entry of alpha's support on all-diagonal paths. It unwraps as
+the engine does, bridging vanishing samples with the dynamical slope. The
+scalar forms evaluate the same series on the ramp ``s chi``, s in [0, 1], so
+the pi jumps of arctan-style shorthands at sign changes of the real part are
+kept, and report the principal value with its winding count.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "two_qutrit_example",
     "qubit_qutrit_effective",
     "qubit_qutrit_dual",
-    "qubit_qutrit_dual_series",
     "master_phase_formula",
 ]
 
@@ -67,24 +66,6 @@ def diagonal_total_phase_series(weights, chi) -> tuple[np.ndarray, np.ndarray]:
     chi = np.asarray(chi, dtype=float)
     dynamical = chi @ weights
     total, _ = unwrap_phases(np.exp(1j * chi) @ weights, dynamical=dynamical)
-    return total, dynamical
-
-
-def qubit_qutrit_dual_series(chi_a, chi_b) -> tuple[np.ndarray, np.ndarray]:
-    """(total, dynamical) phase of the full-support qubit-qutrit state along a path.
-
-    ``chi_a`` (n_times, 2) and ``chi_b`` (n_times, 3) are the sampled
-    per-level phases. The total is the arg of
-    cos(a - b2 - b1/2) e^{-i b1/2} / 2 + cos(a - b1 - b2/2) e^{-i b2/2} / 2
-    with a = chi_A0, bk = chi_Bk, and the dynamical phase is ``chi_B0 / 4``;
-    the branch and zeros are handled as in ``diagonal_total_phase_series``.
-    """
-    a = np.asarray(chi_a, dtype=float)[:, 0]
-    b0, b1, b2 = np.asarray(chi_b, dtype=float).T
-    dynamical = b0 / 4.0
-    z = (np.cos(a - b2 - b1 / 2.0) * np.exp(-1j * b1 / 2.0) / 2.0
-         + np.cos(a - b1 - b2 / 2.0) * np.exp(-1j * b2 / 2.0) / 2.0)
-    total, _ = unwrap_phases(z, dynamical=dynamical)
     return total, dynamical
 
 
@@ -236,18 +217,16 @@ def qubit_qutrit_dual(chi_a: float, chi_b0: float, chi_b1: float,
 
     total = arg( cos(chi_A - chi_B2 - chi_B1/2) e^{-i chi_B1/2} / 2
                + cos(chi_A - chi_B1 - chi_B2/2) e^{-i chi_B2/2} / 2 ),
-    geometric = total - chi_B0 / 4, with chi_B0 + chi_B1 + chi_B2 = 0.
+    the phasor sum of weights (1/2, 1/4, 1/4) on the levels
+    (chi_A + chi_B0, chi_B1 - chi_A, chi_B2 - chi_A); geometric = total - chi_B0 / 4,
+    with chi_B0 + chi_B1 + chi_B2 = 0.
     """
     total_b = chi_b0 + chi_b1 + chi_b2
     if abs(total_b) > 1e-9 * max(1.0, abs(chi_b0), abs(chi_b1), abs(chi_b2)):
         raise ValueError(f"qutrit phases must sum to zero, got {total_b:g}")
-
-    s = _ramp(max(abs(chi_a), abs(chi_b0), abs(chi_b1), abs(chi_b2)))[:, None]
-    total, dynamical = qubit_qutrit_dual_series(s * [chi_a, -chi_a],
-                                                s * [chi_b0, chi_b1, chi_b2])
-    principal, winding = _principal_winding(total)
-    phi_g = float(total[-1] - dynamical[-1])
-    return ClosedFormResult(phi_total_bar=principal, phi_g=phi_g, winding=winding)
+    return _diagonal_result(np.array([0.5, 0.25, 0.25]),
+                            np.array([chi_a + chi_b0, chi_b1 - chi_a, chi_b2 - chi_a]),
+                            chi_b0 / 4.0)
 
 
 def master_phase_formula(report, q_hat_a, q_hat_b, loop_integral_a, loop_integral_b,

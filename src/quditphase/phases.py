@@ -469,7 +469,7 @@ class CycleScan:
 
 
 def _refine_peak(t: np.ndarray, mag: np.ndarray, total: np.ndarray, k: int,
-                 cuts=()) -> tuple[float, float, float]:
+                 cuts: np.ndarray) -> tuple[float, float, float]:
     """(time, phase, magnitude) of the peak at sample k by a three-point quadratic
     fit; the sample itself at either end of the grid or when one of the sorted
     ``cuts`` lies strictly between t[k - 1] and t[k + 1], where |f| has a kink."""
@@ -502,20 +502,18 @@ def _lattice_labels(evo: LocalEvolution, times: list) -> list:
             for k, ok in zip(n.tolist(), (dev <= CLOSURE_TOL).tolist())]
 
 
-def detect_cycles(trace: PhaseTrace, pair: PairEvolution | None = None,
-                  eps: float = 1e-9) -> CycleScan:
-    """Locate overlap-magnitude maxima exceeding 1 - eps.
+def detect_cycles(trace: PhaseTrace, pair: PairEvolution, eps: float = 1e-9) -> CycleScan:
+    """Locate overlap-magnitude maxima exceeding 1 - eps on the pair's trace.
 
-    Peaks are refined by a three-point quadratic fit. When a pair evolution is
-    supplied, a peak beside a segment boundary of either path is not fitted
-    (|f| has a kink at the cut; ``_refine_peak``), and each event is annotated
-    with the fractional index of each path whose U(t) is a center element
-    e^{2 pi i n/d} 1 there (``_lattice_labels``), else None.
+    Peaks are refined by a three-point quadratic fit, except beside a segment
+    boundary of either path, where |f| has a kink (``_refine_peak``). Each
+    event is annotated with the fractional index of each path whose U(t) is a
+    center element e^{2 pi i n/d} 1 there (``_lattice_labels``), else None;
+    a single qudit's held partner B is the identity, so its n_b is 0.
     """
     mag = trace.overlap_mag
     t = trace.t
-    cuts = () if pair is None else np.sort(np.concatenate([pair.a.boundaries(),
-                                                          pair.b.boundaries()]))
+    cuts = np.sort(np.concatenate([pair.a.boundaries(), pair.b.boundaries()]))
     hits = mag >= 1.0 - eps
     continuum = bool(hits.all())
     if continuum:
@@ -527,13 +525,10 @@ def detect_cycles(trace: PhaseTrace, pair: PairEvolution | None = None,
         edges = np.flatnonzero(np.diff(hits, prepend=False, append=False))
         peaks = [_refine_peak(t, mag, trace.total_phase, k + int(np.argmax(mag[k:stop])), cuts)
                  for k, stop in zip(edges[0::2].tolist(), edges[1::2].tolist())]
-    labels_a = labels_b = [None] * len(peaks)
-    if pair is not None and peaks:
-        times = [tc for tc, _, _ in peaks]
-        labels_a = _lattice_labels(pair.a, times)
-        labels_b = _lattice_labels(pair.b, times)
+    times = [tc for tc, _, _ in peaks]
     events = tuple(CyclicEvent(t_cycle=tc, phase=pc, overlap_mag=mc, n_a=n_a, n_b=n_b)
-                   for (tc, pc, mc), n_a, n_b in zip(peaks, labels_a, labels_b))
+                   for (tc, pc, mc), n_a, n_b in zip(peaks, _lattice_labels(pair.a, times),
+                                                     _lattice_labels(pair.b, times)))
     return CycleScan(events=events, continuum=continuum)
 
 

@@ -205,11 +205,11 @@ class ScenarioConfig:
 
 @dataclass
 class BuiltScenario:
-    """Runnable objects produced from a ScenarioConfig; a single qudit runs as
-    its purified pair, alpha0 = sqrt(rho0) with evo_b holding B at the identity."""
+    """Runnable objects produced from a ScenarioConfig. A single qudit (``rho0``
+    set, None for a pair) runs as its purified pair, alpha0 = sqrt(rho0) with
+    evo_b holding B at the identity."""
 
     config: ScenarioConfig
-    kind: str                      # "pair" or "single"
     alpha0: CoefficientMatrix
     rho0: QuditDensity | None
     evo_a: LocalEvolution
@@ -360,14 +360,15 @@ _BYTES_PER_ROW_ENTRY = 150
 _BYTES_PER_CHUNK_PHASOR = 80
 
 
-def _check_size(steps: int, dims: tuple, rows: tuple) -> None:
+def _check_size(steps: int, dims: tuple, specs: tuple) -> None:
     """Refuse, before anything is allocated, a grid and dimensions whose arrays
-    cannot fit in physical memory: ``rows`` segments per path of dimension
-    ``dims`` (a path's tables have one row more, row n, which holds its end)."""
+    cannot fit in physical memory: per path of dimension ``dims``, the rows of
+    its segment list in ``specs`` (else one segment) and row n, its end."""
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):      # no sysconf: no policy
         return
+    rows = [len(s) if isinstance(s, list) else 1 for s in specs]
     need = _BYTES_PER_SAMPLE * (steps + 1) + sum(
         _BYTES_PER_ROW_ENTRY * (r + 1) * d * d + _BYTES_PER_CHUNK_PHASOR * CHUNK_ROWS * d
         for d, r in zip(dims, rows))
@@ -392,28 +393,25 @@ def _build(config: ScenarioConfig, steps_override: int | None = None) -> BuiltSc
         raise ConfigError(f"evolution: unknown keys {sorted(unknown)}; "
                           f"expected {sorted(allowed)}")
     if len(config.dims) == 1:      # a single qudit runs as its pair, B held in one segment
-        dims, specs = config.dims * 2, (config.evolution.get("path", config.evolution.get("a")),
-                                         None)
-    else:
-        dims, specs = config.dims, (config.evolution.get("a"), config.evolution.get("b"))
-    _check_size(steps, dims, tuple(len(s) if isinstance(s, list) else 1 for s in specs))
-    if len(config.dims) == 1:
-        kind, d = "single", config.dims[0]
+        (d,) = config.dims
+        path = config.evolution.get("path", config.evolution.get("a"))
+        _check_size(steps, (d, d), (path, None))
         rho0 = _build_single_state(config.initial_state, d, "initial_state")
         alpha0 = purify(rho0)
-        evo_a = _build_evolution(specs[0], d, "evolution.path")
+        evo_a = _build_evolution(path, d, "evolution.path")
         evo_b = identity_evolution(d, config.t_max)
     else:
-        kind, rho0 = "pair", None
-        d_a, d_b = config.dims
-        alpha0 = _build_pair_state(config.initial_state, (d_a, d_b), "initial_state")
+        rho0, (d_a, d_b) = None, config.dims
+        specs = (config.evolution.get("a"), config.evolution.get("b"))
+        _check_size(steps, config.dims, specs)
+        alpha0 = _build_pair_state(config.initial_state, config.dims, "initial_state")
         evo_a = _build_evolution(specs[0], d_a, "evolution.a")
         evo_b = _build_evolution(specs[1], d_b, "evolution.b")
     try:
         grid = TimeGrid(t_max=config.t_max, steps=steps)
     except ValueError as exc:                   # t_max / steps underflows to 0
         raise ConfigError(f"grid: {exc}") from exc
-    return BuiltScenario(config=config, kind=kind, alpha0=alpha0, rho0=rho0,
+    return BuiltScenario(config=config, alpha0=alpha0, rho0=rho0,
                          evo_a=evo_a, evo_b=evo_b, grid=grid,
                          cyclic_eps=cyclic_eps, oracle_tol=oracle_tol)
 
@@ -432,7 +430,7 @@ def apply_split(built: BuiltScenario, mode: str) -> BuiltScenario:
     """
     if mode not in ("a-only", "half"):
         raise ConfigError(f"unknown split mode {mode!r}; use 'half' or 'a-only'")
-    if built.kind != "pair":
+    if built.rho0 is not None:
         raise ConfigError("--split applies to two-qudit scenarios")
     if built.alpha0.d_a != built.alpha0.d_b:
         raise ConfigError("--split requires equal qudit dimensions")
@@ -458,7 +456,7 @@ def apply_split(built: BuiltScenario, mode: str) -> BuiltScenario:
         seg_a.append(CartanLinear(ra, t1 - t0))
         seg_b.append(CartanLinear(rb, t1 - t0))
     d = built.alpha0.d_a
-    return BuiltScenario(config=built.config, kind="pair", alpha0=built.alpha0,
+    return BuiltScenario(config=built.config, alpha0=built.alpha0,
                          rho0=None, evo_a=LocalEvolution(d, seg_a),
                          evo_b=LocalEvolution(d, seg_b), grid=built.grid,
                          cyclic_eps=built.cyclic_eps, oracle_tol=built.oracle_tol)
@@ -601,8 +599,8 @@ def run_scenario(config: ScenarioConfig, split: str | None = None,
     diagnostics = {}
     pair = built.pair
     trace = run_trace(built.alpha0, pair)
-    if built.kind == "pair":
-        scan = detect_cycles(trace, pair, eps=built.cyclic_eps)
+    scan = detect_cycles(trace, pair, eps=built.cyclic_eps)
+    if built.rho0 is None:
         rep = entanglement_report(built.alpha0)
         diagnostics["concurrence"] = rep.concurrence
         diagnostics["c_max"] = rep.c_max
@@ -612,7 +610,6 @@ def run_scenario(config: ScenarioConfig, split: str | None = None,
         diagnostics["q_a"] = rep.q_a
         diagnostics["q_b"] = rep.q_b
     else:
-        scan = detect_cycles(trace, None, eps=built.cyclic_eps)
         diagnostics["purity_q"] = built.rho0.q
         diagnostics["purity_tr_rho2"] = built.rho0.purity
     diagnostics["unitarity_residual_max"] = trace.unitarity_residual
@@ -677,10 +674,11 @@ class VerifyReport:
 def _oracle_series(built: BuiltScenario) -> tuple[str, np.ndarray, np.ndarray, np.ndarray]:
     """(label, total, dynamical, geometric) closed-form series on the grid.
 
-    A Schmidt-diagonal alpha (equal dimensions, or the embedded qubit-qutrit
-    state with a real diagonal) is the phasor sum over its Schmidt pairs:
-    weights |alpha_ii|^2 on the levels chi_A,i + chi_B,i, i < d_A. The
-    full-support qubit-qutrit state has the dual formula.
+    On all-diagonal paths every state's overlap is one phasor sum over alpha's
+    support: weights |alpha_ij|^2 on the levels chi_A,i + chi_B,j. It covers
+    a Schmidt-diagonal alpha (equal dimensions, or the embedded qubit-qutrit
+    state with a real diagonal) and the full-support qubit-qutrit state, whose
+    label names the dual formula the sum equals.
     """
     times = built.grid.times()
     alpha = built.alpha0.alpha
@@ -688,21 +686,20 @@ def _oracle_series(built: BuiltScenario) -> tuple[str, np.ndarray, np.ndarray, n
     if not (built.evo_a.is_diagonal and built.evo_b.is_diagonal):
         raise NoOracleError("no closed form: oracle verification covers "
                             "all-diagonal evolutions only")
-    chi_a = built.evo_a.cartan_levels(times)
-    chi_b = built.evo_b.cartan_levels(times)
-    if (d_a, d_b) == (2, 3) and np.abs(alpha - qubit_qutrit_full().alpha).max() <= 1e-9:
-        total, dyn = cf.qubit_qutrit_dual_series(chi_a, chi_b)
-        return "qubit_qutrit_dual", total, dyn, total - dyn
     schmidt = np.abs(alpha * (1 - np.eye(d_a, d_b))).max() <= 1e-12
-    if schmidt and d_a == d_b:
+    if (d_a, d_b) == (2, 3) and np.abs(alpha - qubit_qutrit_full().alpha).max() <= 1e-9:
+        label = "qubit_qutrit_dual"
+    elif schmidt and d_a == d_b:
         # a single qudit's purification sqrt(rho) is diagonal with rho
-        label = "two_qudit_diagonal" if built.kind == "pair" else "single_qudit_diagonal"
+        label = "two_qudit_diagonal" if built.rho0 is None else "single_qudit_diagonal"
     elif schmidt and (d_a, d_b) == (2, 3) and np.abs(np.diagonal(alpha).imag).max() < 1e-12:
         label = "qubit_qutrit_effective"
     else:
         raise NoOracleError("no closed form covers this scenario")
-    total, dyn = cf.diagonal_total_phase_series(np.abs(np.diagonal(alpha)) ** 2,
-                                                chi_a + chi_b[:, :d_a])
+    i, j = np.nonzero(alpha)
+    total, dyn = cf.diagonal_total_phase_series(
+        np.abs(alpha[i, j]) ** 2,
+        built.evo_a.cartan_levels(times)[:, i] + built.evo_b.cartan_levels(times)[:, j])
     return label, total, dyn, total - dyn
 
 
@@ -712,7 +709,7 @@ def verify_scenario(config: ScenarioConfig, tolerance: float | None = None,
 
     The closed form is evaluated at the float times of the trace's ``t``
     column, while the engine takes its phasors at the ideal times i dt, so
-    each deviation includes the closed form's own time rounding (1.364e-11 on
+    each deviation includes the closed form's own time rounding (1.035e-11 on
     the total phase of fig4d, 7.1e-14 on fig2a).
     """
     out = run_scenario(config, split=split, steps=steps)

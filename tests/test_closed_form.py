@@ -27,6 +27,19 @@ def _single_trace(d, q, q_hat, rates, steps=2000):
     return qp.single_qudit_trace(rho, evo, qp.TimeGrid(1.0, steps))
 
 
+def _dual_phasor(a, b1, b2):
+    """The qubit-qutrit dual formula: the overlap of the full-support state at
+    per-level phases (a, -a) on A and (-(b1 + b2), b1, b2) on B."""
+    return (np.cos(a - b2 - b1 / 2) * np.exp(-0.5j * b1)
+            + np.cos(a - b1 - b2 / 2) * np.exp(-0.5j * b2)) / 2
+
+
+def _support_terms(alpha, chi_a, chi_b):
+    """(weights, levels) of the phasor sum over alpha's support, as ``verify`` forms them."""
+    i, j = np.nonzero(alpha)
+    return np.abs(alpha[i, j]) ** 2, chi_a[:, i] + chi_b[:, j]
+
+
 def test_single_qudit_diagonal_mixed_alignment():
     res = cf.single_qudit_diagonal(3, 0.0, qp.qutrit_profile(0.0),
                                    [TWO_PI / 3, TWO_PI / 3, -2 * TWO_PI / 3])
@@ -293,10 +306,8 @@ def test_ramp_sampling_scales_with_large_angles():
     assert abs(res.phi_total_unwrapped - chi) < math.pi / 2
     assert res.phi_g == pytest.approx(res.phi_total_unwrapped - 0.5 * chi, abs=1e-9)
     dual = cf.qubit_qutrit_dual(chi, 2e4, -1e4, -1e4)
-    a, b1, b2 = chi, -1e4, -1e4
-    z_end = (math.cos(a - b2 - b1 / 2) * np.exp(-0.5j * b1)
-             + math.cos(a - b1 - b2 / 2) * np.exp(-0.5j * b2)) / 2
-    assert dual.phi_total_bar == pytest.approx(np.angle(z_end), abs=1e-6)
+    assert dual.phi_total_bar == pytest.approx(np.angle(_dual_phasor(chi, -1e4, -1e4)),
+                                               abs=1e-6)
 
 
 def test_qubit_qutrit_dual_against_engine():
@@ -320,12 +331,39 @@ def test_qubit_qutrit_dual_contacts_on_fractional_grid():
     a = qp.LocalEvolution(2, [qp.CartanLinear(np.array([1.5, -1.5]), 2 * TWO_PI)])
     b = qp.LocalEvolution(3, [qp.CartanLinear(np.array([1.0, 1.0, -2.0]),
                                               2 * TWO_PI)])
-    tr = qp.run_trace(state, qp.PairEvolution(a, b, qp.TimeGrid(2 * TWO_PI, 4002)))
-    scan = qp.detect_cycles(tr, None)
+    pair = qp.PairEvolution(a, b, qp.TimeGrid(2 * TWO_PI, 4002))
+    scan = qp.detect_cycles(qp.run_trace(state, pair), pair)
     lat = qp.fractional_lattice(2, 3)
     assert len(scan.events) >= 6
     for ev in scan.events:
         assert lat.contains(ev.phase, tol=1e-6)
+
+
+def test_support_sum_is_the_qubit_qutrit_dual_formula():
+    # the full-support state's support sum, weights (1/2, 1/4, 1/4), is the
+    # dual cos-formula and its dynamical phase chi_B0 / 4
+    a, b1, b2 = np.random.default_rng(7).uniform(-math.pi, math.pi, size=(3, 20000))
+    b0 = -(b1 + b2)
+    weights, levels = _support_terms(qp.qubit_qutrit_full().alpha, np.stack([a, -a], axis=1),
+                                     np.stack([b0, b1, b2], axis=1))
+    np.testing.assert_allclose(weights, [0.5, 0.25, 0.25], rtol=0, atol=1e-15)
+    for value, reference in ((np.exp(1j * levels) @ weights, _dual_phasor(a, b1, b2)),
+                             (levels @ weights, b0 / 4)):
+        assert (np.abs(value - reference) <= 1e-15 * (1 + np.abs(reference))).all()
+
+
+@pytest.mark.parametrize("name", ["fig6a", "fig6b", "fig6c", "frac34"])
+def test_support_sum_matches_the_engine_on_uncovered_presets(name):
+    # verify covers neither state (exit 4), but on their all-diagonal paths
+    # the support sum is their overlap too
+    out = qp.run_scenario(qp.figure_preset(name))
+    built, trace = out.built, out.trace
+    times = built.grid.times()
+    total, dyn = cf.diagonal_total_phase_series(*_support_terms(
+        built.alpha0.alpha, built.evo_a.cartan_levels(times), built.evo_b.cartan_levels(times)))
+    for engine, oracle in ((trace.total_phase, total), (trace.dynamical_phase, dyn),
+                           (trace.geometric_phase, total - dyn)):
+        assert np.abs(engine - oracle).max() <= 2e-14
 
 
 @settings(max_examples=40, deadline=None)

@@ -156,12 +156,15 @@ def test_detect_cycles_scans_runs_at_edges_plateaus_and_ramps():
                               dynamical_phase=np.zeros(n), geometric_phase=total,
                               indeterminate=np.zeros(n, dtype=bool),
                               unitarity_residual=0.0, determinant_residual=0.0)
-    scan = qp.detect_cycles(trace)
+    # identity paths: their only boundary is the grid's end, so no peak is beside a cut
+    hold = qp.identity_evolution(2, t[-1])
+    pair = qp.PairEvolution(hold, hold, qp.TimeGrid(t[-1], n - 1))
+    scan = qp.detect_cycles(trace, pair)
     assert not scan.continuum
     peaks = [0, 5, 7, 13, n - 1]
     assert _peaks_by_sample(mag) == peaks
     assert [(e.t_cycle, e.phase, e.overlap_mag) for e in scan.events] == [
-        phases._refine_peak(t, mag, total, k) for k in peaks]
+        phases._refine_peak(t, mag, total, k, np.array([])) for k in peaks]
 
 
 def test_unwrap_through_overlap_zero():
@@ -1452,7 +1455,7 @@ def test_detect_cycles_labels_all_events_at_once(monkeypatch):
     labels = []
     for state, pair in cases:
         trace = qp.run_trace(state, pair)
-        reference = qp.detect_cycles(trace)
+        reference = qp.detect_cycles(trace, pair)
         expected = _labels_per_event(reference, pair)
         cosets = _count_calls(monkeypatch, "coset_factor")
         levels = _count_calls(monkeypatch, "cartan_levels")

@@ -48,9 +48,7 @@ def test_config_yaml_parse_and_pi_expressions():
     cfg = qp.ScenarioConfig.from_yaml(GOOD_YAML)
     assert cfg.dims == (3, 3)
     assert cfg.t_max == pytest.approx(TWO_PI)
-    built = cfg.build()
-    assert built.kind == "pair"
-    assert built.grid.steps == 600
+    assert cfg.build().grid.steps == 600
 
 
 def test_config_error_names_segment():
@@ -642,10 +640,17 @@ def test_marginal_presets_contact_structure():
 def test_stepped_preset_overlap_at_branch_joints():
     # the stepped runs have a segment boundary on a grid sample at each branch
     # joint k 2 pi/3; the maximally entangled run (fig2a) alternates between
-    # vanishing and unit overlap there
+    # vanishing and unit overlap there. The single qutrit at purity 0.2 runs
+    # fig2b's branches as its purified pair, B held
     joints = np.array([1, 2, 3, 4, 5, 6]) * TWO_PI / 3.0
-    for name in ("fig2a", "fig2b", "fig2c"):
-        out = qp.run_scenario(qp.figure_preset(name))
+    cases = [qp.figure_preset(name) for name in ("fig2a", "fig2b", "fig2c")]
+    cases.append(qp.ScenarioConfig.from_dict({
+        "name": "single-stepped", "dims": 3, "initial_state": {"purity": {"q": 0.2}},
+        "evolution": {"path": cases[1].evolution["a"]},
+        "grid": {"t_max": "4*pi", "steps": 4002}}))
+    for cfg in cases:
+        name = cfg.name
+        out = qp.run_scenario(cfg)
         t = out.trace.t
         idx = np.searchsorted(t, joints - 1e-9)
         if name == "fig2a":
@@ -655,6 +660,9 @@ def test_stepped_preset_overlap_at_branch_joints():
         # samples, unfitted, and walk the qutrit fractions
         contacts = [e for e in out.record.cycles if e.t_cycle > 1e-9]
         assert [e.t_cycle for e in contacts] == t[idx[[1, 3, 5]]].tolist(), name
+        # ... within one ulp of the cuts (the sample times k dt round)
+        assert (np.abs([e.t_cycle for e in contacts[:2]] - joints[[1, 3]])
+                <= np.spacing(joints[[1, 3]])).all(), name
         assert all(e.overlap_mag <= 1.0 for e in out.record.cycles), name
         assert [(e.n_a, e.n_b) for e in contacts] == [(1, 0), (2, 0), (0, 0)], name
         np.testing.assert_allclose([e.phase for e in contacts],
@@ -804,7 +812,6 @@ def test_single_qudit_scenario_roundtrip(tmp_path):
     }
     cfg = qp.ScenarioConfig.from_dict(raw)
     out = qp.run_scenario(cfg)
-    assert out.built.kind == "single"
     report = qp.verify_scenario(cfg)
     assert report.oracle == "single_qudit_diagonal"
     assert report.ok
@@ -827,19 +834,20 @@ grid: {t_max: "2*pi", steps: 3000}
 
 def test_single_qudit_contract(tmp_path, capsys):
     # the single qudit runs as its purified pair; what stays single-specific
-    # is the purity diagnostics and cycles without (n_a, n_b) labels
+    # is the purity diagnostics, the --split refusal and the oracle label
     path = tmp_path / "single.yaml"
     path.write_text(SINGLE_YAML)
     out = qp.run_scenario(qp.ScenarioConfig.from_file(str(path)))
     assert list(out.record.diagnostics) == ["purity_q", "purity_tr_rho2",
                                             "unitarity_residual_max",
                                             "determinant_residual_max"]
-    # U = e^{2 pi i m/3} 1 at t = 2 pi m/3: lattice returns, left unannotated
+    # U = e^{2 pi i m/3} 1 at t = 2 pi m/3: lattice returns, labelled (m, 0)
+    # with B held at the identity
     events = out.scan.events
     assert [round(3 * ev.t_cycle / TWO_PI) for ev in events] == [0, 1, 2, 3]
     for m, ev in enumerate(events):
         assert qp.circular_distance(ev.phase, TWO_PI * m / 3) < 1e-6
-        assert (ev.n_a, ev.n_b) == (None, None)
+        assert (ev.n_a, ev.n_b) == (m % 3, 0)
     assert main(["run", str(path), "--split", "half"]) == 2
     assert "--split applies to two-qudit scenarios" in capsys.readouterr().err
     assert main(["verify", str(path)]) == 0
