@@ -20,9 +20,11 @@ w tau, and a Bloch row's form term by term to a closed form in its phasors,
 from the row's start, which may lie between samples (``_row_integrals``).
 Phasors are taken at the ideal times i dt, within about 1 ulp of exact
 (``LocalEvolution.grid_phasors``), and a chunk's overlap and Bloch integral
-are each one matrix product of its coarse and fine tables
-(``_streamed_trace``). A single qudit runs as its purified pair, B held at
-the identity and alpha = sqrt(rho): Tr[alpha^dag U alpha] = Tr[rho U].
+are each one matrix product of its coarse and fine tables, the fine ones
+built once per run (``_streamed_trace``). Each stage writes its per-sample
+column in place into one allocation per trace. A single qudit runs as its
+purified pair, B held at the identity and alpha = sqrt(rho):
+Tr[alpha^dag U alpha] = Tr[rho U].
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ TWO_PI = 2.0 * math.pi
 INDETERMINATE_TOL = 1e-12
 TRANSIT_RATIO = 0.25
 NEAR_ORIGIN = 0.05
-# Grid samples per chunk of a run, one matrix product of about 91 x 91 samples.
+# The most grid samples per chunk of a run, one matrix product, and per block.
 CHUNK_ROWS = 2 ** 13
 # Runs whose folded overlap matrices are built together: 1 MiB at width 8 x 8.
 RUN_BLOCK = 2 ** 10
@@ -85,8 +87,8 @@ def _half_turn(step, mag):
     return (math.pi + step) * mag <= INDETERMINATE_TOL
 
 
-def unwrap_phases(z: np.ndarray, dynamical: np.ndarray,
-                  mag: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def unwrap_phases(z: np.ndarray, dynamical: np.ndarray, mag: np.ndarray | None = None,
+                  out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Continuously unwrapped argument of a sampled complex path.
 
     Nearest-branch continuation sample to sample: between two determinate
@@ -104,7 +106,8 @@ def unwrap_phases(z: np.ndarray, dynamical: np.ndarray,
     the returned mask. The first determinate sample after such a bridged run
     re-anchors on the branch nearest the bridged phase. A step or anchor jump
     of about -pi that the rounding cannot place on either side of the origin
-    (``_half_turn``) goes +pi. ``mag`` is |z| if the caller has it.
+    (``_half_turn``) goes +pi. ``mag`` is |z| if the caller has it; the phase
+    is written to ``out`` if given.
     """
     z = np.asarray(z, dtype=complex)
     n = z.size
@@ -112,10 +115,10 @@ def unwrap_phases(z: np.ndarray, dynamical: np.ndarray,
         mag = np.abs(z)
     scale = NEAR_ORIGIN * (mag.max() if n else 1.0)
     determinate = mag > INDETERMINATE_TOL
-    phases = np.angle(z)                  # becomes the total phase, in place
+    phases = np.arctan2(z.imag, z.real, out=out)   # np.angle; becomes the total phase
     steps = np.diff(phases)
-    big = np.flatnonzero(np.abs(steps) >= GUARD)   # the branch cuts and guard candidates
-    steps = steps[big]
+    big = np.flatnonzero(np.abs(steps, out=steps) >= GUARD)   # branch cuts, guard candidates
+    steps = phases[big + 1] - phases[big]
     winds = np.rint(steps / TWO_PI)       # branch cuts crossed per big step
     steps -= TWO_PI * winds               # the nearest-branch increments
     tie = _half_turn(steps, mag[big + 1])
@@ -182,18 +185,21 @@ class PhaseTrace:
     determinant_residual: float
 
 
-def _finalize_trace(t, overlap, dyn, residuals) -> PhaseTrace:
-    mag = np.abs(overlap)
+def _finalize_trace(t, overlap, dyn, residuals, out=None) -> PhaseTrace:
+    """The trace of a sampled overlap and dynamical phase. |overlap|, the total
+    and the geometric phase go to ``out``, three float columns, or to new arrays."""
+    mag, total, geo = np.empty((3, overlap.size)) if out is None else out
+    np.abs(overlap, out=mag)
     if abs(overlap[0] - 1.0) > 1e-8:
         raise ValueError(
             f"overlap at t = 0 is {overlap[0]:.6g}, not 1; the evolution must "
             "start at the identity and the state must be normalized")
     if not mag.max() <= 1.0 + 1e-9:        # NaN too: the cycle scan needs finite magnitudes
         raise ValueError("overlap magnitude exceeds 1 or is not finite; inputs are inconsistent")
-    total, indet = unwrap_phases(overlap, dynamical=dyn, mag=mag)
+    total, indet = unwrap_phases(overlap, dynamical=dyn, mag=mag, out=total)
     total -= total[0]
     return PhaseTrace(t=t, overlap=overlap, overlap_mag=mag, total_phase=total,
-                      dynamical_phase=dyn, geometric_phase=total - dyn,
+                      dynamical_phase=dyn, geometric_phase=np.subtract(total, dyn, out=geo),
                       indeterminate=indet, unitarity_residual=residuals[0],
                       determinant_residual=residuals[1])
 
@@ -310,18 +316,28 @@ def _offsets(counts: np.ndarray) -> np.ndarray:
 
 
 def _chunks(lo: np.ndarray, end: np.ndarray) -> tuple:
-    """(run, start, size, block) of every chunk: run r's samples [lo[r], end[r])
-    in chunks of at most ``CHUNK_ROWS`` and blocks of b = ceil(sqrt(size))."""
-    count = -(-(end - lo) // CHUNK_ROWS)
-    start = np.repeat(lo, count) + CHUNK_ROWS * _offsets(count)
-    size = np.minimum(start + CHUNK_ROWS, np.repeat(end, count)) - start
-    return np.repeat(np.arange(count.size), count), start, size, np.ceil(np.sqrt(size)).astype(int)
+    """(run, start, size) of every chunk and each run's block b: run r's samples
+    [lo[r], end[r]) with b = ceil(sqrt(end[r] - lo[r])), at most ``CHUNK_ROWS``,
+    in chunks of the largest multiple of b within ``CHUNK_ROWS``, the last the rest."""
+    length = end - lo
+    block = np.minimum(np.ceil(np.sqrt(length)).astype(int), CHUNK_ROWS)
+    width = CHUNK_ROWS // block * block
+    count = -(-length // width)
+    start = np.repeat(lo, count) + np.repeat(width, count) * _offsets(count)
+    size = np.minimum(start + np.repeat(width, count), np.repeat(end, count)) - start
+    return np.repeat(np.arange(count.size), count), start, size, block
 
 
 def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
                     evo_b: LocalEvolution, grid: TimeGrid) -> tuple:
-    """(times, overlap, dynamical phase, residuals) of alpha(t) = U_A alpha0 U_B^T,
+    """(times, overlap, dynamical phase, residuals, out) of alpha(t) = U_A alpha0 U_B^T,
     one run of grid samples at a time, for ``_finalize_trace``.
+
+    Every per-sample column is a disjoint stretch of one float block of 7
+    floats per sample: t, the overlap as (re, im) pairs, the dynamical phase,
+    and ``out``, the three columns ``_finalize_trace`` fills. Each stage
+    writes its column in place, so a trace makes one large allocation, which
+    later traces reuse in place of faulting in fresh pages.
 
     A run is a maximal stretch of samples on which each path stays on one
     row (``LocalEvolution.row_starts``), from its end on its row n. Its rows
@@ -333,27 +349,31 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
     samples, plus the row's own integral to tau = t - start, w tau and on a
     Bloch row the sum of its form's antiderivative and small-Delta terms.
 
-    Phasors are taken at the ideal times i dt. In a chunk of m samples
-    (``_chunks``) in blocks of b, sample i = q b + j (j < b) has the phasors
-    of sample q b times e^{i w j dt}. So its overlap is one matrix product,
-    (X^T Y).ravel()[:m] with X[(g, h), q] = C_gh y_A,g(q b) y_B,h(q b) and
-    Y[(g, h), j] = e^{i (w_A,g + w_B,h) j dt}, and so is a Bloch row's
+    Phasors are taken at the ideal times i dt. A run of L samples has one
+    block b = ceil(sqrt(L)) and chunks of a multiple of b samples but its last
+    (``_chunks``). In a chunk of m samples, sample i = q b + j (j < b) has the
+    phasors of sample q b times e^{i w j dt}. So its overlap is one matrix
+    product, (X^T Y).ravel()[:m] with X[(g, h), q] = C_gh y_A,g(q b) y_B,h(q b)
+    and Y[(g, h), j] = e^{i (w_A,g + w_B,h) j dt}, written into the overlap
+    column in place when b divides m, and so is a Bloch row's
     integral: Re of the same product over its (g, g') pairs, with its form in
     X and e^{i Delta j dt} / (i Delta) in Y, or on a small-Delta pair
     phi(Delta, j dt), to which each coarse sample adds its own
-    x0 phi(Delta, tau). One call per path gives every chunk's coarse phasors
-    (``grid_phasors``) and one every run's fine ones (``step_phasors``).
-    Residuals: see ``PhaseTrace``.
+    x0 phi(Delta, tau); the real part is one real product of X's (re, im)
+    pairs with (Re Y, -Im Y). One call per path gives every chunk's coarse
+    phasors (``grid_phasors``) and one every run's fine ones (``step_phasors``),
+    about 2 sqrt(L) G phasors per run. Residuals: see ``PhaseTrace``.
     """
     _check_rate_guard(evo_a.max_phase_rate + evo_b.max_phase_rate, grid)
     alpha, dt = alpha0.alpha, grid.dt
     rho_a, rho_b = reduced_densities(alpha0)
     w_a, forms_a, bases_a = _row_integrals(evo_a, rho_a)
     w_b, forms_b, bases_b = _row_integrals(evo_b, rho_b)
-    times = grid.times()
-    n = times.size
-    overlap = np.empty(n, dtype=complex)
-    dyn = np.empty(n)
+    n = grid.steps + 1
+    columns = np.empty(7 * n)
+    overlap = columns[:2 * n].view(complex)
+    times, dyn, *out = columns[2 * n:].reshape(5, n)
+    times[:] = grid.times()
     (first_a, rows_a), (first_b, rows_b) = evo_a.row_starts(grid), evo_b.row_starts(grid)
     fa, fb = evo_a.frames, evo_b.frames
     unit = max(fa.unitarity[rows_a].max(), fb.unitarity[rows_b].max())
@@ -368,31 +388,29 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
             + bases_b[rows_b] + w_b[rows_b] * sum(evo_b.row_times(rows_b, lo, dt)))
     slope = w_a[rows_a] + w_b[rows_b]
     run, start, size, block = _chunks(lo, hi)
-    per = -(-size // block)                       # coarse samples per chunk
-    index = np.repeat(start, per) + np.repeat(block, per) * _offsets(per)
+    per = -(-size // block[run])                  # coarse samples per chunk
+    index = np.repeat(start, per) + np.repeat(block[run], per) * _offsets(per)
     coarse_rows_a, coarse_rows_b = rows_a[np.repeat(run, per)], rows_b[np.repeat(run, per)]
     coarse_a = evo_a.grid_phasors(coarse_rows_a, index, dt)
     coarse_b = evo_b.grid_phasors(coarse_rows_b, index, dt)
     tau_a = sum(evo_a.row_times(coarse_rows_a, index, dt))
     tau_b = sum(evo_b.row_times(coarse_rows_b, index, dt))
+    fine_a = evo_a.step_phasors(np.repeat(rows_a, block), _offsets(block), dt)
+    fine_b = evo_b.step_phasors(np.repeat(rows_b, block), _offsets(block), dt)
+    step_times = np.arange(block.max()) * dt
     chunk = np.searchsorted(run, np.arange(lo.size + 1))
-    wide = np.maximum.reduceat(block, chunk[:-1])  # each run's largest block
-    fine_a = evo_a.step_phasors(np.repeat(rows_a, wide), _offsets(wide), dt)
-    fine_b = evo_b.step_phasors(np.repeat(rows_b, wide), _offsets(wide), dt)
-    step_times = np.arange(wide.max(initial=0)) * dt
-    q_lo, f_lo = np.cumsum(per) - per, np.cumsum(wide) - wide
-    chunks = list(zip(start.tolist(), size.tolist(), block.tolist(), q_lo.tolist(),
-                      per.tolist()))
+    q_lo, f_lo = np.cumsum(per) - per, np.cumsum(block) - block
+    chunks = list(zip(start.tolist(), size.tolist(), q_lo.tolist(), per.tolist()))
     runs = zip(lo.tolist(), hi.tolist(), rows_a.tolist(), rows_b.tolist(),
                fa.distinct[rows_a].tolist(), fb.distinct[rows_b].tolist(),
-               chunk.tolist(), chunk[1:].tolist(), f_lo.tolist(), wide.tolist(),
+               chunk.tolist(), chunk[1:].tolist(), f_lo.tolist(), block.tolist(),
                base.tolist(), slope.tolist())
-    for r, (lo_r, hi_r, ka, kb, ga, gb, c0, c1, f0, w, base_r, slope_r) in enumerate(runs):
+    for r, (lo_r, hi_r, ka, kb, ga, gb, c0, c1, f0, b, base_r, slope_r) in enumerate(runs):
         if not r % RUN_BLOCK:
             folded = _folded_constants(alpha, evo_a, rows_a[r:r + RUN_BLOCK],
                                        evo_b, rows_b[r:r + RUN_BLOCK])
         c = folded[r % RUN_BLOCK, :ga, :gb].ravel()
-        step_a, step_b = fine_a[f0:f0 + w, :ga], fine_b[f0:f0 + w, :gb]
+        step_a, step_b = fine_a[f0:f0 + b, :ga], fine_b[f0:f0 + b, :gb]
         fine = _pairs(step_a, step_b).T
         forms = []                                # the run's Bloch rows
         for form, g, cols, tau, step in ((forms_a[ka], ga, coarse_a, tau_a, step_a),
@@ -401,21 +419,29 @@ def _streamed_trace(alpha0: CoefficientMatrix, evo_a: LocalEvolution,
                 f, inv, small = form
                 y = _pairs(step.conj(), step).T * inv[:, None]
                 if small is not None:
-                    y[small[0]] = _phi(small[1][:, None], step_times[:w])
+                    y[small[0]] = _phi(small[1][:, None], step_times[:b])
+                # Re(x @ y) as one real product: x's (re, im) pairs against (Re y, -Im y)
+                y = np.stack([y.real, -y.imag], axis=1).reshape(-1, b)
                 forms.append((f, y, small, cols[:, :g], tau))
-        dyn[lo_r:hi_r] = base_r + slope_r * (times[lo_r:hi_r] - times[lo_r])
-        for s, m, b, q, p in chunks[c0:c1]:
+        run_dyn = dyn[lo_r:hi_r]
+        np.subtract(times[lo_r:hi_r], times[lo_r], out=run_dyn)
+        run_dyn *= slope_r
+        run_dyn += base_r
+        for s, m, q, p in chunks[c0:c1]:
             x = _pairs(coarse_a[q:q + p, :ga], coarse_b[q:q + p, :gb])
             x *= c
-            overlap[s:s + m] = (x @ fine[:, :b]).ravel()[:m]
+            if m == p * b:                        # every chunk of a run but maybe its last
+                np.matmul(x, fine, out=overlap[s:s + m].reshape(p, b))
+            else:
+                overlap[s:s + m] = (x @ fine).ravel()[:m]
             for f, y, small, cols, tau in forms:
                 x = _pairs(cols[q:q + p].conj(), cols[q:q + p])
                 x *= f
-                x = (x @ y[:, :b]).real
+                x = x.view(float) @ y
                 if small is not None:
                     x += (_phi(small[1], tau[q:q + p, None]) @ small[2]).real[:, None]
                 dyn[s:s + m] += x.ravel()[:m]
-    return times, overlap, dyn, (float(unit), float(det))
+    return times, overlap, dyn, (float(unit), float(det)), out
 
 
 def run_trace(alpha0: CoefficientMatrix, pair: PairEvolution) -> PhaseTrace:

@@ -354,16 +354,20 @@ def _build_single_state(state: dict, d: int, where: str) -> QuditDensity:
 # Peak memory of ``quditphase run`` with CSV output, measured as peak-RSS slopes
 # (2-vCPU x86 Linux host, numpy 2.4): bytes per grid sample (steps 2e5 -> 1e6),
 # per table-row entry, a row's d^2 (d 64 and 128, 40 -> 200 rows), and per
-# phasor of a chunk, CHUNK_ROWS x d (d 64 -> 512).
+# phasor of a chunk, CHUNK_ROWS x d (d 64 -> 512). A single qudit's SU(d) basis,
+# d^2 - 1 dense d x d complex matrices, peaked at 32 bytes per d^4 in tracemalloc
+# (d 24 -> 40): the matrices and their stacked copy.
 _BYTES_PER_SAMPLE = 600
 _BYTES_PER_ROW_ENTRY = 150
 _BYTES_PER_CHUNK_PHASOR = 80
+_BYTES_PER_BASIS_ENTRY = 32
 
 
-def _check_size(steps: int, dims: tuple, specs: tuple) -> None:
+def _check_size(steps: int, dims: tuple, specs: tuple, basis: int = 0) -> None:
     """Refuse, before anything is allocated, a grid and dimensions whose arrays
     cannot fit in physical memory: per path of dimension ``dims``, the rows of
-    its segment list in ``specs`` (else one segment) and row n, its end."""
+    its segment list in ``specs`` (else one segment) and row n, its end, and
+    the SU(``basis``) generator basis of a single qudit's state, if any."""
     try:
         physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):      # no sysconf: no policy
@@ -371,7 +375,7 @@ def _check_size(steps: int, dims: tuple, specs: tuple) -> None:
     rows = [len(s) if isinstance(s, list) else 1 for s in specs]
     need = _BYTES_PER_SAMPLE * (steps + 1) + sum(
         _BYTES_PER_ROW_ENTRY * (r + 1) * d * d + _BYTES_PER_CHUNK_PHASOR * CHUNK_ROWS * d
-        for d, r in zip(dims, rows))
+        for d, r in zip(dims, rows)) + _BYTES_PER_BASIS_ENTRY * basis ** 4
     if need > physical:
         raise ConfigError(f"grid.steps {steps} with dims {list(dims)} needs about "
                           f"{need / 2 ** 30:.3g} GiB, more than the {physical / 2 ** 30:.3g} "
@@ -395,7 +399,7 @@ def _build(config: ScenarioConfig, steps_override: int | None = None) -> BuiltSc
     if len(config.dims) == 1:      # a single qudit runs as its pair, B held in one segment
         (d,) = config.dims
         path = config.evolution.get("path", config.evolution.get("a"))
-        _check_size(steps, (d, d), (path, None))
+        _check_size(steps, (d, d), (path, None), basis=d)
         rho0 = _build_single_state(config.initial_state, d, "initial_state")
         alpha0 = purify(rho0)
         evo_a = _build_evolution(path, d, "evolution.path")

@@ -898,8 +898,10 @@ def _record_chunks(monkeypatch):
 ], ids=["pair", "single", "generator", "bloch"])
 def test_run_scenario_samples_each_row_once(monkeypatch, raw):
     # the chunks tile each run once, a run with a Bloch row too (no run takes
-    # an end sample), each chunk at most CHUNK_ROWS long; every path takes
-    # each chunk's coarse phasors, every b-th sample, in the run's row
+    # an end sample), each chunk at most CHUNK_ROWS long and, but for the
+    # run's last, a multiple of the run's block b = ceil(sqrt(run length));
+    # every path takes each chunk's coarse phasors, every b-th sample, in the
+    # run's row, and the coarse samples' blocks tile each run once
     chunks, calls = _record_chunks(monkeypatch)
     out = qp.scenarios.run_scenario(qp.scenarios.ScenarioConfig.from_dict(raw))
     built = out.built
@@ -922,12 +924,17 @@ def test_run_scenario_samples_each_row_once(monkeypatch, raw):
     np.testing.assert_array_equal(np.concatenate(index),
                                   np.concatenate([np.arange(s, s + m) for s, m in
                                                   zip(start.tolist(), size.tolist())]))
-    coarse = [np.arange(s, s + m, b) for s, m, b in zip(start, size, block)]
+    np.testing.assert_array_equal(block, np.ceil(np.sqrt(np.diff(edges))))
+    last = np.append(run[1:] != run[:-1], True)
+    assert not (size % block[run])[~last].any()
+    coarse = [np.arange(s, s + m, b) for s, m, b in zip(start, size, block[run])]
     for (evo, rows, got), owner in zip(calls, owners):
         np.testing.assert_array_equal(got, np.concatenate(coarse))
         np.testing.assert_array_equal(rows, np.repeat(owner[np.array(edges[:-1])][run],
                                                       [c.size for c in coarse]))
-    np.testing.assert_array_equal(block[block > 1], np.ceil(np.sqrt(size[block > 1])))
+    covered = [np.arange(q, min(q + b, s + m)) for s, m, b, c in
+               zip(start, size, block[run], coarse) for q in c.tolist()]
+    np.testing.assert_array_equal(np.concatenate(covered), np.arange(times.size))
     if raw["name"] == "generator":
         assert not built.evo_a.is_diagonal and not built.evo_a.frames.rectangular.any()
     if raw["name"] == "bloch":
@@ -1238,9 +1245,9 @@ def test_bloch_frame_route_matches_dense_stacks(data):
 
 
 def test_tabled_mixed_pair_matches_dense_route():
-    # at the default CHUNK_ROWS, runs of 4096 samples or more: chunks of up to
-    # 8192 samples contracted in 91-sample blocks (the Bloch row's 8 terms as 6
-    # distinct phasors, 2 and 3 elsewhere)
+    # at the default CHUNK_ROWS, runs of 4096 samples or more, each one chunk
+    # contracted in blocks of b = ceil(sqrt(run length)), 78 and 67 samples
+    # (the Bloch row's 8 terms as 6 distinct phasors, 2 and 3 elsewhere)
     dt = 2.0 ** -11
     edges = [6000, 12000, 16384]
     a = qp.LocalEvolution(2, [
@@ -1476,6 +1483,41 @@ def test_cycle_labels_hold_u_itself_to_the_closure_tolerance():
     # 1e-7 later its phasors still agree to 3e-7, but U is 1e-7 off the center
     evo = qp.LocalEvolution(3, [qp.CartanLinear(np.array([1.0, 1.0, -2.0]), TWO_PI)])
     assert phases._lattice_labels(evo, [0.0, TWO_PI / 3, TWO_PI / 3 + 1e-7]) == [0, 1, None]
+
+
+def test_trace_columns_are_disjoint_views_of_one_block():
+    # a trace's float columns, the overlap as its (re, im) pairs, are stretches
+    # of one allocation of 7 floats per sample: writing one column leaves every
+    # other as it was. ``_finalize_trace`` also takes independent arrays (the
+    # dense route) and makes the same trace from them.
+    state = qp.random_state(2, 3, np.random.default_rng(4))
+    a = qp.LocalEvolution(2, [qp.BlochLoop(theta_end=1.1, phi_rate=1.5, duration=1.0),
+                              qp.CartanLinear(np.array([1.0, -1.0]), 1.0)])
+    b = qp.LocalEvolution(3, [qp.CartanLinear(np.array([1.0, 1.0, -2.0]), 2.0)])
+    trace = qp.run_trace(state, qp.PairEvolution(a, b, qp.TimeGrid(2.0, 3000)))
+    names = ("t", "overlap", "overlap_mag", "total_phase", "dynamical_phase", "geometric_phase")
+    columns = [getattr(trace, name) for name in names]
+    n = trace.t.size
+    block = trace.t.base
+    assert n == 3001 and block.nbytes == 7 * 8 * n
+    assert [c.dtype for c in columns] == [float, complex, *[float] * 4]
+    assert all(c.shape == (n,) and np.shares_memory(c, block) for c in columns)
+    assert not any(np.shares_memory(c, d) for k, c in enumerate(columns) for d in columns[:k])
+    for k, column in enumerate(columns):
+        before = [c.copy() for c in columns]
+        column[:] = np.nan
+        for j, other in enumerate(columns):
+            if j != k:
+                np.testing.assert_array_equal(other, before[j], err_msg=names[j])
+        column[:] = before[k]
+    t, overlap, dyn = trace.t.copy(), trace.overlap.copy(), trace.dynamical_phase.copy()
+    route = phases._finalize_trace(t, overlap, dyn, (trace.unitarity_residual,
+                                                     trace.determinant_residual))
+    assert route.t is t and route.overlap is overlap and route.dynamical_phase is dyn
+    for name in (*names, "indeterminate"):
+        got, want = getattr(route, name), getattr(trace, name)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 def test_finalize_trace_refuses_non_finite_magnitudes():

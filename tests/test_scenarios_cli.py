@@ -934,6 +934,28 @@ def test_cli_refuses_sizes_past_physical_memory(tmp_path, capsys, monkeypatch, t
     assert "physical memory" in capsys.readouterr().err
 
 
+def test_size_policy_counts_a_single_qudit_basis(tmp_path, capsys, monkeypatch):
+    # 16 GiB of physical memory: the grid and the paths of a single d = 200
+    # qudit need about 0.3 GiB, its SU(200) generator basis about 48 GiB
+    def sysconf(name):
+        return {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 4 * 2 ** 20}[name]
+
+    def unbuilt(*args):
+        raise AssertionError("built past the size policy")
+
+    monkeypatch.setattr(qp.scenarios.os, "sysconf", sysconf)
+    qp.scenarios._check_size(100, (200, 200), ([], None))
+    monkeypatch.setattr(qp.scenarios, "_build_evolution", unbuilt)
+    monkeypatch.setattr(qp.scenarios, "_build_single_state", unbuilt)
+    path = tmp_path / "wide.yaml"
+    path.write_text(json.dumps({
+        "name": "wide", "dims": 200, "initial_state": {"purity": {"q": 0.0}},
+        "evolution": {"path": [{"kind": "cartan_hold", "duration": 1.0}]},
+        "grid": {"t_max": 1.0, "steps": 100}}))
+    assert main(["run", str(path)]) == 2
+    assert "physical memory" in capsys.readouterr().err
+
+
 def test_size_policy_admits_the_benchmark_sizes():
     # long_grid's largest grid and widest paths, and the largest preset grid
     qp.scenarios._check_size(400000, (8, 8), (3, 3))
